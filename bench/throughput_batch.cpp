@@ -1,15 +1,17 @@
-// Batch reconstruction throughput over the multi-device scheduler.
+// Batch reconstruction throughput over the multi-device dispatcher.
 //
-// Reconstructs a suite of independent cases through sched::BatchScheduler at
-// 1, 2, ... --max-devices simulated devices and reports, per device count:
+// Reconstructs a suite of independent cases as one offline batch — every
+// job on the svc::Dispatcher's deterministic lane, then drain() — at 1, 2,
+// ... --max-devices simulated devices and reports, per device count:
 // real host throughput (jobs/host-second), modeled device-seconds per job,
 // modeled makespan (batch completion on the simulated hardware) and its
 // speedup over one device, and the modeled queue-wait distribution. The
 // container this repo is usually verified on has one core, so the *modeled*
 // columns are the meaningful scaling signal; host numbers track simulator
-// cost. Also asserts the scheduler's determinism contract: every device
+// cost. Also asserts the lane's determinism contract: every device
 // count must produce bit-identical images to the single-device run
 // (exit code 1 otherwise).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -17,7 +19,7 @@
 #include "bench_common.h"
 #include "core/hash.h"
 #include "core/timer.h"
-#include "sched/scheduler.h"
+#include "svc/dispatcher.h"
 
 using namespace mbir;
 using namespace mbir::bench;
@@ -43,7 +45,7 @@ int main(int argc, char** argv) {
 
   // Build the job set once: one GPU-ICD reconstruction per suite case, at
   // the paper's Table-1 tunables. Problems/goldens are borrowed by every
-  // scheduler run, so keep them alive for the whole sweep.
+  // batch, so keep them alive for the whole sweep.
   std::vector<OwnedProblem> problems;
   std::vector<Image2D> goldens;
   problems.reserve(std::size_t(ctx->num_cases));
@@ -68,17 +70,29 @@ int main(int argc, char** argv) {
 
   WallTimer wall;
   for (int devices = 1; devices <= max_devices; devices *= 2) {
-    sched::SchedulerOptions opt;
+    svc::DispatcherOptions opt;
     opt.num_devices = devices;
-    sched::BatchScheduler scheduler(opt);
-    for (int i = 0; i < ctx->num_cases; ++i)
-      scheduler.submit(problems[std::size_t(i)], goldens[std::size_t(i)],
-                       job_cfg, "case" + std::to_string(i));
-    const sched::BatchReport& rep = scheduler.runAll();
-
+    opt.queue_capacity = ctx->num_cases;
+    svc::Dispatcher dispatcher(opt);
     for (int i = 0; i < ctx->num_cases; ++i) {
-      const std::uint64_t h =
-          imageHash(scheduler.result(i).run.image);
+      svc::JobSpec spec;
+      spec.problem = &problems[std::size_t(i)];
+      spec.golden = &goldens[std::size_t(i)];
+      spec.config = job_cfg;
+      spec.name = "case" + std::to_string(i);
+      spec.deterministic = true;
+      dispatcher.submit(spec);
+    }
+    const svc::SvcReport& rep = dispatcher.drain();
+    const int jobs = int(rep.jobs_submitted);
+    const double modeled_per_job =
+        jobs > 0 ? rep.modeled_device_seconds_total / jobs : 0.0;
+    double wait_mean = 0.0, wait_max = 0.0;
+    for (int i = 0; i < jobs; ++i) {
+      const svc::JobResult& r = dispatcher.result(i);
+      wait_mean += r.queue_wait_modeled_s / jobs;
+      wait_max = std::max(wait_max, r.queue_wait_modeled_s);
+      const std::uint64_t h = imageHash(r.run.image);
       if (devices == 1) {
         baseline_hashes.push_back(h);
       } else if (h != baseline_hashes[std::size_t(i)]) {
@@ -89,24 +103,24 @@ int main(int argc, char** argv) {
     }
     if (devices == 1) makespan_d1 = rep.makespan_modeled_s;
 
-    t.addRow({std::to_string(devices), std::to_string(rep.jobs_total),
+    t.addRow({std::to_string(devices), std::to_string(jobs),
               AsciiTable::fmt(rep.host_seconds, 2),
               AsciiTable::fmt(rep.jobs_per_host_second, 2),
-              AsciiTable::fmt(rep.modeled_device_seconds_per_job, 4),
+              AsciiTable::fmt(modeled_per_job, 4),
               AsciiTable::fmt(rep.makespan_modeled_s, 4),
               AsciiTable::fmt(makespan_d1 / rep.makespan_modeled_s, 2),
-              AsciiTable::fmt(rep.queue_wait_mean_s, 4) + " / " +
-                  AsciiTable::fmt(rep.queue_wait_max_s, 4)});
+              AsciiTable::fmt(wait_mean, 4) + " / " +
+                  AsciiTable::fmt(wait_max, 4)});
     const std::string prefix = "d" + std::to_string(devices) + "_";
     numbers.emplace_back(prefix + "jobs_per_host_second",
                          rep.jobs_per_host_second);
     numbers.emplace_back(prefix + "modeled_device_seconds_per_job",
-                         rep.modeled_device_seconds_per_job);
+                         modeled_per_job);
     numbers.emplace_back(prefix + "makespan_modeled_s", rep.makespan_modeled_s);
-    numbers.emplace_back(prefix + "queue_wait_mean_s", rep.queue_wait_mean_s);
+    numbers.emplace_back(prefix + "queue_wait_mean_s", wait_mean);
     std::printf("[bench] %d device(s): %d jobs, makespan %.4fs modeled, "
                 "%.2f jobs/host-s\n",
-                devices, rep.jobs_total, rep.makespan_modeled_s,
+                devices, jobs, rep.makespan_modeled_s,
                 rep.jobs_per_host_second);
   }
   numbers.emplace_back("deterministic_across_device_counts",

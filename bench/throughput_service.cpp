@@ -1,10 +1,10 @@
 // Online service throughput: open-loop job submission against a live
 // svc::Server over loopback, swept across 1, 2, ... --max-devices simulated
-// devices. Unlike throughput_batch (same jobs through the offline
-// BatchScheduler), every job here crosses the wire protocol and the
-// admission queue, so the measured numbers include the service's real
-// control-plane costs: framing, admission, priority dispatch, status
-// snapshots.
+// devices. Unlike throughput_batch (same jobs as an in-process offline
+// batch on the deterministic lane), every job here crosses the wire
+// protocol and the admission queue, so the measured numbers include the
+// service's real control-plane costs: framing, admission, priority
+// dispatch, status snapshots.
 //
 // Open loop: a submitter thread pushes jobs at the service as fast as
 // admission allows (rejections back off briefly and retry — the queue bound

@@ -9,8 +9,9 @@
 //   2. Admission control: the queue bound fills and further submits are
 //      rejected explicitly (backpressure, not unbounded queueing).
 //   3. Deadlines: an expired queued job is failed fast, never run.
-//   4. Deterministic lane: deterministic submissions reproduce
-//      sched::BatchScheduler::runAll bit-for-bit (image hashes compared).
+//   4. Deterministic lane: deterministic submissions over the wire
+//      reproduce the same jobs run as an offline batch (a second
+//      dispatcher's deterministic lane, then drain) bit-for-bit.
 //   5. Graceful drain: the svc_report/1 summary + Perfetto trace land on
 //      disk with every thread joined.
 //
@@ -25,7 +26,6 @@
 #include "core/hash.h"
 #include "obs/obs.h"
 #include "recon/case_library.h"
-#include "sched/scheduler.h"
 #include "svc/client.h"
 #include "svc/server.h"
 
@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
                 info.name.c_str(), info.state.c_str(), info.service_host_s);
   }
 
-  // --- 4. Deterministic lane vs offline batch scheduler. -----------------
-  std::printf("\nPhase 4: deterministic lane == BatchScheduler::runAll\n");
+  // --- 4. Deterministic lane online vs as an offline batch. -------------
+  std::printf("\nPhase 4: online deterministic lane == offline batch\n");
   {
     const int det_jobs = 4;
     std::vector<int> det_ids;
@@ -170,17 +170,22 @@ int main(int argc, char** argv) {
     for (int id : det_ids)
       svc_hashes.push_back(client.result(id).image_hash);
 
-    sched::SchedulerOptions soff;
-    soff.num_devices = num_devices;
-    sched::BatchScheduler offline(soff);
+    svc::DispatcherOptions doff;
+    doff.num_devices = num_devices;
+    doff.queue_capacity = det_jobs;
+    svc::Dispatcher offline(doff);
     for (int i = 0; i < det_jobs; ++i) {
       const CaseLibrary::Case c = library.get(i);
       svc::SubmitParams p;
       p.case_index = i;
-      offline.submit(c.problem, c.golden,
-                     svc::makeRunConfig(opt.base_config, p));
+      svc::JobSpec spec;
+      spec.problem = &c.problem;
+      spec.golden = &c.golden;
+      spec.config = svc::makeRunConfig(opt.base_config, p);
+      spec.deterministic = true;
+      offline.submit(spec);
     }
-    offline.runAll();
+    offline.drain();
     bool all_match = true;
     for (int i = 0; i < det_jobs; ++i) {
       const std::string off_hash =
@@ -192,7 +197,7 @@ int main(int argc, char** argv) {
                   match ? "" : "  <-- MISMATCH");
     }
     if (!all_match) {
-      std::fprintf(stderr, "deterministic lane diverged from runAll\n");
+      std::fprintf(stderr, "deterministic lane diverged from the batch\n");
       return 1;
     }
     std::printf("  bit-identical across the online/offline split\n");

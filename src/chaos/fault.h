@@ -2,7 +2,7 @@
 // (DESIGN.md §12).
 //
 // The chaos lane answers one question the happy-path suites cannot: does
-// the sched/svc stack *survive* a device that stalls, dies, or corrupts a
+// the svc stack *survive* a device that stalls, dies, or corrupts a
 // launch mid-run? Everything here is built around replayability — a
 // FaultPlan is a pure function from (seed, job id) to a fault decision, so
 // the fault schedule of any run, including a failing soak in CI, is

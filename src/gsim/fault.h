@@ -14,7 +14,7 @@
 //   - return normally (heartbeat only — the watchdog's liveness signal),
 //   - throw (LaunchFault for a corrupted launch, DeviceLost after a stall
 //     is abandoned by the watchdog) — the error unwinds through
-//     reconstruct() into sched::runJobOnDevice's catch, failing or
+//     reconstruct() into the dispatcher's device-run catch, failing or
 //     migrating the job without touching the device thread's stack,
 //   - block (a stalled device: heartbeats stop, the run freezes until the
 //     service-level watchdog declares the device failed).

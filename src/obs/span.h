@@ -2,10 +2,10 @@
 // trace spans and flight-recorder events from svc admission down to
 // individual gsim launches attribute to the same job.
 //
-// Created at admission (svc) or batch start (sched) and threaded by
-// const pointer through DeviceRunContext → RunConfig → engines. Purely
-// observational: nothing reads it back into the reconstruction, so a run
-// with a span context is bit-identical to one without.
+// Created at admission (svc) and threaded by const pointer through
+// RunConfig → engines. Purely observational: nothing reads it back into
+// the reconstruction, so a run with a span context is bit-identical to one
+// without.
 #pragma once
 
 #include <string>

@@ -1,9 +1,9 @@
 #include "psv/psv_icd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <mutex>
 #include <optional>
 
 #include "core/rng.h"
@@ -18,10 +18,11 @@ namespace mbir {
 
 namespace {
 
-// Boundary voxels are shared by adjacent SVs, which PSV-ICD updates
-// concurrently (the algorithm tolerates the resulting staleness — §3.2).
-// All image accesses on the parallel path therefore go through relaxed
-// atomics so the races are well-defined.
+// Adjacent SVs share boundary voxels. The SVs one wave updates at once come
+// from one checkerboard group, so none of them writes a voxel another one
+// touches while sv_side > 2 * boundary_overlap; below that, a prior ring
+// can reach into a concurrent SV. Image accesses on the parallel path go
+// through relaxed atomics so that case stays well-defined.
 float loadX(Image2D& x, int row, int col) {
   return std::atomic_ref<float>(x(row, col)).load(std::memory_order_relaxed);
 }
@@ -129,14 +130,72 @@ PsvRunStats PsvIcd::run(Image2D& x, Sinogram& e,
   std::optional<ThreadPool> local_pool;
   if (options_.num_threads > 0) local_pool.emplace(options_.num_threads);
   ThreadPool& pool = local_pool ? *local_pool : globalThreadPool();
+  const std::size_t wave_width = std::max<std::size_t>(1, pool.size());
 
   Rng rng(options_.seed);
   std::vector<double> magnitude(std::size_t(grid_.count()), 0.0);
 
-  std::mutex sino_mu;       // guards the global error sinogram
-  std::mutex stats_mu;      // guards the shared counters
+  // One in-flight SV of the current wave: its private SVBs stay alive until
+  // the wave's ordered writeback.
+  struct SvSweep {
+    std::optional<Svb> e_svb, e_orig;
+    WorkCounters wc;
+    double magnitude = 0.0;
+  };
+  std::vector<SvSweep> wave(wave_width);
+
+  // Independent per-SV RNG streams, drawn up front each iteration (in
+  // selection order) for determinism under dynamic scheduling.
+  std::vector<std::uint64_t> seeds(std::size_t(grid_.count()));
+
+  // Alg. 2's per-SV body: gather the SVBs, sweep the SV's voxels serially
+  // against them. The writeback happens once the whole wave is done.
+  const auto sweepSv = [&](int sv_id, SvSweep& sweep) {
+    const SuperVoxel& sv = grid_.sv(sv_id);
+    const SvbPlan& plan = plans[std::size_t(sv_id)];
+    WorkCounters& wc = sweep.wc;
+    wc = WorkCounters{};
+
+    Svb w_svb(plan, SvbLayout::kPacked);
+    w_svb.gather(problem_.weights);
+    // No writer touches e until the wave's writeback; the counted lock
+    // stands for Alg. 2's locked gather in the CPU timing model.
+    Svb& e_svb = sweep.e_svb.emplace(plan, SvbLayout::kPacked);
+    e_svb.gather(e);
+    ++wc.lock_acquisitions;
+    Svb& e_orig = sweep.e_orig.emplace(plan, SvbLayout::kPacked);
+    std::memcpy(e_orig.raw().data(), e_svb.raw().data(),
+                e_svb.raw().size() * sizeof(float));
+    // weights gather + error gather + original-error copy
+    wc.svb_gather_elements += 3 * e_svb.raw().size();
+
+    Rng sv_rng(seeds[std::size_t(sv_id)]);
+    std::vector<int> order(std::size_t(sv.numVoxels()));
+    for (std::size_t k = 0; k < order.size(); ++k) order[k] = int(k);
+    if (options_.randomize_voxel_order) sv_rng.shuffle(order);
+
+    double mag_acc = 0.0;
+    for (int k : order) {
+      const int row = sv.row0 + k / sv.numCols();
+      const int col = sv.col0 + k % sv.numCols();
+      ++wc.voxels_visited;
+      if (options_.zero_skip && zeroSkipRelaxed(x, row, col)) continue;
+      const std::size_t voxel =
+          std::size_t(row) * std::size_t(image_size) + std::size_t(col);
+      const ThetaPair theta = computeThetaSvb(A, e_svb, w_svb, voxel,
+                                              wc.theta_elements, simd_ops);
+      const float delta = solveDeltaRelaxed(problem_.prior, x, row, col, theta);
+      addX(x, row, col, delta);
+      applyErrorUpdateSvb(A, e_svb, voxel, delta, wc.error_update_elements,
+                          simd_ops);
+      mag_acc += std::abs(double(delta));
+      ++wc.voxel_updates;
+    }
+    sweep.magnitude = mag_acc;
+  };
+
   PsvRunStats stats;
-  std::atomic<std::size_t> total_updates{0};
+  std::size_t total_updates = 0;
   const double voxels_per_equit = double(x.numVoxels());
 
   obs::Recorder* rec = options_.recorder;
@@ -167,76 +226,53 @@ PsvRunStats PsvIcd::run(Image2D& x, Sinogram& e,
     const std::vector<int> selected = selectSuperVoxels(
         iter, std::size_t(grid_.count()), magnitude, options_.sv_fraction, rng);
 
-    // Independent per-SV RNG streams, drawn up front for determinism under
-    // dynamic scheduling.
-    std::vector<std::uint64_t> seeds(selected.size());
-    for (auto& s : seeds) s = rng.next();
+    for (int sv_id : selected) seeds[std::size_t(sv_id)] = rng.next();
 
-    pool.parallelFor(0, int(selected.size()), [&](int si) {
-      const int sv_id = selected[std::size_t(si)];
-      const SuperVoxel& sv = grid_.sv(sv_id);
-      const SvbPlan& plan = plans[std::size_t(sv_id)];
-      WorkCounters wc;
-
-      Svb w_svb(plan, SvbLayout::kPacked);
-      w_svb.gather(problem_.weights);
-      Svb e_svb(plan, SvbLayout::kPacked);
-      {
-        std::lock_guard lock(sino_mu);
-        e_svb.gather(e);
-        ++wc.lock_acquisitions;
+    // The selected SVs run in waves of up to one SV per thread. Every SV of
+    // a wave gathers the error sinogram as the previous wave left it, and
+    // the wave writes its SVB deltas back in order once all of its sweeps
+    // are done; a wave's SVs come from one checkerboard group, so they
+    // share no voxels. ICD diverges when adjacent, coupled SVs correct the
+    // same residual from one stale snapshot, and without waves how many
+    // did so would depend on how the OS happened to schedule the threads.
+    // One thread keeps the selection order.
+    std::vector<std::vector<int>> lanes;
+    if (wave_width == 1) {
+      lanes.push_back(selected);
+    } else {
+      for (std::vector<int>& group : grid_.checkerboardGroups(selected))
+        lanes.push_back(std::move(group));
+    }
+    for (const std::vector<int>& lane : lanes) {
+      for (std::size_t w0 = 0; w0 < lane.size(); w0 += wave_width) {
+        const std::size_t w1 = std::min(lane.size(), w0 + wave_width);
+        pool.parallelFor(int(w0), int(w1), [&](int si) {
+          sweepSv(lane[std::size_t(si)], wave[std::size_t(si) - w0]);
+        });
+        // Alg. 2's locked writeback, applied in lane order so the global
+        // error sinogram's rounding does not depend on thread timing.
+        for (std::size_t si = w0; si < w1; ++si) {
+          SvSweep& sweep = wave[si - w0];
+          WorkCounters& wc = sweep.wc;
+          sweep.e_svb->applyDeltaTo(e, *sweep.e_orig, &simd_ops);
+          ++wc.lock_acquisitions;
+          wc.svb_writeback_elements += sweep.e_svb->raw().size();
+          ++wc.svs_processed;
+          magnitude[std::size_t(lane[si])] = sweep.magnitude;
+          total_updates += wc.voxel_updates;
+          stats.work += wc;
+          sweep.e_svb.reset();
+          sweep.e_orig.reset();
+        }
       }
-      Svb e_orig(plan, SvbLayout::kPacked);
-      std::memcpy(e_orig.raw().data(), e_svb.raw().data(),
-                  e_svb.raw().size() * sizeof(float));
-      // weights gather + error gather + original-error copy
-      wc.svb_gather_elements += 3 * e_svb.raw().size();
-
-      Rng sv_rng(seeds[std::size_t(si)]);
-      std::vector<int> order(std::size_t(sv.numVoxels()));
-      for (std::size_t k = 0; k < order.size(); ++k) order[k] = int(k);
-      if (options_.randomize_voxel_order) sv_rng.shuffle(order);
-
-      double mag_acc = 0.0;
-      for (int k : order) {
-        const int row = sv.row0 + k / sv.numCols();
-        const int col = sv.col0 + k % sv.numCols();
-        ++wc.voxels_visited;
-        if (options_.zero_skip && zeroSkipRelaxed(x, row, col)) continue;
-        const std::size_t voxel =
-            std::size_t(row) * std::size_t(image_size) + std::size_t(col);
-        const ThetaPair theta = computeThetaSvb(A, e_svb, w_svb, voxel,
-                                                wc.theta_elements, simd_ops);
-        const float delta = solveDeltaRelaxed(problem_.prior, x, row, col, theta);
-        addX(x, row, col, delta);
-        applyErrorUpdateSvb(A, e_svb, voxel, delta, wc.error_update_elements,
-                            simd_ops);
-        mag_acc += std::abs(double(delta));
-        ++wc.voxel_updates;
-      }
-
-      {
-        std::lock_guard lock(sino_mu);
-        e_svb.applyDeltaTo(e, e_orig, &simd_ops);
-        ++wc.lock_acquisitions;
-      }
-      wc.svb_writeback_elements += e_svb.raw().size();
-      ++wc.svs_processed;
-
-      magnitude[std::size_t(sv_id)] = mag_acc;  // single writer per SV
-      total_updates.fetch_add(wc.voxel_updates, std::memory_order_relaxed);
-      {
-        std::lock_guard lock(stats_mu);
-        stats.work += wc;
-      }
-    });
+    }
 
     if (race_on) {
       // Declarations derive from static geometry, so they are built
       // host-side after the sweep rather than inside the workers. Per SV
       // "block": image rect + clamped read ring, all atomic (every image
-      // access above goes through std::atomic_ref — adjacent SVs genuinely
-      // share boundary voxels); the lock-serialized global-sinogram
+      // access above goes through std::atomic_ref — adjacent SVs of one
+      // iteration share boundary voxels); the wave-ordered global-sinogram
       // gather/writeback as atomic over the SV's band; the private SVBs as
       // plain writes. A write/anything diagnosis therefore means an SVB
       // stopped being private or an image access bypassed the atomics.
@@ -268,7 +304,7 @@ PsvRunStats PsvIcd::run(Image2D& x, Sinogram& e,
     }
 
     stats.iterations = iter;
-    stats.equits = double(total_updates.load()) / voxels_per_equit;
+    stats.equits = double(total_updates) / voxels_per_equit;
     if (m_iterations) {
       m_iterations->add();
       m_svs->add(std::uint64_t(selected.size()));

@@ -5,12 +5,17 @@
 //   * SVs distributed across CPU cores (inter-SV parallelism only),
 //   * voxels within an SV updated sequentially against the SVB,
 //   * SVB deltas merged into the global error sinogram under a lock,
+//   * concurrent SVs run as waves of one SV per thread, drawn from one
+//     checkerboard group, each gathering the error the previous wave left
+//     and writing back in a fixed order,
 //   * per-iteration SV selection: all SVs (iter 1), top 20% by accumulated
 //     update magnitude (even iters), random 20% (odd iters).
 //
 // This is a real std::thread implementation (functionally exact on any core
 // count); the benches pair it with gsim's 16-core Xeon timing model for the
-// Table 1 comparison.
+// Table 1 comparison. Waves bound each SV's staleness by the thread count
+// rather than by OS scheduling: with sv_side > 2 * boundary_overlap the
+// result is bit-identical across runs at a fixed thread count.
 #pragma once
 
 #include <cstdint>
@@ -38,18 +43,19 @@ struct PsvIcdOptions {
   bool zero_skip = true;
   bool randomize_voxel_order = true;
   std::uint64_t seed = 11;
-  /// 0 = use the global pool's size.
+  /// 0 = use the global pool's size. Also the wave width, so the result
+  /// depends on it.
   unsigned num_threads = 0;
   /// Observability sink (nullptr = off): per-iteration host-clock spans and
   /// `psv.*` counters. Purely observational.
   obs::Recorder* recorder = nullptr;
   /// Device-semantics race checking: each iteration's concurrent SV sweeps
   /// are declared to a gsim::RaceDetector as one launch (one block per SV).
-  /// Image and global-sinogram accesses are declared atomic — PSV-ICD
-  /// really does tolerate boundary staleness through relaxed atomics and a
-  /// sinogram lock — so the check guards the SVB-privacy claim and will
-  /// flag any future scheme that drops the atomics. Defaults from
-  /// GPUMBIR_RACE_CHECK.
+  /// Image and global-sinogram accesses are declared atomic — adjacent SVs
+  /// of one iteration share boundary voxels and every SV gathers from and
+  /// writes back to the one error sinogram — so the check guards the
+  /// SVB-privacy claim and will flag any future scheme that drops the
+  /// atomics. Defaults from GPUMBIR_RACE_CHECK.
   gsim::RaceCheckConfig race_check = gsim::RaceCheckConfig::fromEnv();
   /// Lane-group execution path for the SVB row loops (core/simd.h).
   /// kDefault = the GPUMBIR_SIMD environment knob. Scalar and AVX2 are

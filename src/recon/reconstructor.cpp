@@ -31,129 +31,30 @@ Image2D computeGolden(const OwnedProblem& problem, double equits) {
   return x;
 }
 
-RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
-                      RunConfig config) {
-  const WallTimer host_wall;
-  RunResult result;
-  obs::Recorder* rec = config.external_recorder;
-  if (!rec && config.obs.enabled()) {
-    result.recorder = std::make_shared<obs::Recorder>(config.obs);
-    rec = result.recorder.get();
+GpuIcdOptions gpuEngineOptions(const OwnedProblem& problem,
+                               const RunConfig& config, obs::Recorder* rec) {
+  GpuIcdOptions opt = config.gpu;
+  opt.max_iterations = 2000;  // callback-driven; cap is a safety net
+  opt.recorder = rec;
+  opt.simd = config.simd;
+  opt.span = config.span;
+  opt.fault_hook = config.fault_hook;
+  if (config.trace_pid != 0) opt.trace_pid = config.trace_pid;
+  if (config.scale_gpu_caches) {
+    // SVB size scales with views (see gsim::scaleCachesToProblem docs).
+    const double ratio = double(problem.geometry().num_views) / 720.0;
+    opt.device = gsim::scaleCachesToProblem(opt.device, ratio);
   }
-  const bool tracing = rec && rec->traceOn();
-  obs::Counter* m_iterations = nullptr;
-  obs::Gauge* m_rmse = nullptr;
-  if (rec && rec->metricsOn()) {
-    m_iterations = &rec->metrics().counter("recon.iteration.count");
-    m_rmse = &rec->metrics().gauge("recon.rmse_hu");
-  }
+  return opt;
+}
 
-  // Resolve the lane-group path once so the result records what actually
-  // ran (and a forced-but-unavailable path fails loudly up front).
-  result.simd_path = resolveSimdOps(config.simd).name;
+namespace {
 
-  const double setup_t0_us = tracing ? rec->trace().nowHostUs() : 0.0;
-  if (config.initial_image) {
-    MBIR_CHECK_MSG(
-        config.initial_image->size() == problem.geometry().image_size,
-        "warm-start image is " << config.initial_image->size()
-                               << "px, problem needs "
-                               << problem.geometry().image_size << "px");
-    result.image = *config.initial_image;
-    result.warm_started = true;
-  } else {
-    result.image = problem.fbpInitialImage();
-  }
-  Sinogram e = problem.initialError(result.image);
+/// The three in-tree engines behind reconstruct()'s Engine slot.
+void runBuiltinEngine(const OwnedProblem& problem, const RunConfig& config,
+                      obs::Recorder* rec, Sinogram& e,
+                      const IterationTrack& track, RunResult& result) {
   const Problem p = problem.view();
-  if (tracing) {
-    obs::TraceEvent ev;
-    ev.name = "recon.setup";
-    ev.cat = "recon";
-    ev.clock = obs::Clock::kHost;
-    ev.ts_us = setup_t0_us;
-    ev.dur_us = rec->trace().nowHostUs() - setup_t0_us;
-    ev.num_args = {{"image_size", double(result.image.size())}};
-    if (config.span) {
-      ev.tid = config.span->host_tid;
-      obs::tagSpan(ev, *config.span);
-    }
-    rec->trace().record(std::move(ev));
-  }
-
-  // Per-iteration spans on both clocks, engine-agnostic: host time between
-  // callbacks, modeled time between the engine's cumulative timestamps.
-  int track_iter = 0;
-  double prev_host_us = tracing ? rec->trace().nowHostUs() : 0.0;
-  double prev_modeled_s = 0.0;
-  const auto track = [&](const Image2D& x, double equits,
-                         double modeled_seconds) -> bool {
-    // Fault seam, before the cancel check so fault firing points depend
-    // only on the iteration count, never on cancel timing. All three
-    // engines pass through here, so iteration boundaries are the
-    // engine-agnostic heartbeat the chaos watchdog listens to.
-    if (config.fault_hook != nullptr)
-      config.fault_hook->onEvent("iteration", std::uint64_t(track_iter));
-    if (config.cancel && config.cancel->load(std::memory_order_acquire)) {
-      result.cancelled = true;
-      return false;  // stop; partial image/curve up to here is kept
-    }
-    const double rmse = rmseHu(x, golden);
-    result.curve.push_back({equits, modeled_seconds, rmse});
-    result.final_rmse_hu = rmse;
-    ++track_iter;
-    if (m_iterations) {
-      m_iterations->add();
-      m_rmse->set(rmse);
-    }
-    if (config.span && config.span->flight) {
-      obs::FlightEvent fev;
-      fev.job_id = config.span->job_id;
-      fev.kind = "iteration";
-      fev.detail = config.span->tenant;
-      fev.value = rmse;
-      config.span->flight->record(
-          obs::FlightRecorder::deviceLane(config.span->device),
-          std::move(fev));
-    }
-    if (tracing) {
-      const double now_us = rec->trace().nowHostUs();
-      const std::vector<std::pair<std::string, double>> args = {
-          {"iteration", double(track_iter)},
-          {"equits", equits},
-          {"rmse_hu", rmse}};
-      obs::TraceEvent host_ev;
-      host_ev.name = "recon.iteration";
-      host_ev.cat = "recon";
-      host_ev.clock = obs::Clock::kHost;
-      host_ev.ts_us = prev_host_us;
-      host_ev.dur_us = now_us - prev_host_us;
-      host_ev.num_args = args;
-      obs::TraceEvent dev_ev;
-      dev_ev.name = "recon.iteration";
-      dev_ev.cat = "recon";
-      dev_ev.clock = obs::Clock::kModeled;
-      dev_ev.pid = config.trace_pid;
-      dev_ev.ts_us = prev_modeled_s * 1e6;
-      dev_ev.dur_us = (modeled_seconds - prev_modeled_s) * 1e6;
-      dev_ev.num_args = args;
-      if (config.span) {
-        host_ev.tid = config.span->host_tid;
-        obs::tagSpan(host_ev, *config.span);
-        obs::tagSpan(dev_ev, *config.span);
-      }
-      rec->trace().record(std::move(host_ev));
-      rec->trace().record(std::move(dev_ev));
-      prev_host_us = now_us;
-      prev_modeled_s = modeled_seconds;
-    }
-    if (config.stop_rmse_hu > 0.0 && rmse < config.stop_rmse_hu) {
-      result.converged = true;
-      return false;  // stop
-    }
-    return equits < config.max_equits;
-  };
-
   switch (config.algorithm) {
     case Algorithm::kSequentialIcd: {
       SequentialIcdOptions opt = config.seq;
@@ -192,19 +93,7 @@ RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
       break;
     }
     case Algorithm::kGpuIcd: {
-      GpuIcdOptions opt = config.gpu;
-      opt.max_iterations = 2000;
-      opt.recorder = rec;
-      opt.simd = config.simd;
-      opt.span = config.span;
-      opt.fault_hook = config.fault_hook;
-      if (config.trace_pid != 0) opt.trace_pid = config.trace_pid;
-      if (config.scale_gpu_caches) {
-        // SVB size scales with views (see gsim::scaleCachesToProblem docs).
-        const double ratio = double(problem.geometry().num_views) / 720.0;
-        opt.device = gsim::scaleCachesToProblem(opt.device, ratio);
-      }
-      GpuIcd icd(p, opt);
+      GpuIcd icd(p, gpuEngineOptions(problem, config, rec));
       GpuRunStats stats = icd.run(
           result.image, e, [&](const GpuIterationInfo& info) {
             return track(info.x, info.equits, info.modeled_seconds);
@@ -216,6 +105,137 @@ RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
       break;
     }
   }
+}
+
+}  // namespace
+
+RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
+                      const RunConfig& config) {
+  return reconstruct(problem, golden, config,
+                     [&](obs::Recorder* rec, Sinogram& e,
+                         const IterationTrack& track, RunResult& result) {
+                       runBuiltinEngine(problem, config, rec, e, track, result);
+                     });
+}
+
+RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
+                      const RunConfig& config, const Engine& engine) {
+  const WallTimer host_wall;
+  RunResult result;
+  obs::Recorder* rec = config.external_recorder;
+  if (!rec && config.obs.enabled()) {
+    result.recorder = std::make_shared<obs::Recorder>(config.obs);
+    rec = result.recorder.get();
+  }
+  const bool tracing = rec && rec->traceOn();
+  obs::Counter* m_iterations = nullptr;
+  obs::Gauge* m_rmse = nullptr;
+  if (rec && rec->metricsOn()) {
+    m_iterations = &rec->metrics().counter("recon.iteration.count");
+    m_rmse = &rec->metrics().gauge("recon.rmse_hu");
+  }
+
+  // Resolve the lane-group path once so the result records what actually
+  // ran (and a forced-but-unavailable path fails loudly up front).
+  result.simd_path = resolveSimdOps(config.simd).name;
+
+  const double setup_t0_us = tracing ? rec->trace().nowHostUs() : 0.0;
+  if (config.initial_image) {
+    MBIR_CHECK_MSG(
+        config.initial_image->size() == problem.geometry().image_size,
+        "warm-start image is " << config.initial_image->size()
+                               << "px, problem needs "
+                               << problem.geometry().image_size << "px");
+    result.image = *config.initial_image;
+    result.warm_started = true;
+  } else {
+    result.image = problem.fbpInitialImage();
+  }
+  Sinogram e = problem.initialError(result.image);
+  if (tracing) {
+    obs::TraceEvent ev;
+    ev.name = "recon.setup";
+    ev.cat = "recon";
+    ev.clock = obs::Clock::kHost;
+    ev.ts_us = setup_t0_us;
+    ev.dur_us = rec->trace().nowHostUs() - setup_t0_us;
+    ev.num_args = {{"image_size", double(result.image.size())}};
+    if (config.span) {
+      ev.tid = config.span->host_tid;
+      obs::tagSpan(ev, *config.span);
+    }
+    rec->trace().record(std::move(ev));
+  }
+
+  // Per-iteration spans on both clocks, engine-agnostic: host time between
+  // callbacks, modeled time between the engine's cumulative timestamps.
+  int track_iter = 0;
+  double prev_host_us = tracing ? rec->trace().nowHostUs() : 0.0;
+  double prev_modeled_s = 0.0;
+  const IterationTrack track = [&](const Image2D& x, double equits,
+                                   double modeled_seconds) -> bool {
+    // Fault seam, before the cancel check so fault firing points depend
+    // only on the iteration count, never on cancel timing. Every engine
+    // (sharded included) passes through here, so iteration boundaries are
+    // the engine-agnostic heartbeat the chaos watchdog listens to.
+    if (config.fault_hook != nullptr)
+      config.fault_hook->onEvent("iteration", std::uint64_t(track_iter));
+    if (config.cancel && config.cancel->load(std::memory_order_acquire)) {
+      result.cancelled = true;
+      return false;  // stop; partial image/curve up to here is kept
+    }
+    const double rmse = rmseHu(x, golden);
+    result.curve.push_back({equits, modeled_seconds, rmse});
+    result.final_rmse_hu = rmse;
+    ++track_iter;
+    if (m_iterations) {
+      m_iterations->add();
+      m_rmse->set(rmse);
+    }
+    if (config.span && config.span->flight) {
+      obs::FlightEvent fev;
+      fev.job_id = config.span->job_id;
+      fev.kind = "iteration";
+      fev.detail = config.span->tenant;
+      fev.value = rmse;
+      config.span->flight->record(
+          obs::FlightRecorder::deviceLane(config.span->device),
+          std::move(fev));
+    }
+    if (tracing) {
+      const double now_us = rec->trace().nowHostUs();
+      obs::TraceEvent host_ev;
+      host_ev.name = "recon.iteration";
+      host_ev.cat = "recon";
+      host_ev.num_args = {{"iteration", double(track_iter)},
+                          {"equits", equits},
+                          {"rmse_hu", rmse}};
+      obs::TraceEvent dev_ev = host_ev;  // same span on the modeled clock
+      host_ev.clock = obs::Clock::kHost;
+      host_ev.ts_us = prev_host_us;
+      host_ev.dur_us = now_us - prev_host_us;
+      dev_ev.clock = obs::Clock::kModeled;
+      dev_ev.pid = config.trace_pid;
+      dev_ev.ts_us = prev_modeled_s * 1e6;
+      dev_ev.dur_us = (modeled_seconds - prev_modeled_s) * 1e6;
+      if (config.span) {
+        host_ev.tid = config.span->host_tid;
+        obs::tagSpan(host_ev, *config.span);
+        obs::tagSpan(dev_ev, *config.span);
+      }
+      rec->trace().record(std::move(host_ev));
+      rec->trace().record(std::move(dev_ev));
+      prev_host_us = now_us;
+      prev_modeled_s = modeled_seconds;
+    }
+    if (config.stop_rmse_hu > 0.0 && rmse < config.stop_rmse_hu) {
+      result.converged = true;
+      return false;  // stop
+    }
+    return equits < config.max_equits;
+  };
+
+  engine(rec, e, track, result);
 
   if (result.curve.empty())
     result.final_rmse_hu = rmseHu(result.image, golden);

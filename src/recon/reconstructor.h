@@ -9,6 +9,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -48,8 +49,8 @@ struct RunConfig {
   obs::ObsConfig obs;
   /// Record into this caller-owned session instead of creating one
   /// (`obs` is then ignored and no files are exported — the owner decides
-  /// when/where). Used by the batch scheduler so concurrent jobs share one
-  /// trace/metrics session; registration is mutex-guarded, updates atomic.
+  /// when/where). Used by the service dispatcher so concurrent jobs share
+  /// one trace/metrics session; registration is mutex-guarded, updates atomic.
   obs::Recorder* external_recorder = nullptr;
   /// Cooperative cancellation: checked at every iteration boundary; when
   /// the flag is set the run stops and RunResult::cancelled is true. The
@@ -57,7 +58,7 @@ struct RunConfig {
   /// (default) = not cancellable.
   const std::atomic<bool>* cancel = nullptr;
   /// Trace process modeled-clock spans are attributed to (0 = the shared
-  /// "modeled device clock" process). The batch scheduler gives each
+  /// "modeled device clock" process). The service dispatcher gives each
   /// simulated device its own pid so per-device timelines render apart.
   int trace_pid = 0;
   /// Per-job span context (nullptr = none, obs/span.h): iteration and
@@ -75,7 +76,7 @@ struct RunConfig {
   /// iteration boundary for all three engines (the chaos watchdog's
   /// heartbeat) and, for the GPU engine, additionally before every
   /// simulated launch. May throw or block; reconstruct() lets thrown
-  /// faults unwind to the scheduler layer. Borrowed; scoped to the run.
+  /// faults unwind to the dispatch layer. Borrowed; scoped to the run.
   gsim::FaultHook* fault_hook = nullptr;
   /// Warm start (src/store result cache): start the solve from this image
   /// instead of the FBP initialization. Must match the problem's
@@ -125,8 +126,38 @@ struct RunResult {
 /// Compute the golden reference (sequential ICD for `equits` from FBP init).
 Image2D computeGolden(const OwnedProblem& problem, double equits = 40.0);
 
-/// Run one reconstruction to the configured convergence criterion.
+/// Run one reconstruction to the configured convergence criterion with the
+/// in-tree engine config.algorithm names.
 RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
-                      RunConfig config);
+                      const RunConfig& config);
+
+/// The protocol's per-iteration step as an engine sees it: report the image,
+/// cumulative equits and cumulative modeled seconds at an iteration
+/// boundary; false = stop.
+using IterationTrack = std::function<bool(const Image2D& x, double equits,
+                                          double modeled_seconds)>;
+
+/// An engine plugged into reconstruct()'s protocol. It iterates in place on
+/// result.image and `e` (already set up: FBP or warm start, e = y - Ax),
+/// calls `track` at every iteration boundary, and fills the engine-owned
+/// fields of `result`: equits, work, modeled_seconds, its stats, and
+/// cancelled when it stopped on RunConfig::cancel by itself.
+using Engine = std::function<void(obs::Recorder* rec, Sinogram& e,
+                                  const IterationTrack& track,
+                                  RunResult& result)>;
+
+/// The protocol itself, the only implementation of it: setup (warm start or
+/// FBP, initial error, `recon.setup` span), the per-iteration step (fault
+/// seam, cancel, RMSE curve, `recon.iteration` spans, flight events, stop
+/// rule), and finish (metrics, report/trace export). shard::
+/// reconstructSharded() plugs its multi-device engine in here.
+RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
+                      const RunConfig& config, const Engine& engine);
+
+/// GPU-ICD engine options for one run under `config`: config.gpu plus the
+/// run's recorder, SIMD path, span, fault hook, trace pid and cache scaling.
+/// Shared by the in-tree GPU engine and the sharded per-slab template.
+GpuIcdOptions gpuEngineOptions(const OwnedProblem& problem,
+                               const RunConfig& config, obs::Recorder* rec);
 
 }  // namespace mbir

@@ -2,143 +2,41 @@
 
 #include <utility>
 
-#include "core/timer.h"
-#include "gsim/fault.h"
-#include "icd/convergence.h"
-#include "obs/flight.h"
 #include "obs/json.h"
 
 namespace mbir::shard {
 
 ShardRunResult reconstructSharded(const OwnedProblem& problem,
                                   const Image2D& golden, ShardConfig config) {
-  const WallTimer host_wall;
   ShardRunResult out;
   out.plan = config.plan;
   out.devices = config.devices;
   out.link_name = config.link.name;
-  RunResult& result = out.run;
-
-  obs::Recorder* rec = config.base.external_recorder;
-  if (!rec && config.base.obs.enabled()) {
-    result.recorder = std::make_shared<obs::Recorder>(config.base.obs);
-    rec = result.recorder.get();
-  }
-  const bool tracing = rec && rec->traceOn();
-  obs::Counter* m_iterations = nullptr;
-  obs::Gauge* m_rmse = nullptr;
-  if (rec && rec->metricsOn()) {
-    m_iterations = &rec->metrics().counter("recon.iteration.count");
-    m_rmse = &rec->metrics().gauge("recon.rmse_hu");
-  }
-  result.simd_path = resolveSimdOps(config.base.simd).name;
-
-  result.image = problem.fbpInitialImage();
-  Sinogram e = problem.initialError(result.image);
-  const Problem p = problem.view();
-
-  ShardedOptions opt;
-  opt.engine = config.base.gpu;
-  opt.engine.max_iterations = 2000;  // callback-driven; cap is a safety net
-  opt.engine.recorder = rec;
-  opt.engine.simd = config.base.simd;
-  opt.engine.span = config.base.span;
-  opt.engine.fault_hook = config.base.fault_hook;
-  if (config.base.trace_pid != 0) opt.engine.trace_pid = config.base.trace_pid;
-  if (config.base.scale_gpu_caches) {
-    const double ratio = double(problem.geometry().num_views) / 720.0;
-    opt.engine.device = gsim::scaleCachesToProblem(opt.engine.device, ratio);
-  }
-  opt.devices = config.devices;
-  opt.link = config.link;
-  // Cancellation is handled by the shard runner itself (at the exchange
-  // boundary, before the exchange) so the returned image is always a
-  // consistent BSP snapshot — the iteration callback below must not also
-  // stop on it, or the cancelled flag would be lost.
-  opt.cancel = config.base.cancel;
-
-  // Same per-iteration protocol as reconstruct(): fault seam first, then
-  // RMSE/curve/metrics/flight/spans, then the convergence decision. The
-  // callback runs on the exchange leader's thread under the shard barrier,
-  // so it is single-threaded like reconstruct()'s.
-  int track_iter = 0;
-  double prev_host_us = tracing ? rec->trace().nowHostUs() : 0.0;
-  double prev_modeled_s = 0.0;
-  const auto track = [&](const ShardIterationInfo& info) -> bool {
-    if (config.base.fault_hook != nullptr)
-      config.base.fault_hook->onEvent("iteration", std::uint64_t(track_iter));
-    const double rmse = rmseHu(info.x, golden);
-    result.curve.push_back({info.equits, info.modeled_seconds, rmse});
-    result.final_rmse_hu = rmse;
-    ++track_iter;
-    if (m_iterations) {
-      m_iterations->add();
-      m_rmse->set(rmse);
-    }
-    if (config.base.span && config.base.span->flight) {
-      obs::FlightEvent fev;
-      fev.job_id = config.base.span->job_id;
-      fev.kind = "iteration";
-      fev.detail = config.base.span->tenant;
-      fev.value = rmse;
-      config.base.span->flight->record(
-          obs::FlightRecorder::deviceLane(config.base.span->device),
-          std::move(fev));
-    }
-    if (tracing) {
-      const double now_us = rec->trace().nowHostUs();
-      const std::vector<std::pair<std::string, double>> args = {
-          {"iteration", double(track_iter)},
-          {"equits", info.equits},
-          {"rmse_hu", rmse},
-          {"devices", double(config.devices)}};
-      obs::TraceEvent host_ev;
-      host_ev.name = "recon.iteration";
-      host_ev.cat = "recon";
-      host_ev.clock = obs::Clock::kHost;
-      host_ev.ts_us = prev_host_us;
-      host_ev.dur_us = now_us - prev_host_us;
-      host_ev.num_args = args;
-      obs::TraceEvent dev_ev;
-      dev_ev.name = "recon.iteration";
-      dev_ev.cat = "recon";
-      dev_ev.clock = obs::Clock::kModeled;
-      dev_ev.pid = config.base.trace_pid;
-      dev_ev.ts_us = prev_modeled_s * 1e6;
-      dev_ev.dur_us = (info.modeled_seconds - prev_modeled_s) * 1e6;
-      dev_ev.num_args = args;
-      if (config.base.span) {
-        host_ev.tid = config.base.span->host_tid;
-        obs::tagSpan(host_ev, *config.base.span);
-        obs::tagSpan(dev_ev, *config.base.span);
-      }
-      rec->trace().record(std::move(host_ev));
-      rec->trace().record(std::move(dev_ev));
-      prev_host_us = now_us;
-      prev_modeled_s = info.modeled_seconds;
-    }
-    if (config.base.stop_rmse_hu > 0.0 && rmse < config.base.stop_rmse_hu) {
-      result.converged = true;
-      return false;
-    }
-    return info.equits < config.base.max_equits;
-  };
-
-  ShardedGpuIcd icd(p, config.plan, std::move(opt));
-  out.shard = icd.run(result.image, e, track);
-
-  result.cancelled = out.shard.cancelled;
-  result.equits = out.shard.equits;
-  result.work = out.shard.work;
-  result.modeled_seconds = out.shard.modeled_seconds;
-  if (result.curve.empty()) result.final_rmse_hu = rmseHu(result.image, golden);
-  result.host_seconds = host_wall.seconds();
-
-  if (rec && rec->metricsOn()) {
-    rec->metrics().gauge("recon.equits").set(result.equits);
-    rec->metrics().gauge("recon.final_rmse_hu").set(result.final_rmse_hu);
-    rec->metrics().gauge("recon.modeled_seconds").set(result.modeled_seconds);
-  }
+  // Only the engine differs from an unsharded run: setup, the per-iteration
+  // protocol and finish are reconstruct()'s own. The iteration callback
+  // runs on the exchange leader's thread under the shard barrier, so it is
+  // single-threaded like any engine's.
+  out.run = reconstruct(
+      problem, golden, config.base,
+      [&](obs::Recorder* rec, Sinogram& e, const IterationTrack& track,
+          RunResult& result) {
+        ShardedOptions opt;
+        opt.engine = gpuEngineOptions(problem, config.base, rec);
+        opt.devices = config.devices;
+        opt.link = config.link;
+        // The runner also checks cancellation at the exchange boundary,
+        // before the exchange, so a gang stops promptly on a consistent
+        // BSP snapshot.
+        opt.cancel = config.base.cancel;
+        ShardedGpuIcd icd(problem.view(), config.plan, std::move(opt));
+        out.shard = icd.run(result.image, e, [&](const ShardIterationInfo& info) {
+          return track(info.x, info.equits, info.modeled_seconds);
+        });
+        result.cancelled = result.cancelled || out.shard.cancelled;
+        result.equits = out.shard.equits;
+        result.work = out.shard.work;
+        result.modeled_seconds = out.shard.modeled_seconds;
+      });
   return out;
 }
 

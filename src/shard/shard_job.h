@@ -1,11 +1,12 @@
 // One logical sharded reconstruction job (DESIGN.md §13).
 //
-// reconstructSharded() is the sharded sibling of mbir::reconstruct(): same
-// convergence protocol (RMSE vs golden, equit cap, convergence curve), same
-// observability plumbing (recorder, spans, flight recorder, fault seam,
-// cancellation), but the engine underneath is a ShardedGpuIcd spanning
-// `devices` simulated devices. The batch scheduler dispatches it through
-// sched/sharded.h; the result serializes as a `gpumbir.shard_report/1`.
+// reconstructSharded() is mbir::reconstruct() with a different engine: it
+// plugs a ShardedGpuIcd spanning `devices` simulated devices into
+// reconstruct()'s Engine slot, so setup (warm start, `recon.setup`), the
+// per-iteration protocol (fault seam, cancellation, RMSE curve, spans,
+// flight events, stop rule) and finish (metrics, report/trace export) are
+// the unsharded run's own code. The service dispatcher runs gang jobs
+// through it; the result serializes as a `gpumbir.shard_report/1`.
 #pragma once
 
 #include <string>

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +24,7 @@ namespace {
 
 constexpr std::string_view kEntrySchema = "gpumbir.cache_entry/1";
 constexpr std::string_view kEntrySuffix = ".rce";
+constexpr std::string_view kTempSuffix = ".tmp";
 
 void putU32BE(std::string& out, std::uint32_t v) {
   out.push_back(char((v >> 24) & 0xFF));
@@ -190,12 +192,16 @@ void ResultCache::loadDirLocked() {
   DIR* d = ::opendir(dir_.c_str());
   if (!d) return;
   std::vector<std::string> names;
+  const auto has_suffix = [](const std::string& name, std::string_view suf) {
+    return name.size() > suf.size() &&
+           name.compare(name.size() - suf.size(), suf.size(), suf) == 0;
+  };
   while (dirent* ent = ::readdir(d)) {
     const std::string name = ent->d_name;
-    if (name.size() > kEntrySuffix.size() &&
-        name.compare(name.size() - kEntrySuffix.size(), kEntrySuffix.size(),
-                     kEntrySuffix) == 0)
+    if (has_suffix(name, kEntrySuffix))
       names.push_back(name);
+    else if (has_suffix(name, kTempSuffix))
+      ::unlink((dir_ + "/" + name).c_str());  // staging file of a crashed insert
   }
   ::closedir(d);
   // Deterministic load order (directory order is arbitrary): sorted names.
@@ -290,11 +296,18 @@ void ResultCache::insert(const Meta& meta, const Image2D& image) {
                 fnv1a64(meta.config_key.data(), meta.config_key.size())};
   const std::string bytes = encodeEntry(meta, image);
   const std::string path = filePath(key);
-  const std::string tmp = path + ".tmp";
+  // A temp name of its own per insert (pid + process-wide sequence):
+  // concurrent inserts of one key must not share a staging file, or one
+  // rename would find it already moved. The startup sweep unlinks leftover
+  // staging files by their suffix.
+  static std::atomic<std::uint64_t> tmp_seq{0};
+  const std::string tmp = path + "." + std::to_string(::getpid()) + "." +
+                          std::to_string(tmp_seq.fetch_add(1)) +
+                          std::string(kTempSuffix);
   {
     // Atomic publish: whole-file write + fsync, then rename into place. A
     // crash leaves either the previous entry or the new one, never a torn
-    // file (startup drops torn temps by suffix mismatch).
+    // file (startup drops torn temps by suffix).
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0)
       throw Error("cache open(" + tmp + "): " + std::strerror(errno));

@@ -17,8 +17,9 @@
 //   [u32 BE header length][header JSON][raw float pixels][u64 BE pixel FNV]
 // Files are written to a temp name and rename()d into place, so a crash
 // mid-insert leaves either the whole entry or nothing; startup scans the
-// directory, drops anything whose checksum or embedded key mismatches, and
-// rebuilds the index — the cache is exactly as durable as the files.
+// directory, unlinks leftover temp files, drops anything whose checksum or
+// embedded key mismatches, and rebuilds the index — the cache is exactly as
+// durable as the files.
 //
 // Capacity is an entry count; inserting past it evicts least-recently-used
 // entries (memory and file together), keeping the on-disk layout bounded.

@@ -7,7 +7,7 @@
 #include "core/error.h"
 #include "core/hash.h"
 #include "obs/json.h"
-#include "sched/sharded.h"
+#include "shard/shard_job.h"
 
 namespace mbir::svc {
 
@@ -70,6 +70,37 @@ const char* jobStateName(JobState s) {
 
 bool isTerminal(JobState s) {
   return s != JobState::kQueued && s != JobState::kRunning;
+}
+
+void writeJobStatus(obs::JsonWriter& w, const JobStatus& s) {
+  w.kv("job_id", s.job_id);
+  w.kv("name", s.name);
+  if (!s.tenant.empty()) w.kv("tenant", s.tenant);
+  w.kv("state", jobStateName(s.state));
+  w.kv("priority", s.priority);
+  w.kv("deterministic", s.deterministic);
+  if (s.deadline_ms >= 0.0) w.kv("deadline_ms", s.deadline_ms);
+  if (s.shards > 1) w.kv("shards", s.shards);
+  w.kv("device", s.device);
+  w.kv("dispatch_seq", s.dispatch_seq);
+  w.kv("queue_wait_host_s", s.queue_wait_host_s);
+  w.kv("service_host_s", s.service_host_s);
+  w.kv("e2e_host_s", s.e2e_host_s);
+  if (s.migrations > 0) w.kv("migrations", s.migrations);
+  if (s.recoveries > 0) w.kv("recoveries", s.recoveries);
+  w.kv("cache_hit", s.cache_hit);
+  if (s.warm_start) w.kv("warm_start", true);
+  if (isTerminal(s.state) && (s.dispatch_seq >= 0 || s.cache_hit)) {
+    w.kv("converged", s.converged);
+    w.kv("equits", s.equits);
+    w.kv("final_rmse_hu", s.final_rmse_hu);
+    w.kv("modeled_seconds", s.modeled_seconds);
+    w.kv("queue_wait_modeled_s", s.queue_wait_modeled_s);
+  }
+  if (!s.error.empty()) w.kv("error", s.error);
+  // uint64 hashes cross the wire as hex strings: a JSON number (double)
+  // only carries 53 bits exactly.
+  if (s.has_image) w.kv("image_hash", hashToHex(s.image_hash));
 }
 
 Dispatcher::Dispatcher(DispatcherOptions options)
@@ -188,79 +219,21 @@ double Dispatcher::watchdogMs() const {
   return watchdog_ms_;
 }
 
-SubmitOutcome Dispatcher::submit(const JobSpec& spec) {
-  MBIR_CHECK_MSG(spec.problem && spec.golden, "job needs a problem and golden");
-  if (spec.shards < 1) {
-    SubmitOutcome out;
-    out.reason = "shards must be >= 1";
-    std::lock_guard lock(mu_);
-    ++rejected_;
-    if (inst_.rejected) inst_.rejected->add();
-    return out;
-  }
-  if (spec.shards > 1) {
-    SubmitOutcome out;
-    if (spec.deterministic) {
-      out.reason = "sharded jobs cannot use the deterministic lane "
-                   "(round-robin single-device by contract)";
-    } else {
-      // Build-or-reject the slab plan at the door so a bad geometry fails
-      // the submit, never the job: makeShardPlan validates slab heights
-      // and the halo fit.
-      try {
-        shard::makeShardPlan(spec.problem->geometry().image_size, spec.shards,
-                             spec.shard_halo, spec.config.gpu.seed);
-      } catch (const std::exception& e) {
-        out.reason = e.what();
-      }
-    }
-    if (!out.reason.empty()) {
-      std::lock_guard lock(mu_);
-      ++rejected_;
-      if (inst_.rejected) inst_.rejected->add();
-      return out;
-    }
-  }
-  obs::Recorder* rec = opt_.recorder;
-  const bool tracing = rec && rec->traceOn();
-  const double submit_t0_us = tracing ? rec->trace().nowHostUs() : 0.0;
+SubmitOutcome Dispatcher::rejectLocked(std::string reason) {
+  ++rejected_;
+  if (inst_.rejected) inst_.rejected->add();
   SubmitOutcome out;
-  std::lock_guard lock(mu_);
-  if (!accepting_) {
-    out.reason = "service is draining";
-    ++rejected_;
-    if (inst_.rejected) inst_.rejected->add();
-    return out;
-  }
-  // A WAL-recovery resubmit (recoveries > 0) bypasses the capacity check:
-  // the job was admitted and acknowledged durable by a previous server
-  // incarnation, so rejecting it now would break exactly-once completion.
-  if (spec.recoveries == 0 && queued_ >= opt_.queue_capacity) {
-    out.reason = "admission queue full (" +
-                 std::to_string(opt_.queue_capacity) + " queued)";
-    ++rejected_;
-    if (inst_.rejected) inst_.rejected->add();
-    return out;
-  }
-  if (devices_failed_ >= std::uint64_t(opt_.num_devices)) {
-    out.reason = "no surviving devices (all " +
-                 std::to_string(opt_.num_devices) + " failed)";
-    ++rejected_;
-    if (inst_.rejected) inst_.rejected->add();
-    return out;
-  }
+  out.reason = std::move(reason);
+  return out;
+}
 
+Dispatcher::Job& Dispatcher::admitLocked(const JobSpec& spec,
+                                         double submit_t0_us) {
   const int id = int(jobs_.size());
   Job& job = jobs_.emplace_back();
   job.id = id;
   job.spec = spec;
   job.admit_tp = std::chrono::steady_clock::now();
-  if (spec.deadline_ms >= 0.0) {
-    job.has_deadline = true;
-    job.deadline_tp =
-        job.admit_tp + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double, std::milli>(spec.deadline_ms));
-  }
   job.result.job_id = id;
   job.result.name =
       spec.name.empty() ? "job" + std::to_string(id) : spec.name;
@@ -272,6 +245,79 @@ SubmitOutcome Dispatcher::submit(const JobSpec& spec) {
   job.span.job_name = job.result.name;
   job.span.submit_host_us = submit_t0_us;
   job.span.flight = &flight_;
+  ++accepted_;
+  if (inst_.submitted) inst_.submitted->add();
+  return job;
+}
+
+void Dispatcher::recordAdmitLocked(const Job& job, const char* kind,
+                                   double value) {
+  obs::FlightEvent fev;
+  fev.job_id = job.id;
+  fev.kind = kind;
+  fev.detail = tenantLabel(job.spec.tenant) + ":" + job.result.name;
+  fev.value = value;
+  flight_.record(obs::FlightRecorder::kControlLane, std::move(fev));
+  obs::Recorder* rec = opt_.recorder;
+  if (!rec || !rec->traceOn()) return;
+  obs::TraceEvent ev;
+  ev.name = "svc.submit";
+  ev.cat = "svc";
+  ev.clock = obs::Clock::kHost;
+  ev.ts_us = job.span.submit_host_us;
+  ev.dur_us = rec->trace().nowHostUs() - job.span.submit_host_us;
+  ev.tid = 0;  // control lane
+  obs::tagSpan(ev, job.span);
+  if (job.cache_hit)
+    ev.num_args.emplace_back("cache_hit", 1.0);
+  else
+    ev.num_args.emplace_back("priority", double(job.spec.priority));
+  rec->trace().record(std::move(ev));
+}
+
+SubmitOutcome Dispatcher::submit(const JobSpec& spec) {
+  MBIR_CHECK_MSG(spec.problem && spec.golden, "job needs a problem and golden");
+  std::string invalid;
+  if (spec.shards < 1) {
+    invalid = "shards must be >= 1";
+  } else if (spec.shards > 1 && spec.deterministic) {
+    invalid = "sharded jobs cannot use the deterministic lane "
+              "(round-robin single-device by contract)";
+  } else if (spec.shards > 1) {
+    // Build-or-reject the slab plan at the door so a bad geometry fails
+    // the submit, never the job: makeShardPlan validates slab heights and
+    // the halo fit.
+    try {
+      shard::makeShardPlan(spec.problem->geometry().image_size, spec.shards,
+                           spec.shard_halo, spec.config.gpu.seed);
+    } catch (const std::exception& e) {
+      invalid = e.what();
+    }
+  }
+  obs::Recorder* rec = opt_.recorder;
+  const double submit_t0_us =
+      rec && rec->traceOn() ? rec->trace().nowHostUs() : 0.0;
+  std::lock_guard lock(mu_);
+  if (!invalid.empty()) return rejectLocked(std::move(invalid));
+  if (!accepting_) return rejectLocked("service is draining");
+  // A WAL-recovery resubmit (recoveries > 0) bypasses the capacity check:
+  // the job was admitted and acknowledged durable by a previous server
+  // incarnation, so rejecting it now would break exactly-once completion.
+  if (spec.recoveries == 0 && queued_ >= opt_.queue_capacity)
+    return rejectLocked("admission queue full (" +
+                        std::to_string(opt_.queue_capacity) + " queued)");
+  if (devices_failed_ >= std::uint64_t(opt_.num_devices))
+    return rejectLocked("no surviving devices (all " +
+                        std::to_string(opt_.num_devices) + " failed)");
+
+  Job& job = admitLocked(spec, submit_t0_us);
+  const int id = job.id;
+  if (spec.deadline_ms >= 0.0) {
+    job.has_deadline = true;
+    job.deadline_tp =
+        job.admit_tp + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                           std::chrono::duration<double, std::milli>(spec.deadline_ms));
+  }
   if (spec.deterministic) {
     job.det_seq = det_count_++;
     int lane = job.det_seq % opt_.num_devices;
@@ -287,38 +333,17 @@ SubmitOutcome Dispatcher::submit(const JobSpec& spec) {
     prio_pending_.push_back(id);
   }
   ++queued_;
-  ++accepted_;
   if (spec.recoveries > 0) {
     ++jobs_recovered_;
     if (rec && rec->metricsOn())
       rec->metrics().counter("svc.jobs.recovered").add();
   }
   queue_depth_max_ = std::max(queue_depth_max_, queued_);
-  if (inst_.submitted) inst_.submitted->add();
   if (inst_.queue_depth) inst_.queue_depth->set(double(queued_));
   cv_work_.notify_all();
+  recordAdmitLocked(job, "admit", double(spec.priority));
 
-  {
-    obs::FlightEvent fev;
-    fev.job_id = id;
-    fev.kind = "admit";
-    fev.detail = tenantLabel(spec.tenant) + ":" + job.result.name;
-    fev.value = double(spec.priority);
-    flight_.record(obs::FlightRecorder::kControlLane, std::move(fev));
-  }
-  if (tracing) {
-    obs::TraceEvent ev;
-    ev.name = "svc.submit";
-    ev.cat = "svc";
-    ev.clock = obs::Clock::kHost;
-    ev.ts_us = submit_t0_us;
-    ev.dur_us = rec->trace().nowHostUs() - submit_t0_us;
-    ev.tid = 0;  // control lane
-    obs::tagSpan(ev, job.span);
-    ev.num_args.emplace_back("priority", double(spec.priority));
-    rec->trace().record(std::move(ev));
-  }
-
+  SubmitOutcome out;
   out.accepted = true;
   out.job_id = id;
   return out;
@@ -328,30 +353,13 @@ SubmitOutcome Dispatcher::submitCached(const JobSpec& spec,
                                        const Image2D& image,
                                        const CachedResult& cached) {
   obs::Recorder* rec = opt_.recorder;
-  const bool tracing = rec && rec->traceOn();
-  const double submit_t0_us = tracing ? rec->trace().nowHostUs() : 0.0;
+  const double submit_t0_us =
+      rec && rec->traceOn() ? rec->trace().nowHostUs() : 0.0;
   SubmitOutcome out;
   {
     std::lock_guard lock(mu_);
-    if (!accepting_) {
-      out.reason = "service is draining";
-      ++rejected_;
-      if (inst_.rejected) inst_.rejected->add();
-      return out;
-    }
-    const int id = int(jobs_.size());
-    Job& job = jobs_.emplace_back();
-    job.id = id;
-    job.spec = spec;
-    job.admit_tp = std::chrono::steady_clock::now();
-    job.result.job_id = id;
-    job.result.name =
-        spec.name.empty() ? "job" + std::to_string(id) : spec.name;
-    job.span.job_id = id;
-    job.span.tenant = spec.tenant;
-    job.span.job_name = job.result.name;
-    job.span.submit_host_us = submit_t0_us;
-    job.span.flight = &flight_;
+    if (!accepting_) return rejectLocked("service is draining");
+    Job& job = admitLocked(spec, submit_t0_us);
     // Born terminal: the cached image IS the result. No queue slot, no
     // dispatch (dispatch_seq stays -1), no device time — so a hit cannot
     // be rejected for capacity and never perturbs the WFQ shares.
@@ -365,36 +373,16 @@ SubmitOutcome Dispatcher::submitCached(const JobSpec& spec,
     job.image_hash = cached.image_hash;
     job.e2e_host_s = 0.0;
     job.state = JobState::kDone;
-    ++accepted_;
     ++cache_hits_;
-    if (inst_.submitted) inst_.submitted->add();
-    {
-      obs::FlightEvent fev;
-      fev.job_id = id;
-      fev.kind = "cache_hit";
-      fev.detail = tenantLabel(spec.tenant) + ":" + job.result.name;
-      fev.value = cached.equits;  // the device work the hit saved
-      flight_.record(obs::FlightRecorder::kControlLane, std::move(fev));
-    }
+    // The flight value is the device work the hit saved.
+    recordAdmitLocked(job, "cache_hit", cached.equits);
     if (rec && rec->metricsOn())
       rec->metrics()
           .counter("svc.cache.hits", {{"tenant", tenantLabel(spec.tenant)}})
           .add();
-    if (tracing) {
-      obs::TraceEvent ev;
-      ev.name = "svc.submit";
-      ev.cat = "svc";
-      ev.clock = obs::Clock::kHost;
-      ev.ts_us = submit_t0_us;
-      ev.dur_us = rec->trace().nowHostUs() - submit_t0_us;
-      ev.tid = 0;  // control lane
-      obs::tagSpan(ev, job.span);
-      ev.num_args.emplace_back("cache_hit", 1.0);
-      rec->trace().record(std::move(ev));
-    }
     noteTerminalLocked(job);
     out.accepted = true;
-    out.job_id = id;
+    out.job_id = job.id;
     out.cache_hit = true;
   }
   // noteTerminalLocked may have queued an on_terminal notification.
@@ -415,8 +403,8 @@ bool Dispatcher::cancel(int job_id) {
       finalizeQueuedLocked(job, JobState::kCancelled);
     } else {
       // Running jobs stop cooperatively; queued deterministic-lane jobs
-      // keep their schedule slot and run with the flag set
-      // (BatchScheduler parity).
+      // keep their schedule slot and run with the flag set (the lane's
+      // per-device clocks stay those of the uncancelled schedule).
       job.cancel.store(true, std::memory_order_release);
     }
   }
@@ -438,18 +426,6 @@ JobStatus Dispatcher::status(int job_id) const {
   return snapshotLocked(jobs_[std::size_t(job_id)]);
 }
 
-Dispatcher::Stats Dispatcher::stats() const {
-  std::lock_guard lock(mu_);
-  Stats s;
-  s.accepting = accepting_;
-  s.queued = queued_;
-  s.running = running_;
-  s.submitted = accepted_;
-  s.rejected = rejected_;
-  s.finished = finished_;
-  return s;
-}
-
 JobStatus Dispatcher::waitTerminal(int job_id) const {
   std::unique_lock lock(mu_);
   MBIR_CHECK_MSG(job_id >= 0 && job_id < int(jobs_.size()),
@@ -468,6 +444,18 @@ std::optional<Image2D> Dispatcher::image(int job_id) const {
   // (published under the lock) guarantees those writes are visible here.
   if (!isTerminal(job.state) || !job.has_image) return std::nullopt;
   return job.result.run.image;
+}
+
+const JobResult& Dispatcher::result(int job_id) const {
+  std::lock_guard lock(mu_);
+  MBIR_CHECK_MSG(job_id >= 0 && job_id < int(jobs_.size()),
+                 "unknown job id " << job_id);
+  const Job& job = jobs_[std::size_t(job_id)];
+  // Same publication rule as image(): only a terminal state makes the
+  // run's off-lock writes visible, and nothing writes them afterwards.
+  MBIR_CHECK_MSG(isTerminal(job.state),
+                 "job " << job_id << " is not terminal yet");
+  return job.result;
 }
 
 Dispatcher::Job* Dispatcher::pickJobLocked(int device) {
@@ -651,7 +639,10 @@ void Dispatcher::noteTerminalLocked(Job& job) {
   }
   // Hand the terminal snapshot to the server (WAL terminal record, cache
   // insert) — invoked later, off the lock, by flushFlightDumps().
-  if (opt_.on_terminal) pending_terminal_.push_back(snapshotLocked(job));
+  if (opt_.on_terminal) {
+    pending_terminal_.push_back(snapshotLocked(job));
+    ++terminal_queued_;
+  }
   // In drain mode device threads only exit once everything is terminal
   // (a migration can put work back in the queue after it looked empty).
   if (draining_ && queued_ == 0 && running_ == 0) cv_work_.notify_all();
@@ -669,15 +660,49 @@ void Dispatcher::requestFlightDumpLocked(const Job& job) {
 void Dispatcher::flushFlightDumps() {
   std::vector<std::pair<std::string, std::string>> pending;
   std::vector<JobStatus> terminal;
+  std::uint64_t batch = 0;  // number of this batch's first notification
   {
     std::lock_guard lock(mu_);
     pending.swap(pending_flight_);
     terminal.swap(pending_terminal_);
+    if (!terminal.empty()) {
+      batch = terminal_taken_;
+      terminal_delivering_.insert(batch);
+      terminal_taken_ = terminal_queued_;
+    }
   }
   if (!opt_.flight_dir.empty())
     for (const auto& [stem, reason] : pending)
       flight_.writeFile(opt_.flight_dir + "/flight_" + stem + ".json", reason);
+  if (terminal.empty()) return;
+  // Retire the batch even if a callback throws, or flushNotifications()
+  // would wait on it forever.
+  struct Retire {
+    Dispatcher& d;
+    std::uint64_t batch;
+    ~Retire() {
+      std::lock_guard lock(d.mu_);
+      d.terminal_delivering_.erase(batch);
+      d.cv_delivered_.notify_all();
+    }
+  } retire{*this, batch};
   for (const JobStatus& s : terminal) opt_.on_terminal(s);
+}
+
+void Dispatcher::flushNotifications() {
+  std::uint64_t target;
+  {
+    std::lock_guard lock(mu_);
+    target = terminal_queued_;
+  }
+  flushFlightDumps();
+  std::unique_lock lock(mu_);
+  cv_delivered_.wait(lock, [&] {
+    const std::uint64_t delivered = terminal_delivering_.empty()
+                                        ? terminal_taken_
+                                        : *terminal_delivering_.begin();
+    return delivered >= target;
+  });
 }
 
 std::vector<int> Dispatcher::survivorsLocked() const {
@@ -826,14 +851,100 @@ void Dispatcher::watchdogLoop() {
   }
 }
 
-void Dispatcher::deviceLoop(int device) {
-  sched::DeviceRunContext ctx;
-  ctx.recorder = opt_.recorder;
-  ctx.host_pool = opt_.host_pool;
-  ctx.device = device;
-  ctx.trace_pid = tracePid(device);
-  ctx.span_prefix = "svc";
+double Dispatcher::runOnDevice(Job& job, int device, double start_clock,
+                               int gang_devices, gsim::FaultHook* hook) {
+  obs::Recorder* rec = opt_.recorder;
+  const bool tracing = rec && rec->traceOn();
+  const JobSpec& spec = job.spec;
+  const bool gang = spec.shards > 1;
+  JobResult& r = job.result;
+  r.device = device;
+  r.queue_wait_modeled_s = start_clock;
+  r.device_start_modeled_s = start_clock;
+  const double host_t0_us = tracing ? rec->trace().nowHostUs() : 0.0;
+  const WallTimer job_wall;
 
+  RunConfig rc = spec.config;
+  rc.cancel = &job.cancel;
+  rc.external_recorder = rec;
+  rc.trace_pid = tracePid(device);
+  rc.span = &job.span;
+  if (hook) rc.fault_hook = hook;
+  if (opt_.host_pool && !rc.gpu.host_pool) rc.gpu.host_pool = opt_.host_pool;
+  try {
+    if (gang) {
+      // One logical job across the gang, led by this device. The plan was
+      // validated at submit with these exact parameters, so this rebuild
+      // cannot throw.
+      shard::ShardConfig sc;
+      sc.plan = shard::makeShardPlan(spec.problem->geometry().image_size,
+                                     spec.shards, spec.shard_halo,
+                                     spec.config.gpu.seed);
+      sc.devices = gang_devices;
+      sc.base = std::move(rc);
+      r.run = shard::reconstructSharded(*spec.problem, *spec.golden,
+                                        std::move(sc))
+                  .run;
+    } else {
+      r.run = reconstruct(*spec.problem, *spec.golden, rc);
+    }
+    r.cancelled = r.run.cancelled;
+  } catch (const std::exception& e) {
+    r.failed = true;
+    r.error = e.what();
+  } catch (...) {
+    r.failed = true;
+    r.error = "unknown exception";
+  }
+  r.host_seconds = job_wall.seconds();
+  r.device_end_modeled_s = start_clock + r.run.modeled_seconds;
+
+  // Per-device busy time, labeled so the registry splits utilization by
+  // device — the live stats verb and svc_report read it back directly.
+  // One registry lookup per finished job, not per iteration.
+  if (rec && rec->metricsOn())
+    rec->metrics()
+        .counter("sched.busy_ms", {{"device", std::to_string(device)}})
+        .add(std::uint64_t(r.host_seconds * 1e3 + 0.5));
+
+  if (tracing) {
+    std::vector<std::pair<std::string, double>> num_args = {
+        {"job_id", double(r.job_id)}, {"device", double(device)}};
+    if (gang) {
+      num_args.emplace_back("devices", double(gang_devices));
+      num_args.emplace_back("slabs", double(spec.shards));
+    }
+    num_args.emplace_back("equits", r.run.equits);
+    num_args.emplace_back("rmse_hu", r.run.final_rmse_hu);
+    num_args.emplace_back("queue_wait_modeled_s", r.queue_wait_modeled_s);
+    if (r.run.warm_started) num_args.emplace_back("warm_start", 1.0);
+    std::vector<std::pair<std::string, std::string>> str_args = {
+        {"job", r.name},
+        {"algorithm",
+         gang ? "GPU-ICD (sharded)" : algorithmName(spec.config.algorithm)}};
+    if (!spec.tenant.empty()) str_args.emplace_back("tenant", spec.tenant);
+    obs::TraceEvent host_ev;
+    host_ev.cat = "svc";
+    host_ev.num_args = std::move(num_args);
+    host_ev.str_args = std::move(str_args);
+    obs::TraceEvent dev_ev = host_ev;  // the job on its device's clock
+    host_ev.name = "svc.job";
+    host_ev.clock = obs::Clock::kHost;
+    host_ev.ts_us = host_t0_us;
+    host_ev.dur_us = rec->trace().nowHostUs() - host_t0_us;
+    host_ev.tid = job.span.host_tid;
+    dev_ev.name = "svc.job." + r.name;
+    dev_ev.clock = obs::Clock::kModeled;
+    dev_ev.pid = tracePid(device);
+    dev_ev.ts_us = r.device_start_modeled_s * 1e6;
+    dev_ev.dur_us = (r.device_end_modeled_s - r.device_start_modeled_s) * 1e6;
+    rec->trace().record(std::move(host_ev));
+    rec->trace().record(std::move(dev_ev));
+  }
+  return r.device_end_modeled_s;
+}
+
+void Dispatcher::deviceLoop(int device) {
   while (true) {
     Job* job = nullptr;
     chaos::JobFault fault;
@@ -906,29 +1017,9 @@ void Dispatcher::deviceLoop(int device) {
     const WallTimer service_wall;
     chaos::JobFaultHook hook(fault, device, job->id,
                              &chaos_dev_[std::size_t(device)]);
-    ctx.span = &job->span;
-    ctx.fault_hook = job->hooked ? &hook : nullptr;
-    double clock_after;
-    if (job->spec.shards > 1) {
-      // One logical job across the gang. The plan was validated at submit
-      // with these exact parameters, so this rebuild cannot throw.
-      shard::ShardConfig sc;
-      sc.plan = shard::makeShardPlan(job->spec.problem->geometry().image_size,
-                                     job->spec.shards, job->spec.shard_halo,
-                                     job->spec.config.gpu.seed);
-      sc.devices = gang_devices;
-      sc.base = job->spec.config;
-      clock_after = sched::runShardedJobOnDevices(
-          ctx, *job->spec.problem, *job->spec.golden, sc, job->cancel,
-          start_clock, job->result);
-    } else {
-      clock_after = sched::runJobOnDevice(ctx, *job->spec.problem,
-                                          *job->spec.golden, job->spec.config,
-                                          job->cancel, start_clock,
-                                          job->result);
-    }
-    ctx.span = nullptr;
-    ctx.fault_hook = nullptr;
+    const double clock_after = runOnDevice(*job, device, start_clock,
+                                           gang_devices,
+                                           job->hooked ? &hook : nullptr);
 
     bool device_gone = false;
     {
@@ -946,7 +1037,7 @@ void Dispatcher::deviceLoop(int device) {
         // sharded job the WHOLE logical job is requeued — a gang member
         // lost mid-halo-exchange can never leave a torn partial image.
         const std::string name = job->result.name;
-        job->result = sched::JobResult{};
+        job->result = JobResult{};
         job->result.job_id = job->id;
         job->result.name = name;
         job->has_image = false;
@@ -967,7 +1058,7 @@ void Dispatcher::deviceLoop(int device) {
         }
         job->service_host_s = service_wall.seconds();
         job->e2e_host_s = job->queue_wait_host_s + job->service_host_s;
-        const sched::JobResult& r = job->result;
+        const JobResult& r = job->result;
         if (!r.failed && r.run.image.numVoxels() > 0) {
           job->has_image = true;
           job->image_hash = fnv1a64(r.run.image.flat());
@@ -1331,34 +1422,7 @@ std::string Dispatcher::reportJson() const {
   w.key("jobs").beginArray();
   for (const JobStatus& s : rep.jobs) {
     w.beginObject();
-    w.kv("job_id", s.job_id);
-    w.kv("name", s.name);
-    if (!s.tenant.empty()) w.kv("tenant", s.tenant);
-    w.kv("state", jobStateName(s.state));
-    w.kv("priority", s.priority);
-    w.kv("deterministic", s.deterministic);
-    if (s.deadline_ms >= 0.0) w.kv("deadline_ms", s.deadline_ms);
-    if (s.shards > 1) w.kv("shards", s.shards);
-    w.kv("device", s.device);
-    w.kv("dispatch_seq", s.dispatch_seq);
-    w.kv("queue_wait_host_s", s.queue_wait_host_s);
-    w.kv("service_host_s", s.service_host_s);
-    w.kv("e2e_host_s", s.e2e_host_s);
-    if (s.dispatch_seq >= 0 || s.cache_hit) {
-      w.kv("converged", s.converged);
-      w.kv("equits", s.equits);
-      w.kv("final_rmse_hu", s.final_rmse_hu);
-      w.kv("modeled_seconds", s.modeled_seconds);
-      w.kv("queue_wait_modeled_s", s.queue_wait_modeled_s);
-    }
-    if (s.cache_hit) w.kv("cache_hit", true);
-    if (s.warm_start) w.kv("warm_start", true);
-    if (s.recoveries > 0) w.kv("recoveries", s.recoveries);
-    if (s.migrations > 0) w.kv("migrations", s.migrations);
-    if (!s.error.empty()) w.kv("error", s.error);
-    // uint64 hashes cross the wire as hex strings: a JSON number (double)
-    // only carries 53 bits exactly.
-    if (s.has_image) w.kv("image_hash", hashToHex(s.image_hash));
+    writeJobStatus(w, s);
     w.endObject();
   }
   w.endArray();

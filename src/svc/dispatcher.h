@@ -1,8 +1,7 @@
-// Online dispatch over the multi-device simulated-GPU substrate: the
-// always-on counterpart of sched::BatchScheduler. Jobs stream in through
-// submit() while device threads run; there is no runAll() barrier.
-//
-// Three properties the batch scheduler does not have:
+// Dispatch over the multi-device simulated-GPU substrate — the one job
+// scheduler in the repo, for online service traffic and offline batches
+// alike. Jobs stream in through submit() while device threads run; drain()
+// is the only barrier.
 //
 //  * Admission control. The queue of not-yet-running jobs is bounded
 //    (queue_capacity); a submit that would exceed it is rejected
@@ -16,16 +15,19 @@
 //  * A deterministic lane. Jobs submitted with deterministic == true bypass
 //    priority/deadline logic entirely: they are assigned round-robin by
 //    deterministic sequence number (det job s -> device s % D) and each
-//    device runs its deterministic jobs in submission order — exactly
-//    BatchScheduler::runAll's schedule. A deterministic-only job stream is
-//    therefore bit-identical (images, stats, modeled clocks) to the same
-//    jobs through runAll, or run serially (tests/test_svc.cpp asserts it).
+//    device runs its deterministic jobs in submission order. A
+//    deterministic-only job stream is therefore bit-identical (images,
+//    stats, modeled clocks) to the same jobs run serially, for any device
+//    and host thread count (tests/test_sched.cpp asserts it). This lane is
+//    the offline batch path: submit every job with deterministic = true
+//    into a dispatcher whose queue_capacity is the job count, then drain().
 //    Devices prefer their deterministic lane over the priority lane.
 //
-// Execution itself is sched::runJobOnDevice — the same plumbing
-// (per-device modeled clocks, failure isolation, cooperative cancellation,
-// shared obs::Recorder with per-device trace pids) as the batch scheduler,
-// so online and offline results cannot drift.
+// Execution is one device-run step for single and gang jobs alike
+// (runOnDevice): it applies the dispatcher's plumbing (cancel flag, shared
+// obs::Recorder with per-device trace pids, span, fault hook, host pool) to
+// the job's RunConfig once, then runs reconstruct() or, for shards > 1,
+// shard::reconstructSharded() — both the same per-iteration protocol.
 //
 // drain() stops admission, runs the queue dry, joins the device threads and
 // builds the SvcReport (schema gpumbir.svc_report/1). The destructor hard-
@@ -53,6 +55,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -64,7 +67,7 @@
 #include "chaos/fault.h"
 #include "core/timer.h"
 #include "obs/flight.h"
-#include "sched/scheduler.h"
+#include "recon/reconstructor.h"
 #include "store/wfq.h"
 #include "svc/protocol.h"
 
@@ -80,6 +83,24 @@ enum class JobState {
 };
 const char* jobStateName(JobState s);
 bool isTerminal(JobState s);
+
+/// Outcome of one dispatched run: the device-run step's record of a job.
+struct JobResult {
+  int job_id = -1;
+  int device = -1;  ///< device that ran it (gang leader when sharded)
+  std::string name;
+  bool cancelled = false;  ///< stopped by cancel() at an iteration boundary
+  bool failed = false;     ///< the run threw
+  std::string error;       ///< exception message when failed
+  /// Modeled seconds this job waited behind earlier jobs on its device
+  /// (= the device's cumulative modeled clock when it started).
+  double queue_wait_modeled_s = 0.0;
+  double device_start_modeled_s = 0.0;
+  double device_end_modeled_s = 0.0;
+  /// Real host wall-clock of this job's run.
+  double host_seconds = 0.0;
+  RunResult run;
+};
 
 struct JobSpec {
   const OwnedProblem* problem = nullptr;  ///< borrowed; must outlive drain
@@ -163,6 +184,10 @@ struct JobStatus {
   std::uint64_t image_hash = 0;
   bool has_image = false;
 };
+
+/// A job snapshot's JSON fields (into an open object): the `status` and
+/// `result` verbs' payload and each entry of svc_report's jobs array.
+void writeJobStatus(obs::JsonWriter& w, const JobStatus& s);
 
 struct DispatcherOptions {
   int num_devices = 1;
@@ -293,9 +318,9 @@ class Dispatcher {
   /// Cooperative cancel. Queued priority-lane jobs are finalized
   /// immediately (freeing their queue slot); running jobs stop at the next
   /// iteration boundary; queued deterministic-lane jobs keep their slot in
-  /// the schedule and run with the flag set (exactly what
-  /// BatchScheduler::cancel does, preserving lane bit-identity). Returns
-  /// false for unknown ids or already-terminal jobs.
+  /// the schedule and run with the flag set (preserving the lane's
+  /// per-device clocks). Returns false for unknown ids or already-terminal
+  /// jobs.
   bool cancel(int job_id);
 
   bool knownJob(int job_id) const;
@@ -307,16 +332,6 @@ class Dispatcher {
   void setFaultPlan(const chaos::FaultPlan& plan, double watchdog_ms);
   chaos::FaultPlan faultPlan() const;
   double watchdogMs() const;
-
-  struct Stats {
-    bool accepting = true;
-    int queued = 0;
-    int running = 0;
-    std::uint64_t submitted = 0;  ///< accepted
-    std::uint64_t rejected = 0;
-    std::uint64_t finished = 0;   ///< any terminal state
-  };
-  Stats stats() const;
 
   /// One device's live state (from liveStats()).
   struct LiveDevice {
@@ -352,9 +367,9 @@ class Dispatcher {
     int queue_capacity = 0;
     int queued = 0;
     int running = 0;
-    std::uint64_t submitted = 0;
+    std::uint64_t submitted = 0;  ///< accepted
     std::uint64_t rejected = 0;
-    std::uint64_t finished = 0;
+    std::uint64_t finished = 0;   ///< any terminal state
     std::map<int, int> queue_depth_by_priority;  ///< priority lane only
     std::vector<LiveDevice> devices;
     std::vector<LiveJob> in_flight;
@@ -394,18 +409,23 @@ class Dispatcher {
   /// Block until the job reaches a terminal state; returns the snapshot.
   JobStatus waitTerminal(int job_id) const;
 
-  /// Deliver queued terminal notifications (on_terminal) and flight dumps
-  /// on the calling thread. A terminal transition queues its notification
-  /// in the same critical section that publishes the state, so
-  /// waitTerminal + flushNotifications guarantees the store side effects
-  /// (cache insert, WAL terminal record) of an observed result have landed
-  /// — the server calls this before answering the `result` verb, which
-  /// makes "finish a job, then submit a duplicate" hit the cache
-  /// deterministically.
-  void flushNotifications() { flushFlightDumps(); }
+  /// Deliver queued terminal notifications (on_terminal) and flight dumps,
+  /// then wait until every notification queued before the call has been
+  /// delivered — including ones another thread took off the queue and is
+  /// still delivering. A terminal transition queues its notification in the
+  /// same critical section that publishes the state, so waitTerminal +
+  /// flushNotifications guarantees the store side effects (cache insert,
+  /// WAL terminal record) of an observed result have landed — the server
+  /// calls this before answering the `result` verb, which makes "finish a
+  /// job, then submit a duplicate" hit the cache deterministically.
+  void flushNotifications();
 
   /// Copy of a finished job's image (nullopt when the job never ran).
   std::optional<Image2D> image(int job_id) const;
+
+  /// The full run record of a terminal job (throws while it is queued or
+  /// running). The reference stays valid for the dispatcher's lifetime.
+  const JobResult& result(int job_id) const;
 
   /// Stop admission, run every queued job to termination, join the device
   /// threads, build the report. Safe to call from any thread (including a
@@ -444,10 +464,21 @@ class Dispatcher {
     /// admission, completed (device/lane) at dispatch — both under the
     /// lock, before the device thread reads it.
     obs::JobSpanContext span;
-    sched::JobResult result;
+    JobResult result;
   };
 
+  /// Count a rejected submit and return its outcome.
+  SubmitOutcome rejectLocked(std::string reason);
+  /// Append an accepted job: identity, admission time, span context.
+  Job& admitLocked(const JobSpec& spec, double submit_t0_us);
+  /// The admission's control-lane flight event and svc.submit span.
+  void recordAdmitLocked(const Job& job, const char* kind, double value);
   void deviceLoop(int device);
+  /// The device-run step shared by single and gang jobs (see the file
+  /// comment); runs off the lock, fills job.result, records the busy-time
+  /// metric and svc.job spans, and returns the device clock after the job.
+  double runOnDevice(Job& job, int device, double start_clock,
+                     int gang_devices, gsim::FaultHook* hook);
   /// Select this device's next job; also fails expired / drops cancelled
   /// queued priority-lane jobs encountered during the scan.
   Job* pickJobLocked(int device);
@@ -495,6 +526,16 @@ class Dispatcher {
   std::vector<std::pair<std::string, std::string>> pending_flight_;
   /// Terminal snapshots waiting for the on_terminal callback (off-lock).
   std::vector<JobStatus> pending_terminal_;
+  /// Delivery watermark for flushNotifications(). Notifications are
+  /// numbered in queue order: terminal_queued_ counts every one queued,
+  /// terminal_taken_ those already swapped out of pending_terminal_, and
+  /// terminal_delivering_ holds the first number of each batch still being
+  /// delivered. Everything below the watermark (the lowest in-flight batch,
+  /// else terminal_taken_) has been delivered.
+  std::uint64_t terminal_queued_ = 0;
+  std::uint64_t terminal_taken_ = 0;
+  std::set<std::uint64_t> terminal_delivering_;
+  mutable std::condition_variable cv_delivered_;
   std::uint64_t flight_dumps_ = 0;
   /// Weighted fair queuing across tenants (guarded by mu_).
   store::FairQueue fq_;

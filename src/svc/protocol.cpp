@@ -251,8 +251,9 @@ RunConfig makeRunConfig(RunConfig base, const SubmitParams& p) {
     base.simd = parseSimdMode(p.simd);
     resolveSimdOps(base.simd);
   }
-  // Accepted == reproducible: PSV with >1 thread is the one lock-racing
-  // engine, so the service always pins it (DESIGN.md §7).
+  // Accepted == reproducible: multi-thread PSV's result depends on its
+  // thread count, which would tie it to the host, so the service always
+  // pins it (DESIGN.md §7).
   base.psv.num_threads = 1;
   return base;
 }

@@ -87,7 +87,7 @@ Request parseRequest(std::string_view payload);
 /// Everything a submit request can say, in both directions: the client
 /// serializes it, the server parses it, and makeRunConfig() maps it onto a
 /// RunConfig identically on both sides (tests reuse the same mapping to
-/// build their serial BatchScheduler baselines, so the deterministic-mode
+/// build their serial reconstruct() baselines, so the deterministic-mode
 /// bit-identity claim is checked against the exact config the server runs).
 struct SubmitParams {
   int case_index = 0;
@@ -106,7 +106,7 @@ struct SubmitParams {
   /// failed fast at dispatch, never run. < 0 = no deadline.
   double deadline_ms = -1.0;
   /// Route through the deterministic FIFO round-robin lane (bit-identical
-  /// to BatchScheduler::runAll; priority/deadline are ignored).
+  /// to running the jobs serially; priority/deadline are ignored).
   bool deterministic = false;
   /// > 1 = single-job multi-device slab sharding (DESIGN.md §13): the job
   /// runs as one gang over min(shards, devices) devices. Priority lane

@@ -14,39 +14,6 @@
 
 namespace mbir::svc {
 
-namespace {
-
-void writeJobStatus(obs::JsonWriter& w, const JobStatus& s) {
-  w.kv("job_id", s.job_id);
-  w.kv("name", s.name);
-  if (!s.tenant.empty()) w.kv("tenant", s.tenant);
-  w.kv("state", jobStateName(s.state));
-  w.kv("priority", s.priority);
-  w.kv("deterministic", s.deterministic);
-  if (s.deadline_ms >= 0.0) w.kv("deadline_ms", s.deadline_ms);
-  if (s.shards > 1) w.kv("shards", s.shards);
-  w.kv("device", s.device);
-  w.kv("dispatch_seq", s.dispatch_seq);
-  w.kv("queue_wait_host_s", s.queue_wait_host_s);
-  w.kv("service_host_s", s.service_host_s);
-  w.kv("e2e_host_s", s.e2e_host_s);
-  if (s.migrations > 0) w.kv("migrations", s.migrations);
-  if (s.recoveries > 0) w.kv("recoveries", s.recoveries);
-  w.kv("cache_hit", s.cache_hit);
-  if (s.warm_start) w.kv("warm_start", true);
-  if (isTerminal(s.state) && (s.dispatch_seq >= 0 || s.cache_hit)) {
-    w.kv("converged", s.converged);
-    w.kv("equits", s.equits);
-    w.kv("final_rmse_hu", s.final_rmse_hu);
-    w.kv("modeled_seconds", s.modeled_seconds);
-    w.kv("queue_wait_modeled_s", s.queue_wait_modeled_s);
-  }
-  if (!s.error.empty()) w.kv("error", s.error);
-  if (s.has_image) w.kv("image_hash", hashToHex(s.image_hash));
-}
-
-}  // namespace
-
 Server::Server(ServerOptions options, JobSource& source)
     : opt_(std::move(options)),
       source_(source),
@@ -88,6 +55,34 @@ DispatcherOptions Server::makeDispatchOptions() {
   if (opt_.wal || opt_.cache)
     d.on_terminal = [this](const JobStatus& s) { onJobTerminal(s); };
   return d;
+}
+
+JobSpec Server::makeJobSpec(const SubmitParams& p,
+                            const JobSource::Case& c) const {
+  JobSpec spec;
+  spec.problem = &c.problem;
+  spec.golden = &c.golden;
+  spec.config = makeRunConfig(opt_.base_config, p);
+  spec.name = p.name;
+  spec.tenant = p.tenant;
+  spec.priority = p.priority;
+  spec.deadline_ms = p.deadline_ms;
+  spec.deterministic = p.deterministic;
+  spec.shards = p.shards;
+  spec.shard_halo = p.shard_halo;
+  spec.fault = chaos::parseFaultSpec(p.fault);
+  return spec;
+}
+
+SubmitOutcome Server::submitCached(const JobSpec& spec,
+                                   const store::ResultCache::Entry& hit) {
+  Dispatcher::CachedResult cr;
+  cr.converged = hit.meta.converged;
+  cr.equits = hit.meta.equits;
+  cr.final_rmse_hu = hit.meta.final_rmse_hu;
+  cr.modeled_seconds = hit.meta.modeled_seconds;
+  cr.image_hash = hit.meta.image_hash;
+  return dispatcher_.submitCached(spec, *hit.image, cr);
 }
 
 std::uint64_t Server::caseInputHash(int case_index, const JobSource::Case& c) {
@@ -182,19 +177,10 @@ void Server::recoverPendingJobs() {
       const SubmitParams p = parseSubmitParams(req);
       const JobSource::Case c = source_.get(p.case_index);
 
-      JobSpec spec;
-      spec.problem = &c.problem;
-      spec.golden = &c.golden;
-      spec.config = makeRunConfig(opt_.base_config, p);
-      spec.name = p.name;
-      spec.tenant = p.tenant;
-      spec.priority = p.priority;
-      spec.deadline_ms = p.deadline_ms;
-      spec.deterministic = p.deterministic;
-      spec.shards = p.shards;
-      spec.shard_halo = p.shard_halo;
+      JobSpec spec = makeJobSpec(p, c);
       // No fault replay: an injected fault belonged to the crashed
       // incarnation's chaos plan; the recovered job re-runs clean.
+      spec.fault = chaos::JobFault{};
       spec.recoveries = pj.recoveries + 1;
 
       const std::uint64_t input_hash = caseInputHash(p.case_index, c);
@@ -207,18 +193,10 @@ void Server::recoverPendingJobs() {
       if (opt_.cache && !p.bypass_cache && !p.deterministic &&
           p.fault.empty()) {
         if (const auto hit = opt_.cache->find(input_hash, config_key)) {
-          Dispatcher::CachedResult cr;
-          cr.converged = hit->meta.converged;
-          cr.equits = hit->meta.equits;
-          cr.final_rmse_hu = hit->meta.final_rmse_hu;
-          cr.modeled_seconds = hit->meta.modeled_seconds;
-          cr.image_hash = hit->meta.image_hash;
-          const SubmitOutcome out =
-              dispatcher_.submitCached(spec, *hit->image, cr);
-          if (out.accepted) {
+          if (submitCached(spec, *hit).accepted) {
             // Cache-hit jobs are not store-tracked, so write the terminal
             // record here: the pending entry is now satisfied.
-            opt_.wal->appendTerminal(pj.wal_id, "done", cr.image_hash);
+            opt_.wal->appendTerminal(pj.wal_id, "done", hit->meta.image_hash);
             continue;
           }
         }
@@ -329,18 +307,7 @@ std::string Server::handleSubmit(const Request& req) {
   const SubmitParams p = parseSubmitParams(req);
   const JobSource::Case c = source_.get(p.case_index);
 
-  JobSpec spec;
-  spec.problem = &c.problem;
-  spec.golden = &c.golden;
-  spec.config = makeRunConfig(opt_.base_config, p);
-  spec.name = p.name;
-  spec.tenant = p.tenant;
-  spec.priority = p.priority;
-  spec.deadline_ms = p.deadline_ms;
-  spec.deterministic = p.deterministic;
-  spec.shards = p.shards;
-  spec.shard_halo = p.shard_halo;
-  spec.fault = chaos::parseFaultSpec(p.fault);
+  JobSpec spec = makeJobSpec(p, c);
   // A forced stall/death on a server with no watchdog would park the device
   // forever with nothing to free it — refuse at the door.
   if ((spec.fault.kind == chaos::FaultKind::kStall ||
@@ -366,13 +333,7 @@ std::string Server::handleSubmit(const Request& req) {
     // dispatching. No WAL records either — the result was durable before
     // the job existed, so there is nothing to recover.
     if (const auto hit = opt_.cache->find(input_hash, config_key)) {
-      Dispatcher::CachedResult cr;
-      cr.converged = hit->meta.converged;
-      cr.equits = hit->meta.equits;
-      cr.final_rmse_hu = hit->meta.final_rmse_hu;
-      cr.modeled_seconds = hit->meta.modeled_seconds;
-      cr.image_hash = hit->meta.image_hash;
-      const SubmitOutcome out = dispatcher_.submitCached(spec, *hit->image, cr);
+      const SubmitOutcome out = submitCached(spec, *hit);
       if (!out.accepted) return errorResponse(out.reason, /*rejected=*/true);
       obs::JsonWriter w;
       beginResponse(w, true);
@@ -431,7 +392,7 @@ std::string Server::handleStatus(const Request& req) {
     w.endObject();
     return w.str();
   }
-  const Dispatcher::Stats s = dispatcher_.stats();
+  const Dispatcher::LiveStats s = dispatcher_.liveStats();
   beginResponse(w, true);
   w.kv("verb", "status");
   w.kv("accepting", s.accepting);

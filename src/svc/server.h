@@ -150,6 +150,11 @@ class Server {
   /// (constructor, before the acceptor starts).
   void recoverPendingJobs();
   /// Memoized hashCaseInputs per case index (sinogram hashing is O(data)).
+  /// The dispatcher job a submit request describes (fault spec included).
+  JobSpec makeJobSpec(const SubmitParams& p, const JobSource::Case& c) const;
+  /// Admit an exact result-cache hit as an already-done job.
+  SubmitOutcome submitCached(const JobSpec& spec,
+                             const store::ResultCache::Entry& hit);
   std::uint64_t caseInputHash(int case_index, const JobSource::Case& c);
   void registerStoreRec(int job_id, StoreRec rec);
   /// Dispatcher terminal callback (runs on device threads, off-lock).

@@ -1,6 +1,6 @@
 // Chaos lane tests (DESIGN.md §12): the seed-driven fault injector, the
-// dispatcher's device watchdog + job migration, the offline batch
-// scheduler's launch-fault handling, the wire `chaos` verb, and the seeded
+// dispatcher's device watchdog + job migration, launch-fault handling in an
+// offline deterministic batch, the wire `chaos` verb, and the seeded
 // reliability soak gate.
 //
 // The soak gate (ChaosSoak.SeededSoakGate) pushes a few hundred mixed jobs
@@ -28,11 +28,10 @@
 #include "core/error.h"
 #include "core/rng.h"
 #include "obs/json.h"
-#include "sched/scheduler.h"
 #include "svc/client.h"
 #include "svc/dispatcher.h"
 #include "svc/server.h"
-#include "test_support.h"
+#include "svc_test_support.h"
 
 namespace mbir::test {
 namespace {
@@ -41,30 +40,16 @@ using chaos::FaultKind;
 using chaos::FaultPlan;
 using chaos::JobFault;
 
-/// Fixed-work job config every chaos test uses: budget-bound, no RMSE stop,
-/// so results are reproducible and independent of the device that runs them.
-RunConfig chaosJobConfig() {
-  RunConfig cfg = tinyRunConfig(Algorithm::kGpuIcd, /*max_equits=*/3.0);
-  cfg.stop_rmse_hu = 0.0;
-  return cfg;
-}
-
-/// Image fingerprint of a fault-free run of chaosJobConfig() — the
+/// Image fingerprint of a fault-free run of tinyBaseConfig() — the
 /// bit-identity reference every migrated/unaffected job must match.
 std::uint64_t faultFreeHash() {
   static const std::uint64_t hash = imageHash(
-      reconstruct(tinyProblem(), tinyGolden(), chaosJobConfig()).image);
+      reconstruct(tinyProblem(), tinyGolden(), tinyBaseConfig()).image);
   return hash;
 }
 
 svc::JobSpec chaosJob(const std::string& name, bool deterministic = true) {
-  svc::JobSpec spec;
-  spec.problem = &tinyProblem();
-  spec.golden = &tinyGolden();
-  spec.config = chaosJobConfig();
-  spec.name = name;
-  spec.deterministic = deterministic;
-  return spec;
+  return tinyJob(tinyBaseConfig(), name, deterministic);
 }
 
 // ---------------------------------------------------------------------------
@@ -201,35 +186,37 @@ TEST(ChaosInjector, DisabledPlanInjectsNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Offline: BatchScheduler honors launch faults, ignores stall/death
+// Offline batch (deterministic lane, watchdog disarmed): launch faults fail
+// their jobs, stall/death decisions are dropped
 // ---------------------------------------------------------------------------
 
-TEST(ChaosOffline, BatchSchedulerFailsExactlyTheLaunchFaultedJobs) {
+TEST(ChaosOffline, DeterministicBatchFailsExactlyTheLaunchFaultedJobs) {
   const FaultPlan plan = soakishPlan(7);
   const chaos::FaultInjector injector(plan);
 
-  sched::SchedulerOptions opt;
-  opt.num_devices = 2;
-  opt.injector = &injector;
-  sched::BatchScheduler scheduler(opt);
   const int kJobs = 16;
+  svc::DispatcherOptions opt;
+  opt.num_devices = 2;
+  opt.queue_capacity = kJobs;
+  opt.fault_plan = plan;
+  svc::Dispatcher dispatcher(opt);
   for (int i = 0; i < kJobs; ++i)
-    scheduler.submit(tinyProblem(), tinyGolden(), chaosJobConfig(),
-                     "offline" + std::to_string(i));
-  const sched::BatchReport& report = scheduler.runAll();
+    ASSERT_TRUE(dispatcher.submit(chaosJob("offline" + std::to_string(i)))
+                    .accepted);
+  const svc::SvcReport& report = dispatcher.drain();
 
   int launch_faulted = 0, device_faulted = 0;
   for (int id = 0; id < kJobs; ++id) {
     SCOPED_TRACE(id);
-    const sched::JobResult& r = scheduler.result(id);
+    const svc::JobResult& r = dispatcher.result(id);
     const JobFault f = injector.jobFault(id);
     if (f.kind == FaultKind::kLaunchFault) {
       ++launch_faulted;
       EXPECT_TRUE(r.failed);
       EXPECT_NE(std::string::npos, r.error.find("LaunchFault")) << r.error;
     } else {
-      // Stall/death decisions are ignored offline — the batch scheduler has
-      // no watchdog, so nothing could ever resolve them.
+      // Stall/death decisions are dropped with the watchdog disarmed —
+      // nothing could ever resolve them.
       if (!f.none()) ++device_faulted;
       EXPECT_FALSE(r.failed) << r.error;
       EXPECT_EQ(faultFreeHash(), imageHash(r.run.image));
@@ -238,7 +225,8 @@ TEST(ChaosOffline, BatchSchedulerFailsExactlyTheLaunchFaultedJobs) {
   // The chosen seed exercises both branches.
   EXPECT_GT(launch_faulted, 0);
   EXPECT_GT(device_faulted, 0);
-  EXPECT_EQ(launch_faulted, report.jobs_failed);
+  EXPECT_EQ(std::uint64_t(launch_faulted), report.jobs_failed);
+  EXPECT_EQ(0u, report.devices_failed);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,25 +438,18 @@ TEST(ChaosDispatcher, SameSeedReplaysTheSameFaultsMigrationsAndBits) {
 // The wire `chaos` verb and the submit `fault` field
 // ---------------------------------------------------------------------------
 
-/// TinySource twin of test_svc.cpp's: serves the cached tiny problem for
-/// every case index.
-class ChaosTinySource : public svc::JobSource {
- public:
-  Case get(int) override { return Case{tinyProblem(), tinyGolden()}; }
-};
-
 struct ChaosService {
   explicit ChaosService(int devices, double watchdog_ms = 0.0) {
     svc::ServerOptions opt;
     opt.dispatch.num_devices = devices;
     opt.dispatch.queue_capacity = 16;
     opt.dispatch.watchdog_ms = watchdog_ms;
-    opt.base_config = chaosJobConfig();
+    opt.base_config = tinyBaseConfig();
     server = std::make_unique<svc::Server>(opt, source);
   }
   svc::Client connect() { return svc::Client(server->port()); }
 
-  ChaosTinySource source;
+  TinySource source;
   std::unique_ptr<svc::Server> server;
 };
 

@@ -17,10 +17,9 @@
 
 #include "chaos/fault.h"
 #include "obs/json.h"
-#include "sched/scheduler.h"
 #include "shard/shard_job.h"
 #include "svc/dispatcher.h"
-#include "test_support.h"
+#include "svc_test_support.h"
 
 namespace mbir {
 namespace {
@@ -124,7 +123,7 @@ TEST(GoldenRegression, EnginesMatchCommittedFixtures) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos-lane fixture: a faulted batch run is itself pinned
+// Chaos-lane fixture: a faulted offline batch is itself pinned
 // ---------------------------------------------------------------------------
 
 constexpr const char* kChaosFixturePath =
@@ -136,30 +135,30 @@ struct FaultedJobRecord {
   std::uint64_t image_hash = 0;  // 0 for faulted jobs (no image)
 };
 
-/// One seeded batch through the offline scheduler with launch faults armed:
-/// which jobs fault is part of the contract (the schedule is a pure
-/// function of seed and job id), and every surviving job's image is pinned.
+/// One seeded batch on the dispatcher's deterministic lane with launch
+/// faults armed: which jobs fault is part of the contract (the schedule is
+/// a pure function of seed and job id), and every surviving job's image is
+/// pinned.
 std::vector<FaultedJobRecord> computeFaultedRun() {
-  chaos::FaultPlan plan;
-  plan.seed = 0xC4A05;
-  plan.launch_fault_rate = 0.35;
-  const chaos::FaultInjector injector(plan);
-
-  sched::SchedulerOptions opt;
-  opt.num_devices = 2;
-  opt.injector = &injector;
-  sched::BatchScheduler scheduler(opt);
   const int kJobs = 12;
+  svc::DispatcherOptions opt;
+  opt.num_devices = 2;
+  opt.queue_capacity = kJobs;
+  opt.fault_plan.seed = 0xC4A05;
+  opt.fault_plan.launch_fault_rate = 0.35;
+  svc::Dispatcher dispatcher(opt);
   RunConfig cfg = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
   cfg.stop_rmse_hu = -1.0;
-  for (int i = 0; i < kJobs; ++i)
-    scheduler.submit(test::tinyProblem(), test::tinyGolden(), cfg,
-                     "faulted" + std::to_string(i));
-  scheduler.runAll();
+  for (int i = 0; i < kJobs; ++i) {
+    const svc::JobSpec spec = test::tinyJob(
+        cfg, "faulted" + std::to_string(i), /*deterministic=*/true);
+    EXPECT_TRUE(dispatcher.submit(spec).accepted);
+  }
+  dispatcher.drain();
 
   std::vector<FaultedJobRecord> records;
   for (int id = 0; id < kJobs; ++id) {
-    const sched::JobResult& r = scheduler.result(id);
+    const svc::JobResult& r = dispatcher.result(id);
     records.push_back({id, r.failed,
                        r.failed ? 0u : test::imageHash(r.run.image)});
   }
@@ -378,11 +377,8 @@ TEST(ShardSoak, ShardedGangsSurviveChaosWithoutTornImages) {
   std::vector<int> accepted;
   std::vector<int> shards_of;
   for (int i = 0; i < kJobs; ++i) {
-    svc::JobSpec spec;
-    spec.problem = &test::tinyProblem();
-    spec.golden = &test::tinyGolden();
-    spec.config = cfg;
-    spec.name = "shardsoak" + std::to_string(i);
+    svc::JobSpec spec = test::tinyJob(cfg, "shardsoak" + std::to_string(i),
+                                      /*deterministic=*/false);
     spec.shards = (i % 3 == 0) ? 4 : (i % 3 == 1) ? 2 : 1;
     spec.priority = i % 3;
     // Two gangs are stalled mid-run by force: the watchdog must abandon the

@@ -2,7 +2,10 @@
 // with the sequential reference, flag ablations, conflict estimators.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "core/hounsfield.h"
 #include "gpuicd/conflicts.h"
@@ -75,7 +78,7 @@ TEST_F(EngineFixture, PsvMultiThreadMatchesSingleThreadClosely) {
   opt.num_threads = 4;
   Image2D multi;
   runPsv(opt, 6.0, multi);
-  // Thread interleaving on shared boundaries perturbs the trajectory but
+  // Wave staleness and the checkerboard order perturb the trajectory but
   // both land at the same optimum neighbourhood.
   EXPECT_LT(rmseHu(single, multi), 6.0);
 }
@@ -105,6 +108,35 @@ TEST_F(EngineFixture, PsvErrorSinogramIntegrity) {
   for (std::size_t i = 0; i < fresh.flat().size(); ++i)
     worst = std::max(worst, std::abs(double(fresh.flat()[i]) - double(e.flat()[i])));
   EXPECT_LT(worst, 5e-3);
+}
+
+// Multi-thread PSV runs its SVs in waves: each wave sweeps same-group SVs
+// from one error snapshot and writes back in a fixed order. With
+// sv_side > 2 * boundary_overlap no SV reads a voxel a concurrent SV writes,
+// so the result depends on the thread count but not on thread timing. The
+// extra pool threads compete for the cores and shuffle that timing.
+TEST_F(EngineFixture, PsvFixedThreadCountIsBitIdenticalAcrossRuns) {
+  std::vector<std::thread> spinners;
+  std::atomic<bool> stop{false};
+  for (int i = 0; i < 4; ++i)
+    spinners.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) std::this_thread::yield();
+    });
+  for (const unsigned threads : {3u, 4u}) {
+    PsvIcdOptions opt;
+    opt.sv.sv_side = 8;
+    opt.num_threads = threads;
+    Image2D first;
+    const PsvRunStats first_stats = runPsv(opt, 6.0, first);
+    for (int rep = 0; rep < 3; ++rep) {
+      Image2D again;
+      const PsvRunStats stats = runPsv(opt, 6.0, again);
+      EXPECT_EQ(first.rmsDiff(again), 0.0) << threads << " threads, rep " << rep;
+      EXPECT_EQ(stats.equits, first_stats.equits);
+    }
+  }
+  stop = true;
+  for (std::thread& t : spinners) t.join();
 }
 
 TEST_F(EngineFixture, PsvWorkCountersConsistent) {

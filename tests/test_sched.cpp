@@ -1,23 +1,23 @@
-// Batch scheduler (src/sched): sharding heterogeneous jobs across simulated
-// devices must be bit-identical to running the same jobs serially, for any
-// device count and host thread count; plus futures, cancellation, failure
-// isolation, the aggregate report, and per-device trace processes.
+// Offline batches on the dispatcher's deterministic lane (src/svc): sharding
+// heterogeneous jobs across simulated devices must be bit-identical to
+// running the same jobs serially, for any device count and host thread
+// count; plus terminal-only result access, cancellation, failure isolation,
+// the aggregate report, and per-device trace processes.
 #include <gtest/gtest.h>
 
 #include <thread>
 
+#include "core/error.h"
 #include "core/thread_pool.h"
 #include "obs/json.h"
-#include "sched/scheduler.h"
-#include "test_support.h"
+#include "svc_test_support.h"
 
 namespace mbir {
 namespace {
 
-using sched::BatchScheduler;
-using sched::BatchReport;
-using sched::JobResult;
-using sched::SchedulerOptions;
+using svc::Dispatcher;
+using svc::JobResult;
+using svc::SvcReport;
 
 // Heterogeneous job mix: all three engines (PSV pinned to one thread — the
 // only deterministic PSV mode, DESIGN.md §7), convergence and fixed-budget
@@ -72,6 +72,28 @@ std::vector<RunResult> serialBaseline(const std::vector<RunConfig>& jobs) {
   return out;
 }
 
+/// An offline batch's dispatcher: room in the queue for every job.
+svc::DispatcherOptions batchOptions(int devices, int jobs) {
+  svc::DispatcherOptions opt;
+  opt.num_devices = devices;
+  opt.queue_capacity = jobs;
+  return opt;
+}
+
+/// Submit one job of the batch on the deterministic lane.
+int submitDet(Dispatcher& d, const RunConfig& cfg, const std::string& name = {}) {
+  const svc::SubmitOutcome out = d.submit(test::tinyJob(cfg, name, /*deterministic=*/true));
+  EXPECT_TRUE(out.accepted) << out.reason;
+  return out.job_id;
+}
+
+/// A job that runs until cancelled (RMSE stop off, huge budget).
+RunConfig blockerConfig() {
+  RunConfig cfg = test::tinyRunConfig(Algorithm::kSequentialIcd, 1e6);
+  cfg.stop_rmse_hu = -1.0;
+  return cfg;
+}
+
 TEST(SchedDeterminism, BitIdenticalToSerialForAnyDeviceAndThreadCount) {
   const std::vector<RunConfig> jobs = heterogeneousJobs();
   ASSERT_GE(jobs.size(), 8u);
@@ -82,16 +104,14 @@ TEST(SchedDeterminism, BitIdenticalToSerialForAnyDeviceAndThreadCount) {
       SCOPED_TRACE("devices=" + std::to_string(devices) +
                    " threads=" + std::to_string(threads));
       ThreadPool pool(threads);
-      SchedulerOptions opt;
-      opt.num_devices = devices;
+      svc::DispatcherOptions opt = batchOptions(devices, int(jobs.size()));
       opt.host_pool = &pool;
-      BatchScheduler s(opt);
-      for (const RunConfig& cfg : jobs)
-        s.submit(test::tinyProblem(), test::tinyGolden(), cfg);
-      s.runAll();
+      Dispatcher d(opt);
+      for (const RunConfig& cfg : jobs) submitDet(d, cfg);
+      d.drain();
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         SCOPED_TRACE("job " + std::to_string(i));
-        const JobResult& r = s.result(int(i));
+        const JobResult& r = d.result(int(i));
         EXPECT_FALSE(r.failed) << r.error;
         test::expectRunResultsBitIdentical(serial[i], r.run);
       }
@@ -101,75 +121,75 @@ TEST(SchedDeterminism, BitIdenticalToSerialForAnyDeviceAndThreadCount) {
 
 TEST(Sched, RoundRobinDeviceAssignment) {
   const std::vector<RunConfig> jobs = heterogeneousJobs();
-  SchedulerOptions opt;
-  opt.num_devices = 4;
-  BatchScheduler s(opt);
-  for (const RunConfig& cfg : jobs)
-    s.submit(test::tinyProblem(), test::tinyGolden(), cfg);
-  s.runAll();
-  for (int i = 0; i < s.jobCount(); ++i) EXPECT_EQ(s.result(i).device, i % 4);
+  Dispatcher d(batchOptions(4, int(jobs.size())));
+  for (const RunConfig& cfg : jobs) submitDet(d, cfg);
+  const SvcReport& rep = d.drain();
+  for (int i = 0; i < int(jobs.size()); ++i) {
+    EXPECT_EQ(d.result(i).device, i % 4);
+    EXPECT_EQ(rep.jobs[std::size_t(i)].device, i % 4);
+  }
 }
 
-TEST(Sched, FuturesResolveToResults) {
-  SchedulerOptions opt;
-  opt.num_devices = 2;
-  BatchScheduler s(opt);
+TEST(Sched, WaitTerminalResolvesToResults) {
+  // One device: "b" queues behind a blocker, so its result is not there
+  // yet — the accessor refuses non-terminal jobs instead of racing the run.
+  Dispatcher d(batchOptions(1, 2));
   RunConfig cfg = test::tinyRunConfig(Algorithm::kSequentialIcd, 2.0);
   cfg.stop_rmse_hu = -1.0;
-  const int a = s.submit(test::tinyProblem(), test::tinyGolden(), cfg, "a");
-  const int b = s.submit(test::tinyProblem(), test::tinyGolden(), cfg, "b");
-  auto fa = s.future(a);  // requested before runAll
-  s.runAll();
-  auto fb = s.future(b);  // and after
-  ASSERT_EQ(fa.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  ASSERT_EQ(fb.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_EQ(fa.get(), &s.result(a));
-  EXPECT_EQ(fb.get(), &s.result(b));
-  EXPECT_EQ(fa.get()->name, "a");
-  EXPECT_EQ(fb.get()->name, "b");
+  const int a = submitDet(d, blockerConfig(), "a");
+  const int b = submitDet(d, cfg, "b");
+  EXPECT_THROW(d.result(b), Error);
+  EXPECT_TRUE(d.cancel(a));
+  EXPECT_EQ(d.waitTerminal(b).state, svc::JobState::kDone);
+  EXPECT_EQ(d.waitTerminal(a).state, svc::JobState::kCancelled);
+  EXPECT_EQ(d.result(a).name, "a");
+  EXPECT_EQ(d.result(b).name, "b");
+  EXPECT_TRUE(d.result(a).cancelled);
+  EXPECT_GE(d.result(b).run.equits, 2.0);
+  d.drain();
 }
 
 TEST(Sched, CancelBeforeRunStopsAtFirstIterationBoundary) {
-  SchedulerOptions opt;
-  opt.num_devices = 2;
-  BatchScheduler s(opt);
+  // A queued deterministic job keeps its lane slot when cancelled and runs
+  // with the flag set: it stops at the first iteration boundary.
+  Dispatcher d(batchOptions(1, 3));
   RunConfig cfg = test::tinyRunConfig(Algorithm::kSequentialIcd, 30.0);
   cfg.stop_rmse_hu = -1.0;
-  const int victim = s.submit(test::tinyProblem(), test::tinyGolden(), cfg);
-  const int other = s.submit(test::tinyProblem(), test::tinyGolden(), cfg);
-  s.cancel(victim);
-  s.runAll();
-  const JobResult& rv = s.result(victim);
+  const int blocker = submitDet(d, blockerConfig());
+  const int victim = submitDet(d, cfg);
+  const int other = submitDet(d, cfg);
+  EXPECT_TRUE(d.cancel(victim));  // still queued behind the blocker
+  EXPECT_TRUE(d.cancel(blocker));
+  const SvcReport& rep = d.drain();
+  const JobResult& rv = d.result(victim);
   EXPECT_TRUE(rv.cancelled);
   EXPECT_TRUE(rv.run.cancelled);
   EXPECT_FALSE(rv.run.converged);
   EXPECT_TRUE(rv.run.curve.empty());  // stopped before the first sample
   EXPECT_LT(rv.run.equits, 2.0);      // far short of the 30-equit budget
-  const JobResult& ro = s.result(other);
+  EXPECT_GE(rep.jobs[std::size_t(victim)].dispatch_seq, 0);  // kept its slot
+  const JobResult& ro = d.result(other);
   EXPECT_FALSE(ro.cancelled);
   EXPECT_GE(ro.run.equits, 29.0);
-  EXPECT_EQ(s.report().jobs_cancelled, 1);
+  EXPECT_EQ(rep.jobs_cancelled, 2u);  // blocker + victim
 }
 
 TEST(Sched, CancelWhileInFlightTerminatesBatch) {
   // Cancel everything from outside while the batch runs; the batch must
   // drain promptly and every job must be either cancelled or finished.
-  SchedulerOptions opt;
-  opt.num_devices = 2;
-  BatchScheduler s(opt);
+  const int kJobs = 6;
+  Dispatcher d(batchOptions(2, kJobs));
   RunConfig cfg = test::tinyRunConfig(Algorithm::kSequentialIcd, 50.0);
   cfg.stop_rmse_hu = -1.0;
-  for (int i = 0; i < 6; ++i)
-    s.submit(test::tinyProblem(), test::tinyGolden(), cfg);
-  auto f0 = s.future(0);
+  for (int i = 0; i < kJobs; ++i) submitDet(d, cfg);
   std::thread canceller([&] {
-    f0.wait();  // batch is definitely in flight once job 0 finished
-    for (int i = 0; i < s.jobCount(); ++i) s.cancel(i);
+    d.waitTerminal(0);  // batch is definitely in flight once job 0 finished
+    for (int i = 0; i < kJobs; ++i) d.cancel(i);
   });
-  s.runAll();
+  d.drain();
   canceller.join();
-  for (int i = 0; i < s.jobCount(); ++i) {
-    const JobResult& r = s.result(i);
+  for (int i = 0; i < kJobs; ++i) {
+    const JobResult& r = d.result(i);
     EXPECT_FALSE(r.failed) << r.error;
     // Every job either ran its full budget or was cut short by the cancel.
     if (!r.cancelled) EXPECT_GE(r.run.equits, 49.0);
@@ -177,37 +197,33 @@ TEST(Sched, CancelWhileInFlightTerminatesBatch) {
 }
 
 TEST(Sched, FailedJobIsIsolated) {
-  SchedulerOptions opt;
-  opt.num_devices = 2;
-  BatchScheduler s(opt);
+  Dispatcher d(batchOptions(2, 3));
   RunConfig good = test::tinyRunConfig(Algorithm::kSequentialIcd, 2.0);
   good.stop_rmse_hu = -1.0;
   RunConfig bad = test::tinyRunConfig(Algorithm::kGpuIcd, 2.0);
   bad.gpu.tunables.threads_per_block = 100;  // not a multiple of 32: throws
-  s.submit(test::tinyProblem(), test::tinyGolden(), good, "good0");
-  s.submit(test::tinyProblem(), test::tinyGolden(), bad, "bad");
-  s.submit(test::tinyProblem(), test::tinyGolden(), good, "good1");
-  const BatchReport& rep = s.runAll();
-  EXPECT_TRUE(s.result(1).failed);
-  EXPECT_FALSE(s.result(1).error.empty());
-  EXPECT_FALSE(s.result(0).failed);
-  EXPECT_FALSE(s.result(2).failed);
-  EXPECT_GT(s.result(0).run.equits, 0.0);
-  EXPECT_GT(s.result(2).run.equits, 0.0);
-  EXPECT_EQ(rep.jobs_failed, 1);
+  submitDet(d, good, "good0");
+  submitDet(d, bad, "bad");
+  submitDet(d, good, "good1");
+  const SvcReport& rep = d.drain();
+  EXPECT_TRUE(d.result(1).failed);
+  EXPECT_FALSE(d.result(1).error.empty());
+  EXPECT_FALSE(d.result(0).failed);
+  EXPECT_FALSE(d.result(2).failed);
+  EXPECT_GT(d.result(0).run.equits, 0.0);
+  EXPECT_GT(d.result(2).run.equits, 0.0);
+  EXPECT_EQ(rep.jobs_failed, 1u);
 }
 
 TEST(Sched, ReportAggregatesAreConsistent) {
   const std::vector<RunConfig> jobs = heterogeneousJobs();
-  SchedulerOptions opt;
-  opt.num_devices = 2;
-  BatchScheduler s(opt);
-  for (const RunConfig& cfg : jobs)
-    s.submit(test::tinyProblem(), test::tinyGolden(), cfg);
-  const BatchReport& rep = s.runAll();
+  Dispatcher d(batchOptions(2, int(jobs.size())));
+  for (const RunConfig& cfg : jobs) submitDet(d, cfg);
+  const SvcReport& rep = d.drain();
 
-  EXPECT_EQ(rep.jobs_total, int(jobs.size()));
-  EXPECT_EQ(rep.jobs_failed, 0);
+  EXPECT_EQ(rep.jobs_submitted, jobs.size());
+  EXPECT_EQ(rep.jobs_done, jobs.size());
+  EXPECT_EQ(rep.jobs_failed, 0u);
   EXPECT_GT(rep.host_seconds, 0.0);
   EXPECT_GT(rep.jobs_per_host_second, 0.0);
   ASSERT_EQ(rep.device_modeled_s.size(), 2u);
@@ -216,8 +232,8 @@ TEST(Sched, ReportAggregatesAreConsistent) {
   // first job waits zero, and the clocks sum to the batch total.
   double sum_jobs = 0.0, sum_devices = 0.0;
   std::vector<double> clock(2, 0.0);
-  for (int i = 0; i < s.jobCount(); ++i) {
-    const JobResult& r = s.result(i);
+  for (int i = 0; i < int(jobs.size()); ++i) {
+    const JobResult& r = d.result(i);
     EXPECT_EQ(r.queue_wait_modeled_s, clock[std::size_t(r.device)]);
     EXPECT_EQ(r.device_start_modeled_s, r.queue_wait_modeled_s);
     EXPECT_EQ(r.device_end_modeled_s,
@@ -225,36 +241,33 @@ TEST(Sched, ReportAggregatesAreConsistent) {
     clock[std::size_t(r.device)] = r.device_end_modeled_s;
     sum_jobs += r.run.modeled_seconds;
   }
-  for (std::size_t d = 0; d < 2; ++d) {
-    EXPECT_EQ(rep.device_modeled_s[d], clock[d]);
-    sum_devices += rep.device_modeled_s[d];
+  for (std::size_t dev = 0; dev < 2; ++dev) {
+    EXPECT_EQ(rep.device_modeled_s[dev], clock[dev]);
+    sum_devices += rep.device_modeled_s[dev];
   }
   EXPECT_DOUBLE_EQ(rep.modeled_device_seconds_total, sum_jobs);
   EXPECT_DOUBLE_EQ(sum_devices, sum_jobs);
   EXPECT_EQ(rep.makespan_modeled_s,
             std::max(rep.device_modeled_s[0], rep.device_modeled_s[1]));
-  EXPECT_GE(rep.queue_wait_max_s, rep.queue_wait_mean_s);
 }
 
 TEST(Sched, BatchReportJsonParses) {
-  SchedulerOptions opt;
-  opt.num_devices = 2;
-  BatchScheduler s(opt);
+  Dispatcher d(batchOptions(2, 3));
   RunConfig cfg = test::tinyRunConfig(Algorithm::kSequentialIcd, 2.0);
   cfg.stop_rmse_hu = -1.0;
-  for (int i = 0; i < 3; ++i)
-    s.submit(test::tinyProblem(), test::tinyGolden(), cfg);
-  s.runAll();
-  const obs::JsonValue doc = obs::parseJson(s.reportJson());
+  for (int i = 0; i < 3; ++i) submitDet(d, cfg);
+  d.drain();
+  const obs::JsonValue doc = obs::parseJson(d.reportJson());
   ASSERT_TRUE(doc.isObject());
-  EXPECT_EQ(doc.find("schema")->asString(), "gpumbir.batch_report/1");
-  EXPECT_EQ(doc.find("jobs_total")->asNumber(), 3.0);
+  EXPECT_EQ(doc.find("schema")->asString(), "gpumbir.svc_report/1");
+  EXPECT_EQ(doc.find("jobs_submitted")->asNumber(), 3.0);
   EXPECT_EQ(doc.find("num_devices")->asNumber(), 2.0);
   const obs::JsonValue* jobs = doc.find("jobs");
   ASSERT_TRUE(jobs && jobs->isArray());
   ASSERT_EQ(jobs->array_v.size(), 3u);
   for (const obs::JsonValue& j : jobs->array_v) {
     EXPECT_TRUE(j.find("name")->isString());
+    EXPECT_TRUE(j.find("deterministic")->asBool());
     EXPECT_GE(j.find("modeled_seconds")->asNumber(), 0.0);
     EXPECT_GE(j.find("queue_wait_modeled_s")->asNumber(), 0.0);
   }
@@ -265,18 +278,16 @@ TEST(Sched, SharedRecorderSeesDevicesAndJobs) {
   ocfg.metrics = true;
   ocfg.trace = true;
   obs::Recorder rec(ocfg);
-  SchedulerOptions opt;
-  opt.num_devices = 2;
+  svc::DispatcherOptions opt = batchOptions(2, 4);
   opt.recorder = &rec;
-  BatchScheduler s(opt);
+  Dispatcher d(opt);
   RunConfig cfg = test::tinyRunConfig(Algorithm::kGpuIcd, 3.0);
   cfg.stop_rmse_hu = -1.0;
-  for (int i = 0; i < 4; ++i)
-    s.submit(test::tinyProblem(), test::tinyGolden(), cfg);
-  s.runAll();
+  for (int i = 0; i < 4; ++i) submitDet(d, cfg);
+  d.drain();
 
-  EXPECT_EQ(rec.metrics().counterValue("sched.jobs.completed"), 4u);
-  EXPECT_EQ(rec.metrics().counterValue("sched.jobs.cancelled"), 0u);
+  EXPECT_EQ(rec.metrics().counterValue("svc.jobs.done"), 4u);
+  EXPECT_EQ(rec.metrics().counterValue("svc.jobs.cancelled"), 0u);
   EXPECT_GT(rec.metrics().counterValue("gsim.launch.count"), 0u);
 
   // The trace declares one process per device and attributes modeled-clock
@@ -293,9 +304,9 @@ TEST(Sched, SharedRecorderSeesDevicesAndJobs) {
     if (name->asString() == "process_name") {
       const obs::JsonValue* args = ev.find("args");
       if (args && args->find("name")) {
-        if (args->find("name")->asString() == "device 0 (modeled)")
+        if (args->find("name")->asString() == "svc device 0 (modeled)")
           named_dev0 = true;
-        if (args->find("name")->asString() == "device 1 (modeled)")
+        if (args->find("name")->asString() == "svc device 1 (modeled)")
           named_dev1 = true;
       }
     } else {
@@ -314,16 +325,14 @@ TEST(SchedDeterminism, ObservabilityDoesNotPerturbResults) {
   cfg.stop_rmse_hu = -1.0;
 
   const auto run_batch = [&](obs::Recorder* rec) {
-    SchedulerOptions opt;
-    opt.num_devices = 2;
+    svc::DispatcherOptions opt = batchOptions(2, 4);
     opt.recorder = rec;
-    BatchScheduler s(opt);
-    for (int i = 0; i < 4; ++i)
-      s.submit(test::tinyProblem(), test::tinyGolden(), cfg);
-    s.runAll();
+    Dispatcher d(opt);
+    for (int i = 0; i < 4; ++i) submitDet(d, cfg);
+    d.drain();
     std::vector<std::uint64_t> hashes;
-    for (int i = 0; i < s.jobCount(); ++i)
-      hashes.push_back(test::imageHash(s.result(i).run.image));
+    for (int i = 0; i < 4; ++i)
+      hashes.push_back(test::imageHash(d.result(i).run.image));
     return hashes;
   };
 
@@ -349,35 +358,19 @@ TEST(Sched, RaceCheckedBatchIsCleanAndBitIdentical) {
   const std::vector<RunResult> serial =
       serialBaseline(std::vector<RunConfig>(4, unchecked));
 
-  SchedulerOptions opt;
-  opt.num_devices = 2;
-  BatchScheduler s(opt);
-  for (int i = 0; i < 4; ++i)
-    s.submit(test::tinyProblem(), test::tinyGolden(), checked);
-  s.runAll();
+  Dispatcher d(batchOptions(2, 4));
+  for (int i = 0; i < 4; ++i) submitDet(d, checked);
+  d.drain();
 
   for (int i = 0; i < 4; ++i) {
     SCOPED_TRACE("job " + std::to_string(i));
-    const JobResult& r = s.result(i);
+    const JobResult& r = d.result(i);
     ASSERT_FALSE(r.failed) << r.error;
     ASSERT_TRUE(r.run.gpu_stats);
     EXPECT_TRUE(r.run.gpu_stats->race_check_enabled);
     EXPECT_GT(r.run.gpu_stats->race_launches_checked, 0u);
     EXPECT_EQ(r.run.gpu_stats->race_reports, 0u);
     test::expectRunResultsBitIdentical(serial[std::size_t(i)], r.run);
-  }
-
-  // The batch report carries the per-job race-check summary.
-  const obs::JsonValue doc = obs::parseJson(s.reportJson());
-  const obs::JsonValue* jobs = doc.find("jobs");
-  ASSERT_TRUE(jobs && jobs->isArray());
-  ASSERT_EQ(jobs->array_v.size(), 4u);
-  for (const obs::JsonValue& j : jobs->array_v) {
-    const obs::JsonValue* rc = j.find("race_check");
-    ASSERT_TRUE(rc && rc->isObject());
-    EXPECT_TRUE(rc->find("enabled")->asBool());
-    EXPECT_GT(rc->find("launches_checked")->asNumber(), 0.0);
-    EXPECT_EQ(rc->find("races_found")->asNumber(), 0.0);
   }
 }
 

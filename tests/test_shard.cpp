@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/error.h"
@@ -316,6 +317,52 @@ TEST(ShardJob, ReconstructShardedReportsShardReportSchema) {
   EXPECT_NE(doc.find("comm_seconds"), nullptr);
   EXPECT_NE(doc.find("comm_overhead"), nullptr);
   EXPECT_NE(doc.find("exchanges"), nullptr);
+}
+
+TEST(ShardJob, SingleSlabRunFollowsReconstructProtocol) {
+  // Protocol parity: a 1-slab, 1-device sharded job is reconstruct() with a
+  // different engine. From the same warm start it must produce the same
+  // image, equits and convergence curve, and its trace must carry the same
+  // protocol spans: one recon.setup, one host recon.iteration per point.
+  const OwnedProblem& problem = tinyProblem();
+  RunConfig base = test::tinyRunConfig(Algorithm::kGpuIcd, /*max_equits=*/4.0);
+  base.stop_rmse_hu = -1.0;
+  RunConfig rough = base;
+  rough.max_equits = 1.0;
+  base.initial_image = std::make_shared<const Image2D>(
+      reconstruct(problem, tinyGolden(), rough).image);
+  base.obs.trace = true;
+
+  const RunResult plain = reconstruct(problem, tinyGolden(), base);
+  ShardConfig cfg;
+  cfg.plan = makeShardPlan(problem.geometry().image_size, 1, 1,
+                           base.gpu.seed);
+  cfg.devices = 1;
+  cfg.base = base;
+  const ShardRunResult sharded = reconstructSharded(problem, tinyGolden(), cfg);
+
+  EXPECT_TRUE(sharded.run.warm_started);
+  expectImagesBitIdentical(plain.image, sharded.run.image);
+  EXPECT_EQ(plain.equits, sharded.run.equits);
+  EXPECT_EQ(plain.final_rmse_hu, sharded.run.final_rmse_hu);
+  ASSERT_EQ(plain.curve.size(), sharded.run.curve.size());
+  ASSERT_FALSE(plain.curve.empty());
+  for (std::size_t i = 0; i < plain.curve.size(); ++i) {
+    EXPECT_EQ(plain.curve[i].equits, sharded.run.curve[i].equits);
+    EXPECT_EQ(plain.curve[i].rmse_hu, sharded.run.curve[i].rmse_hu);
+  }
+
+  for (const RunResult* r : {&plain, &sharded.run}) {
+    ASSERT_TRUE(r->recorder);
+    std::size_t setups = 0, iterations = 0;
+    for (const obs::TraceEvent& ev : r->recorder->trace().snapshot()) {
+      if (ev.clock != obs::Clock::kHost) continue;
+      if (ev.name == "recon.setup") ++setups;
+      if (ev.name == "recon.iteration") ++iterations;
+    }
+    EXPECT_EQ(1u, setups);
+    EXPECT_EQ(r->curve.size(), iterations);
+  }
 }
 
 TEST(ShardJob, ShardedRunMatchesPlanAcrossDeviceCountsEndToEnd) {

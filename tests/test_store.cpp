@@ -11,22 +11,23 @@
 // after it.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chaos/fault.h"
 #include "core/error.h"
 #include "core/hash.h"
-#include "sched/scheduler.h"
 #include "store/cache.h"
 #include "store/wal.h"
 #include "store/wfq.h"
 #include "svc/client.h"
 #include "svc/server.h"
-#include "test_support.h"
+#include "svc_test_support.h"
 
 namespace mbir::test {
 namespace {
@@ -335,6 +336,46 @@ TEST(StoreCache, CapacityEvictsLeastRecentlyUsedAndUnlinksItsFile) {
   EXPECT_EQ(5.0, cache.find(3, "k")->meta.equits);
 }
 
+TEST(StoreCache, ConcurrentInsertsOfOneKeyAllLand) {
+  // Two jobs finishing with the same key insert at once (a duplicate that
+  // raced past the cache lookup). Each insert stages under its own temp
+  // name, so no rename can lose its file to another's: none throws, and
+  // the entry reloads with the right bits.
+  TempDir tmp;
+  const std::string dir = tmp.sub("cache");
+  const Image2D img = patternImage(16, 1e-3f);
+  const ResultCache::Meta meta = metaFor(0x5EEDu, "alg=gpu;eq=3", img, 3.0);
+  {
+    ResultCache cache(dir, 8);
+    std::atomic<int> failures{0};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < 8; ++t)
+      writers.emplace_back([&] {
+        try {
+          cache.insert(meta, img);
+        } catch (const std::exception&) {
+          ++failures;
+        }
+      });
+    for (std::thread& w : writers) w.join();
+    EXPECT_EQ(0, failures.load());
+    EXPECT_EQ(8u, cache.counters().inserts);
+    EXPECT_EQ(1u, cache.size());
+  }
+  // No staging file outlives its insert; one left by a crash mid-insert is
+  // swept at the next startup.
+  EXPECT_EQ(1, std::distance(fs::directory_iterator(dir),
+                             fs::directory_iterator{}));
+  writeFile(dir + "/crashed.rce.1.7.tmp", "torn");
+  ResultCache cache(dir, 8);
+  EXPECT_EQ(0u, cache.counters().corrupt_dropped);
+  const auto hit = cache.find(0x5EEDu, "alg=gpu;eq=3");
+  ASSERT_NE(nullptr, hit);
+  expectImagesBitIdentical(img, *hit->image);
+  EXPECT_EQ(1, std::distance(fs::directory_iterator(dir),
+                             fs::directory_iterator{}));
+}
+
 TEST(StoreCache, WarmLookupPicksMostConvergedEntryOfMatchingSize) {
   TempDir tmp;
   ResultCache cache(tmp.sub("cache"), 8);
@@ -413,20 +454,6 @@ TEST(StoreWfq, UnknownTenantGetsTheDefaultWeight) {
 // ---------------------------------------------------------------------------
 // Service integration: cache serves, warm starts, WAL recovery, chaos
 // ---------------------------------------------------------------------------
-
-class TinySource : public svc::JobSource {
- public:
-  Case get(int case_index) override {
-    if (case_index >= 100) throw Error("case index out of range");
-    return Case{tinyProblem(), tinyGolden()};
-  }
-};
-
-RunConfig tinyBaseConfig() {
-  RunConfig cfg = tinyRunConfig(Algorithm::kGpuIcd, /*max_equits=*/3.0);
-  cfg.stop_rmse_hu = 0.0;  // fixed-work jobs: budget-bound, reproducible
-  return cfg;
-}
 
 /// A server with the store lane wired up (WAL and/or cache borrowed).
 struct StoreService {
@@ -581,23 +608,17 @@ TEST(SvcStore, WalRecoveryRedispatchesPendingJobsBitIdentically) {
   EXPECT_EQ(2u, rep.jobs_done);
   EXPECT_EQ(2u, rep.jobs_recovered);
 
-  // The recovered runs are bit-identical to the same jobs through the
-  // offline batch scheduler — recovery is idempotent on the det lane.
-  sched::SchedulerOptions opt;
-  opt.num_devices = kDevices;
-  sched::BatchScheduler offline(opt);
-  for (const SubmitParams& p : specs)
-    offline.submit(tinyProblem(), tinyGolden(),
-                   svc::makeRunConfig(tinyBaseConfig(), p), p.name);
-  offline.runAll();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
+  // The recovered runs are bit-identical to the same jobs run serially —
+  // recovery is idempotent on the det lane.
+  for (const SubmitParams& p : specs) {
     const svc::JobStatus* job = nullptr;
     for (const svc::JobStatus& j : rep.jobs)
-      if (j.name == specs[i].name) job = &j;
-    ASSERT_NE(nullptr, job) << specs[i].name;
+      if (j.name == p.name) job = &j;
+    ASSERT_NE(nullptr, job) << p.name;
     EXPECT_EQ(1, job->recoveries);
-    EXPECT_EQ(fnv1a64(offline.result(int(i)).run.image.flat()),
-              job->image_hash);
+    const RunResult serial = reconstruct(
+        tinyProblem(), tinyGolden(), svc::makeRunConfig(tinyBaseConfig(), p));
+    EXPECT_EQ(fnv1a64(serial.image.flat()), job->image_hash);
   }
 
   // Every recovered job reached a terminal record: nothing is pending, and

@@ -1,8 +1,8 @@
 // Integration tests for the online reconstruction service (src/svc): wire
 // framing, protocol parsing, admission control, deadline fail-fast,
-// priority ordering, the deterministic lane's bit-identity to the offline
-// batch scheduler, cancellation, graceful drain, and malformed-frame fuzz
-// over a real loopback connection.
+// priority ordering, the deterministic lane's bit-identity to serial runs,
+// cancellation, graceful drain, and malformed-frame fuzz over a real
+// loopback connection.
 //
 // Flake resistance: anything that must observe a "busy" service first parks
 // the device(s) on long blocker jobs (RMSE stop disabled, large equit cap)
@@ -23,33 +23,15 @@
 #include "core/hash.h"
 #include "core/rng.h"
 #include "obs/obs.h"
-#include "sched/scheduler.h"
 #include "svc/client.h"
 #include "svc/server.h"
-#include "test_support.h"
+#include "svc_test_support.h"
 
 namespace mbir::test {
 namespace {
 
 using svc::Client;
 using svc::SubmitParams;
-
-/// Serves tinyProblem()/tinyGolden() for every case index (the problem is
-/// identical across indices; determinism comparisons only need the configs
-/// to match). Indices >= 100 throw, to exercise the server's error path.
-class TinySource : public svc::JobSource {
- public:
-  Case get(int case_index) override {
-    if (case_index >= 100) throw Error("case index out of range");
-    return Case{tinyProblem(), tinyGolden()};
-  }
-};
-
-RunConfig tinyBaseConfig() {
-  RunConfig cfg = tinyRunConfig(Algorithm::kGpuIcd, /*max_equits=*/3.0);
-  cfg.stop_rmse_hu = 0.0;  // fixed-work jobs: budget-bound, reproducible
-  return cfg;
-}
 
 struct TestService {
   explicit TestService(int devices, int queue_cap,
@@ -350,7 +332,7 @@ TEST(SvcServer, PriorityLaneDispatchesHighestFirstTiesInSubmitOrder) {
 // Deterministic lane
 // ---------------------------------------------------------------------------
 
-TEST(SvcServer, DeterministicLaneIsBitIdenticalToBatchSchedulerRunAll) {
+TEST(SvcServer, DeterministicLaneIsBitIdenticalToSerialRuns) {
   const int kDevices = 2;
   const int kJobs = 4;
   TestService service(kDevices, /*queue_cap=*/8);
@@ -375,28 +357,22 @@ TEST(SvcServer, DeterministicLaneIsBitIdenticalToBatchSchedulerRunAll) {
   std::vector<Client::JobInfo> online;
   for (int id : ids) online.push_back(client.result(id));
 
-  // The same jobs through the offline scheduler at the same device count.
-  sched::SchedulerOptions opt;
-  opt.num_devices = kDevices;
-  sched::BatchScheduler offline(opt);
-  for (const SubmitParams& p : specs)
-    offline.submit(tinyProblem(), tinyGolden(),
-                   svc::makeRunConfig(tinyBaseConfig(), p), p.name);
-  offline.runAll();
-
+  // The same jobs run serially, laid out on the lane's schedule: det job s
+  // runs on device s % D, after the earlier jobs of that device.
+  std::vector<double> clock(kDevices, 0.0);
   for (int i = 0; i < kJobs; ++i) {
-    const sched::JobResult& off = offline.result(i);
     SCOPED_TRACE("job " + std::to_string(i));
-    // det job s runs on device s % D — the batch scheduler's assignment.
-    EXPECT_EQ(off.device, online[std::size_t(i)].device);
+    const RunResult serial =
+        reconstruct(tinyProblem(), tinyGolden(),
+                    svc::makeRunConfig(tinyBaseConfig(), specs[std::size_t(i)]));
+    const Client::JobInfo& on = online[std::size_t(i)];
+    EXPECT_EQ(i % kDevices, on.device);
     // Images are bit-identical (hash of float bits)...
-    EXPECT_EQ(hashToHex(fnv1a64(off.run.image.flat())),
-              online[std::size_t(i)].image_hash);
+    EXPECT_EQ(hashToHex(fnv1a64(serial.image.flat())), on.image_hash);
     // ...and so are the modeled clocks: same per-device schedule.
-    EXPECT_EQ(off.run.modeled_seconds,
-              online[std::size_t(i)].modeled_seconds);
-    EXPECT_EQ(off.queue_wait_modeled_s,
-              online[std::size_t(i)].queue_wait_modeled_s);
+    EXPECT_EQ(serial.modeled_seconds, on.modeled_seconds);
+    EXPECT_EQ(clock[std::size_t(i % kDevices)], on.queue_wait_modeled_s);
+    clock[std::size_t(i % kDevices)] += serial.modeled_seconds;
   }
   client.drain();
 }
@@ -754,6 +730,9 @@ TEST(SvcServer, MalformedFrameFloodDoesNotLeakFdsOrThreads) {
   TestService service(1, 8);
   Client good = service.connect();
   ASSERT_TRUE(good.ping());
+  // Run one job before taking the baselines: the first run lazily spawns
+  // the process-wide host pool's workers, which must not count as leaks.
+  ASSERT_EQ("done", good.result(good.submit(SubmitParams{}).job_id).state);
 
   const std::size_t fd_baseline = procCount("/proc/self/fd");
   const std::size_t thread_baseline = procCount("/proc/self/task");
