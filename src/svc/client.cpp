@@ -28,6 +28,22 @@ bool boolField(const obs::JsonValue& doc, const std::string& k, bool def) {
   return v && v->type == obs::JsonValue::Type::kBool ? v->bool_v : def;
 }
 
+/// The object `key` of a response (its stats, flight or report document).
+obs::JsonValue document(const obs::JsonValue& resp, const std::string& key) {
+  const obs::JsonValue* v = resp.find(key);
+  if (!v || !v->isObject())
+    throw Error("svc: response carries no '" + key + "' document");
+  return *v;
+}
+
+/// A request that carries nothing but its verb.
+std::string bareRequest(std::string_view verb) {
+  obs::JsonWriter w;
+  beginRequest(w, verb);
+  w.endObject();
+  return w.str();
+}
+
 Client::JobInfo parseJobInfo(const obs::JsonValue& doc) {
   Client::JobInfo info;
   info.job_id = int(numField(doc, "job_id", -1));
@@ -113,12 +129,7 @@ obs::JsonValue Client::callChecked(std::string_view payload, const char* verb) {
 }
 
 bool Client::ping() {
-  obs::JsonWriter w;
-  w.beginObject();
-  w.kv("schema", kProtocolSchema);
-  w.kv("verb", "ping");
-  w.endObject();
-  const obs::JsonValue resp = call(w.str());
+  const obs::JsonValue resp = call(bareRequest("ping"));
   return boolField(resp, "ok", false);
 }
 
@@ -137,12 +148,7 @@ Client::SubmitResult Client::submit(const SubmitParams& params) {
 }
 
 Client::ServerStatus Client::serverStatus() {
-  obs::JsonWriter w;
-  w.beginObject();
-  w.kv("schema", kProtocolSchema);
-  w.kv("verb", "status");
-  w.endObject();
-  const obs::JsonValue resp = callChecked(w.str(), "status");
+  const obs::JsonValue resp = callChecked(bareRequest("status"), "status");
   ServerStatus s;
   s.accepting = boolField(resp, "accepting", true);
   s.queued = int(numField(resp, "queued", 0));
@@ -157,9 +163,7 @@ Client::ServerStatus Client::serverStatus() {
 
 Client::JobInfo Client::jobStatus(int job_id) {
   obs::JsonWriter w;
-  w.beginObject();
-  w.kv("schema", kProtocolSchema);
-  w.kv("verb", "status");
+  beginRequest(w, "status");
   w.kv("job", job_id);
   w.endObject();
   return parseJobInfo(callChecked(w.str(), "status"));
@@ -167,9 +171,7 @@ Client::JobInfo Client::jobStatus(int job_id) {
 
 Client::JobInfo Client::result(int job_id, bool include_image) {
   obs::JsonWriter w;
-  w.beginObject();
-  w.kv("schema", kProtocolSchema);
-  w.kv("verb", "result");
+  beginRequest(w, "result");
   w.kv("job", job_id);
   if (include_image) w.kv("include_image", true);
   w.endObject();
@@ -178,9 +180,7 @@ Client::JobInfo Client::result(int job_id, bool include_image) {
 
 bool Client::cancel(int job_id) {
   obs::JsonWriter w;
-  w.beginObject();
-  w.kv("schema", kProtocolSchema);
-  w.kv("verb", "cancel");
+  beginRequest(w, "cancel");
   w.kv("job", job_id);
   w.endObject();
   const obs::JsonValue resp = callChecked(w.str(), "cancel");
@@ -188,46 +188,24 @@ bool Client::cancel(int job_id) {
 }
 
 obs::JsonValue Client::stats() {
-  obs::JsonWriter w;
-  w.beginObject();
-  w.kv("schema", kProtocolSchema);
-  w.kv("verb", "stats");
-  w.endObject();
-  obs::JsonValue resp = callChecked(w.str(), "stats");
-  const obs::JsonValue* stats = resp.find("stats");
-  if (!stats || !stats->isObject())
-    throw Error("svc stats: response carries no stats document");
-  return *stats;
+  return document(callChecked(bareRequest("stats"), "stats"), "stats");
 }
 
 obs::JsonValue Client::flight(const std::string& reason) {
   obs::JsonWriter w;
-  w.beginObject();
-  w.kv("schema", kProtocolSchema);
-  w.kv("verb", "flight");
+  beginRequest(w, "flight");
   w.kv("reason", reason);
   w.endObject();
-  obs::JsonValue resp = callChecked(w.str(), "flight");
-  const obs::JsonValue* flight = resp.find("flight");
-  if (!flight || !flight->isObject())
-    throw Error("svc flight: response carries no flight document");
-  return *flight;
+  return document(callChecked(w.str(), "flight"), "flight");
 }
 
 obs::JsonValue Client::chaos() {
-  obs::JsonWriter w;
-  w.beginObject();
-  w.kv("schema", kProtocolSchema);
-  w.kv("verb", "chaos");
-  w.endObject();
-  return callChecked(w.str(), "chaos");
+  return callChecked(bareRequest("chaos"), "chaos");
 }
 
 obs::JsonValue Client::chaos(const chaos::FaultPlan& plan, double watchdog_ms) {
   obs::JsonWriter w;
-  w.beginObject();
-  w.kv("schema", kProtocolSchema);
-  w.kv("verb", "chaos");
+  beginRequest(w, "chaos");
   w.kv("seed", std::int64_t(plan.seed));
   w.kv("launch_fault_rate", plan.launch_fault_rate);
   w.kv("stall_rate", plan.stall_rate);
@@ -241,16 +219,7 @@ obs::JsonValue Client::chaos(const chaos::FaultPlan& plan, double watchdog_ms) {
 }
 
 obs::JsonValue Client::drain() {
-  obs::JsonWriter w;
-  w.beginObject();
-  w.kv("schema", kProtocolSchema);
-  w.kv("verb", "drain");
-  w.endObject();
-  obs::JsonValue resp = callChecked(w.str(), "drain");
-  const obs::JsonValue* report = resp.find("report");
-  if (!report || !report->isObject())
-    throw Error("svc drain: response carries no report");
-  return *report;
+  return document(callChecked(bareRequest("drain"), "drain"), "report");
 }
 
 }  // namespace mbir::svc

@@ -117,7 +117,6 @@ Dispatcher::Dispatcher(DispatcherOptions options)
       weights[tenantLabel(tenant)] = w;
     fq_.configure(weights, opt_.default_tenant_weight);
   }
-  det_lane_.resize(std::size_t(opt_.num_devices));
   device_clock_.assign(std::size_t(opt_.num_devices), 0.0);
   device_running_.assign(std::size_t(opt_.num_devices), -1);
   device_failed_.assign(std::size_t(opt_.num_devices), 0);
@@ -245,8 +244,10 @@ Dispatcher::Job& Dispatcher::admitLocked(const JobSpec& spec,
   job.span.job_name = job.result.name;
   job.span.submit_host_us = submit_t0_us;
   job.span.flight = &flight_;
-  ++accepted_;
   if (inst_.submitted) inst_.submitted->add();
+  obs::Recorder* rec = opt_.recorder;
+  if (spec.recoveries > 0 && rec && rec->metricsOn())
+    rec->metrics().counter("svc.jobs.recovered").add();
   return job;
 }
 
@@ -280,6 +281,8 @@ SubmitOutcome Dispatcher::submit(const JobSpec& spec) {
   std::string invalid;
   if (spec.shards < 1) {
     invalid = "shards must be >= 1";
+  } else if (!(spec.deadline_ms <= kMaxDeadlineMs)) {
+    invalid = "deadline_ms must be finite and <= 1e12";
   } else if (spec.shards > 1 && spec.deterministic) {
     invalid = "sharded jobs cannot use the deterministic lane "
               "(round-robin single-device by contract)";
@@ -303,44 +306,17 @@ SubmitOutcome Dispatcher::submit(const JobSpec& spec) {
   // A WAL-recovery resubmit (recoveries > 0) bypasses the capacity check:
   // the job was admitted and acknowledged durable by a previous server
   // incarnation, so rejecting it now would break exactly-once completion.
-  if (spec.recoveries == 0 && queued_ >= opt_.queue_capacity)
+  if (spec.recoveries == 0 && int(queue_.size()) >= opt_.queue_capacity)
     return rejectLocked("admission queue full (" +
                         std::to_string(opt_.queue_capacity) + " queued)");
-  if (devices_failed_ >= std::uint64_t(opt_.num_devices))
+  if (survivorsLocked().empty())
     return rejectLocked("no surviving devices (all " +
                         std::to_string(opt_.num_devices) + " failed)");
 
   Job& job = admitLocked(spec, submit_t0_us);
   const int id = job.id;
-  if (spec.deadline_ms >= 0.0) {
-    job.has_deadline = true;
-    job.deadline_tp =
-        job.admit_tp + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double, std::milli>(spec.deadline_ms));
-  }
-  if (spec.deterministic) {
-    job.det_seq = det_count_++;
-    int lane = job.det_seq % opt_.num_devices;
-    if (device_failed_[std::size_t(lane)]) {
-      // The natural lane is dead; re-key onto the survivors (non-empty:
-      // all-failed submits were rejected above). Deterministic given the
-      // same failure state — and results never depend on the device.
-      const std::vector<int> survivors = survivorsLocked();
-      lane = survivors[std::size_t(job.det_seq) % survivors.size()];
-    }
-    det_lane_[std::size_t(lane)].push_back(id);
-  } else {
-    prio_pending_.push_back(id);
-  }
-  ++queued_;
-  if (spec.recoveries > 0) {
-    ++jobs_recovered_;
-    if (rec && rec->metricsOn())
-      rec->metrics().counter("svc.jobs.recovered").add();
-  }
-  queue_depth_max_ = std::max(queue_depth_max_, queued_);
-  if (inst_.queue_depth) inst_.queue_depth->set(double(queued_));
-  cv_work_.notify_all();
+  if (spec.deterministic) job.det_seq = det_count_++;
+  enqueueLocked(job);
   recordAdmitLocked(job, "admit", double(spec.priority));
 
   SubmitOutcome out;
@@ -350,8 +326,7 @@ SubmitOutcome Dispatcher::submit(const JobSpec& spec) {
 }
 
 SubmitOutcome Dispatcher::submitCached(const JobSpec& spec,
-                                       const Image2D& image,
-                                       const CachedResult& cached) {
+                                       const store::ResultCache::Entry& hit) {
   obs::Recorder* rec = opt_.recorder;
   const double submit_t0_us =
       rec && rec->traceOn() ? rec->trace().nowHostUs() : 0.0;
@@ -364,18 +339,17 @@ SubmitOutcome Dispatcher::submitCached(const JobSpec& spec,
     // dispatch (dispatch_seq stays -1), no device time — so a hit cannot
     // be rejected for capacity and never perturbs the WFQ shares.
     job.cache_hit = true;
-    job.result.run.image = image;
-    job.result.run.converged = cached.converged;
-    job.result.run.equits = cached.equits;
-    job.result.run.final_rmse_hu = cached.final_rmse_hu;
-    job.result.run.modeled_seconds = cached.modeled_seconds;
+    job.result.run.image = *hit.image;
+    job.result.run.converged = hit.meta.converged;
+    job.result.run.equits = hit.meta.equits;
+    job.result.run.final_rmse_hu = hit.meta.final_rmse_hu;
+    job.result.run.modeled_seconds = hit.meta.modeled_seconds;
     job.has_image = true;
-    job.image_hash = cached.image_hash;
+    job.image_hash = hit.meta.image_hash;
     job.e2e_host_s = 0.0;
     job.state = JobState::kDone;
-    ++cache_hits_;
     // The flight value is the device work the hit saved.
-    recordAdmitLocked(job, "cache_hit", cached.equits);
+    recordAdmitLocked(job, "cache_hit", hit.meta.equits);
     if (rec && rec->metricsOn())
       rec->metrics()
           .counter("svc.cache.hits", {{"tenant", tenantLabel(spec.tenant)}})
@@ -397,9 +371,7 @@ bool Dispatcher::cancel(int job_id) {
     Job& job = jobs_[std::size_t(job_id)];
     if (isTerminal(job.state)) return false;
     if (job.state == JobState::kQueued && !job.spec.deterministic) {
-      // Drop it from the pending set right now, freeing its admission slot.
-      prio_pending_.erase(
-          std::find(prio_pending_.begin(), prio_pending_.end(), job_id));
+      // Drop it from the queue right now, freeing its admission slot.
       finalizeQueuedLocked(job, JobState::kCancelled);
     } else {
       // Running jobs stop cooperatively; queued deterministic-lane jobs
@@ -419,27 +391,27 @@ bool Dispatcher::knownJob(int job_id) const {
   return job_id >= 0 && job_id < int(jobs_.size());
 }
 
-JobStatus Dispatcher::status(int job_id) const {
-  std::lock_guard lock(mu_);
+const Dispatcher::Job& Dispatcher::jobLocked(int job_id) const {
   MBIR_CHECK_MSG(job_id >= 0 && job_id < int(jobs_.size()),
                  "unknown job id " << job_id);
-  return snapshotLocked(jobs_[std::size_t(job_id)]);
+  return jobs_[std::size_t(job_id)];
+}
+
+JobStatus Dispatcher::status(int job_id) const {
+  std::lock_guard lock(mu_);
+  return snapshotLocked(jobLocked(job_id));
 }
 
 JobStatus Dispatcher::waitTerminal(int job_id) const {
   std::unique_lock lock(mu_);
-  MBIR_CHECK_MSG(job_id >= 0 && job_id < int(jobs_.size()),
-                 "unknown job id " << job_id);
-  const Job& job = jobs_[std::size_t(job_id)];
+  const Job& job = jobLocked(job_id);
   cv_done_.wait(lock, [&] { return isTerminal(job.state); });
   return snapshotLocked(job);
 }
 
 std::optional<Image2D> Dispatcher::image(int job_id) const {
   std::lock_guard lock(mu_);
-  MBIR_CHECK_MSG(job_id >= 0 && job_id < int(jobs_.size()),
-                 "unknown job id " << job_id);
-  const Job& job = jobs_[std::size_t(job_id)];
+  const Job& job = jobLocked(job_id);
   // The run writes job.result without the lock; only a terminal state
   // (published under the lock) guarantees those writes are visible here.
   if (!isTerminal(job.state) || !job.has_image) return std::nullopt;
@@ -448,9 +420,7 @@ std::optional<Image2D> Dispatcher::image(int job_id) const {
 
 const JobResult& Dispatcher::result(int job_id) const {
   std::lock_guard lock(mu_);
-  MBIR_CHECK_MSG(job_id >= 0 && job_id < int(jobs_.size()),
-                 "unknown job id " << job_id);
-  const Job& job = jobs_[std::size_t(job_id)];
+  const Job& job = jobLocked(job_id);
   // Same publication rule as image(): only a terminal state makes the
   // run's off-lock writes visible, and nothing writes them afterwards.
   MBIR_CHECK_MSG(isTerminal(job.state),
@@ -459,121 +429,105 @@ const JobResult& Dispatcher::result(int job_id) const {
 }
 
 Dispatcher::Job* Dispatcher::pickJobLocked(int device) {
-  // A running gang owns every device: nothing else dispatches until its
-  // leader clears the flag.
-  if (gang_active_) return nullptr;
   const auto now = std::chrono::steady_clock::now();
-  auto transition = [&](Job& job) {
-    if (job.spec.shards > 1) gang_active_ = true;
-    job.state = JobState::kRunning;
-    job.dispatch_seq = dispatch_count_++;
-    job.queue_wait_host_s = secondsBetween(job.admit_tp, now);
-    job.device = device;
-    // Complete the span context before the device thread (this thread)
-    // reads it off-lock: which device, which trace lanes.
-    job.span.device = device;
-    job.span.trace_pid = tracePid(device);
-    job.span.host_tid = device + 1;
-    device_running_[std::size_t(device)] = job.id;
-    --queued_;
-    ++running_;
-    if (inst_.queue_depth) inst_.queue_depth->set(double(queued_));
-    {
-      obs::FlightEvent fev;
-      fev.job_id = job.id;
-      fev.kind = "dispatch";
-      fev.detail = tenantLabel(job.spec.tenant) + ":" + job.result.name;
-      fev.value = job.queue_wait_host_s;
-      flight_.record(obs::FlightRecorder::deviceLane(device), std::move(fev));
-    }
-    obs::Recorder* rec = opt_.recorder;
-    if (rec && rec->traceOn()) {
-      // The queue wait as an explicit span on the device's host lane,
-      // recorded retroactively now that the device is known: it starts at
-      // admission and ends here, so submit → queue → job read as one
-      // nested chain per job in the trace.
-      obs::TraceEvent ev;
-      ev.name = "svc.queue";
-      ev.cat = "svc";
-      ev.clock = obs::Clock::kHost;
-      ev.ts_us = job.span.submit_host_us;
-      ev.dur_us = rec->trace().nowHostUs() - job.span.submit_host_us;
-      ev.tid = job.span.host_tid;
-      obs::tagSpan(ev, job.span);
-      ev.num_args.emplace_back("queue_wait_host_s", job.queue_wait_host_s);
-      ev.num_args.emplace_back("priority", double(job.spec.priority));
-      rec->trace().record(std::move(ev));
-    }
-    // Peers idle in drain mode only exit once the queue is empty — tell them.
-    if (draining_ && queued_ == 0) cv_work_.notify_all();
-    return &job;
-  };
+  const Pick pick =
+      pickNext(queue_, device, now, gang_active_, runningLocked() > 0, fq_);
+  const int winner =
+      pick.index >= 0 ? queue_[std::size_t(pick.index)].job_id : -1;
+  std::vector<int> expired;
+  for (std::size_t i : pick.expired) expired.push_back(queue_[i].job_id);
+  for (int id : expired)
+    finalizeQueuedLocked(jobs_[std::size_t(id)], JobState::kDeadlineMissed);
+  if (winner < 0) return nullptr;
+  unqueueLocked(winner);
+  Job& job = jobs_[std::size_t(winner)];
+  if (job.spec.shards > 1) gang_active_ = true;
+  job.state = JobState::kRunning;
+  job.dispatch_seq = dispatch_count_++;
+  job.queue_wait_host_s = secondsBetween(job.admit_tp, now);
+  job.device = device;
+  // Complete the span context before the device thread (this thread)
+  // reads it off-lock: which device, which trace lanes.
+  job.span.device = device;
+  job.span.trace_pid = tracePid(device);
+  job.span.host_tid = device + 1;
+  device_running_[std::size_t(device)] = job.id;
+  {
+    obs::FlightEvent fev;
+    fev.job_id = job.id;
+    fev.kind = "dispatch";
+    fev.detail = tenantLabel(job.spec.tenant) + ":" + job.result.name;
+    fev.value = job.queue_wait_host_s;
+    flight_.record(obs::FlightRecorder::deviceLane(device), std::move(fev));
+  }
+  obs::Recorder* rec = opt_.recorder;
+  if (rec && rec->traceOn()) {
+    // The queue wait as an explicit span on the device's host lane,
+    // recorded retroactively now that the device is known: it starts at
+    // admission and ends here, so submit → queue → job read as one
+    // nested chain per job in the trace.
+    obs::TraceEvent ev;
+    ev.name = "svc.queue";
+    ev.cat = "svc";
+    ev.clock = obs::Clock::kHost;
+    ev.ts_us = job.span.submit_host_us;
+    ev.dur_us = rec->trace().nowHostUs() - job.span.submit_host_us;
+    ev.tid = job.span.host_tid;
+    obs::tagSpan(ev, job.span);
+    ev.num_args.emplace_back("queue_wait_host_s", job.queue_wait_host_s);
+    ev.num_args.emplace_back("priority", double(job.spec.priority));
+    rec->trace().record(std::move(ev));
+  }
+  return &job;
+}
 
-  // Deterministic lane first: this device's det jobs, strictly in
-  // submission order (deadlines/priorities do not apply in this lane).
-  std::deque<int>& lane = det_lane_[std::size_t(device)];
-  if (!lane.empty()) {
-    Job& job = jobs_[std::size_t(lane.front())];
-    lane.pop_front();
-    return transition(job);
+void Dispatcher::enqueueLocked(const Job& job) {
+  QueueEntry e;
+  e.job_id = job.id;
+  if (job.spec.deterministic) {
+    e.lane = job.det_seq % opt_.num_devices;
+    if (device_failed_[std::size_t(e.lane)]) {
+      // The natural lane is dead; re-key onto the survivors (non-empty:
+      // callers check) by the det sequence number, so the same failure
+      // sequence re-lanes the same way on every replay — and results never
+      // depend on the device. Appending keeps each lane in submission order.
+      const std::vector<int> survivors = survivorsLocked();
+      e.lane = survivors[std::size_t(job.det_seq) % survivors.size()];
+    }
   }
+  e.tenant = tenantLabel(job.spec.tenant);
+  e.priority = job.spec.priority;
+  e.gang = job.spec.shards > 1;
+  if (job.spec.deadline_ms >= 0.0)
+    e.deadline =
+        job.admit_tp +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double, std::milli>(job.spec.deadline_ms));
+  queue_.push_back(std::move(e));
+  queue_depth_max_ = std::max(queue_depth_max_, int(queue_.size()));
+  if (inst_.queue_depth) inst_.queue_depth->set(double(queue_.size()));
+  cv_work_.notify_all();
+}
 
-  // Priority lane: fail expired jobs fast, then weighted fair queuing
-  // across tenants (store/wfq.h) — the backlogged tenant with the lowest
-  // virtual start time wins the slot — then the highest priority within
-  // that tenant (ties to the earliest submission). With one tenant, or all
-  // weights equal and one tenant backlogged, this degenerates to the plain
-  // max-priority scan.
-  std::vector<Job*> eligible;
-  for (std::size_t i = 0; i < prio_pending_.size();) {
-    Job& job = jobs_[std::size_t(prio_pending_[i])];
-    if (job.has_deadline && now >= job.deadline_tp) {
-      prio_pending_.erase(prio_pending_.begin() + long(i));
-      finalizeQueuedLocked(job, JobState::kDeadlineMissed);
-      continue;
-    }
-    // A sharded job needs every device idle — while anything runs it stays
-    // queued (skipped, not removed) and lower-priority singles may pass it.
-    if (job.spec.shards > 1 && running_ > 0) {
-      ++i;
-      continue;
-    }
-    eligible.push_back(&job);
-    ++i;
-  }
-  if (eligible.empty()) return nullptr;
-  // Distinct backlogged tenants in first-seen (submission) order, so the
-  // WFQ tiebreak — "first candidate listed" — is deterministic.
-  std::vector<std::string> tenants;
-  for (const Job* j : eligible) {
-    const std::string t = tenantLabel(j->spec.tenant);
-    if (std::find(tenants.begin(), tenants.end(), t) == tenants.end())
-      tenants.push_back(t);
-  }
-  const std::string winner = tenants[fq_.pickAndCharge(tenants)];
-  Job* best = nullptr;
-  for (Job* j : eligible) {
-    if (tenantLabel(j->spec.tenant) != winner) continue;
-    if (!best || j->spec.priority > best->spec.priority) best = j;
-  }
-  prio_pending_.erase(
-      std::find(prio_pending_.begin(), prio_pending_.end(), best->id));
-  return transition(*best);
+void Dispatcher::unqueueLocked(int job_id) {
+  queue_.erase(std::find_if(
+      queue_.begin(), queue_.end(),
+      [&](const QueueEntry& e) { return e.job_id == job_id; }));
+  if (inst_.queue_depth) inst_.queue_depth->set(double(queue_.size()));
+  // Peers idle in drain mode only exit once the queue is empty — tell them.
+  if (draining_ && queue_.empty()) cv_work_.notify_all();
 }
 
 void Dispatcher::finalizeQueuedLocked(Job& job, JobState state) {
+  unqueueLocked(job.id);
   job.state = state;
   const auto now = std::chrono::steady_clock::now();
   job.queue_wait_host_s = secondsBetween(job.admit_tp, now);
   job.e2e_host_s = job.queue_wait_host_s;
-  --queued_;
-  if (inst_.queue_depth) inst_.queue_depth->set(double(queued_));
-  if (draining_ && queued_ == 0) cv_work_.notify_all();
   noteTerminalLocked(job);
 }
 
 void Dispatcher::noteTerminalLocked(Job& job) {
-  ++finished_;
   // device may be -1 for a once-dispatched job that was migrated off a
   // failed device and finalized from the queue.
   if (job.dispatch_seq >= 0 && job.device >= 0)
@@ -584,39 +538,32 @@ void Dispatcher::noteTerminalLocked(Job& job) {
       break;
     case JobState::kCancelled:
       if (inst_.cancelled) inst_.cancelled->add();
-      requestFlightDumpLocked(job);
       break;
     case JobState::kFailed:
       if (inst_.failed) inst_.failed->add();
-      requestFlightDumpLocked(job);
       break;
     case JobState::kDeadlineMissed:
       if (inst_.deadline_missed) inst_.deadline_missed->add();
-      requestFlightDumpLocked(job);
       break;
     default:
       break;
+  }
+  if (job.state != JobState::kDone) {
+    const std::string reason = jobStateName(job.state);
+    requestFlightDumpLocked(reason + "_job" + std::to_string(job.id),
+                            reason + " job " + std::to_string(job.id));
   }
   if (inst_.queue_wait) inst_.queue_wait->observe(job.queue_wait_host_s);
   if (inst_.e2e) inst_.e2e->observe(job.e2e_host_s);
   if (job.dispatch_seq >= 0 && inst_.service_time)
     inst_.service_time->observe(job.service_host_s);
-  // run.warm_started is written off-lock during the run and published by
-  // this terminal transition — first (and only) safe read.
-  if (job.dispatch_seq >= 0 && job.result.run.warm_started) {
-    ++warm_starts_;
-    obs::Recorder* wrec = opt_.recorder;
-    if (wrec && wrec->metricsOn())
-      wrec->metrics()
-          .counter("svc.cache.warm_starts",
-                   {{"tenant", tenantLabel(job.spec.tenant)}})
-          .add();
-  }
   obs::Recorder* rec = opt_.recorder;
   if (rec && rec->metricsOn()) {
     // Per-tenant outcome + latency, labeled — the wire `stats` verb and
     // svc_report surface these next to the aggregate svc.* series.
     const std::string tenant = tenantLabel(job.spec.tenant);
+    if (warmStarted(job))
+      rec->metrics().counter("svc.cache.warm_starts", {{"tenant", tenant}}).add();
     if (job.state == JobState::kDone)
       rec->metrics().counter("svc.jobs.done", {{"tenant", tenant}}).add();
     rec->metrics()
@@ -641,19 +588,17 @@ void Dispatcher::noteTerminalLocked(Job& job) {
   // insert) — invoked later, off the lock, by flushFlightDumps().
   if (opt_.on_terminal) {
     pending_terminal_.push_back(snapshotLocked(job));
-    ++terminal_queued_;
+    ++terminal_posted_;
   }
   // In drain mode device threads only exit once everything is terminal
   // (a migration can put work back in the queue after it looked empty).
-  if (draining_ && queued_ == 0 && running_ == 0) cv_work_.notify_all();
+  if (draining_ && queue_.empty() && runningLocked() == 0) cv_work_.notify_all();
   cv_done_.notify_all();
 }
 
-void Dispatcher::requestFlightDumpLocked(const Job& job) {
-  const std::string reason = jobStateName(job.state);
-  pending_flight_.emplace_back(reason + "_job" + std::to_string(job.id),
-                               reason + " job " + std::to_string(job.id));
-  ++flight_dumps_;
+void Dispatcher::requestFlightDumpLocked(std::string stem,
+                                         std::string reason) {
+  pending_flight_.emplace_back(std::move(stem), std::move(reason));
   if (inst_.flight_dumps) inst_.flight_dumps->add();
 }
 
@@ -668,7 +613,7 @@ void Dispatcher::flushFlightDumps() {
     if (!terminal.empty()) {
       batch = terminal_taken_;
       terminal_delivering_.insert(batch);
-      terminal_taken_ = terminal_queued_;
+      terminal_taken_ = terminal_posted_;
     }
   }
   if (!opt_.flight_dir.empty())
@@ -693,7 +638,7 @@ void Dispatcher::flushNotifications() {
   std::uint64_t target;
   {
     std::lock_guard lock(mu_);
-    target = terminal_queued_;
+    target = terminal_posted_;
   }
   flushFlightDumps();
   std::unique_lock lock(mu_);
@@ -712,41 +657,8 @@ std::vector<int> Dispatcher::survivorsLocked() const {
   return alive;
 }
 
-void Dispatcher::requeueLocked(Job& job) {
-  const std::vector<int> survivors = survivorsLocked();
-  if (survivors.empty()) {
-    // Nothing left to run it on: the migration dead-ends as a failure so
-    // the job still reaches exactly one terminal state and drain() cannot
-    // hang waiting for it.
-    job.result.error = "no surviving devices";
-    job.state = JobState::kFailed;
-    job.e2e_host_s =
-        secondsBetween(job.admit_tp, std::chrono::steady_clock::now());
-    job.device = -1;
-    noteTerminalLocked(job);
-    return;
-  }
-  job.state = JobState::kQueued;
-  job.device = -1;
-  ++queued_;
-  queue_depth_max_ = std::max(queue_depth_max_, queued_);
-  if (inst_.queue_depth) inst_.queue_depth->set(double(queued_));
-  if (job.spec.deterministic) {
-    // Survivor choice is keyed by the det sequence number, so the same
-    // failure sequence re-lanes the same way on every replay. Appending
-    // keeps each lane in submission order among migrated jobs.
-    det_lane_[std::size_t(survivors[std::size_t(job.det_seq) %
-                                    survivors.size()])]
-        .push_back(job.id);
-  } else {
-    prio_pending_.push_back(job.id);
-  }
-  cv_work_.notify_all();
-}
-
 void Dispatcher::migrateLocked(Job& job, int from_device) {
   ++job.migrations;
-  ++jobs_migrated_;
   if (inst_.migrated) inst_.migrated->add();
   {
     obs::FlightEvent fev;
@@ -757,13 +669,26 @@ void Dispatcher::migrateLocked(Job& job, int from_device) {
     flight_.record(obs::FlightRecorder::deviceLane(from_device),
                    std::move(fev));
   }
+  job.device = -1;
+  if (survivorsLocked().empty()) {
+    // Nothing left to run it on: the migration dead-ends as a failure so
+    // the job still reaches exactly one terminal state and drain() cannot
+    // hang waiting for it.
+    job.result.error = "no surviving devices";
+    job.state = JobState::kFailed;
+    job.e2e_host_s =
+        secondsBetween(job.admit_tp, std::chrono::steady_clock::now());
+    noteTerminalLocked(job);
+    return;
+  }
+  job.state = JobState::kQueued;
+  enqueueLocked(job);
 }
 
 void Dispatcher::declareDeviceFailedLocked(int device,
                                            const std::string& reason) {
   if (device_failed_[std::size_t(device)]) return;
   device_failed_[std::size_t(device)] = 1;
-  ++devices_failed_;
   if (inst_.device_failed) inst_.device_failed->add();
   {
     obs::FlightEvent fev;
@@ -773,30 +698,25 @@ void Dispatcher::declareDeviceFailedLocked(int device,
     fev.value = double(device);
     flight_.record(obs::FlightRecorder::deviceLane(device), std::move(fev));
   }
-  pending_flight_.emplace_back("device_failed_dev" + std::to_string(device),
-                               "device " + std::to_string(device) +
-                                   " failed: " + reason);
-  ++flight_dumps_;
-  if (inst_.flight_dumps) inst_.flight_dumps->add();
+  requestFlightDumpLocked("device_failed_dev" + std::to_string(device),
+                          "device " + std::to_string(device) +
+                              " failed: " + reason);
 
   // Re-lane the dead device's queued deterministic jobs onto the survivors
   // in submission order. Its running job (if any) is migrated by the device
   // thread itself once the abandoned run unwinds — the run owns job.result.
-  std::deque<int> lane;
-  lane.swap(det_lane_[std::size_t(device)]);
+  std::vector<int> lane;
+  for (const QueueEntry& e : queue_)
+    if (e.lane == device) lane.push_back(e.job_id);
   for (int id : lane) {
-    Job& job = jobs_[std::size_t(id)];
-    migrateLocked(job, device);
-    --queued_;  // requeueLocked re-adds (or finalizes via the queued path)
-    requeueLocked(job);
+    unqueueLocked(id);  // migrateLocked re-appends (or fails the job)
+    migrateLocked(jobs_[std::size_t(id)], device);
   }
   if (survivorsLocked().empty()) {
     // Total outage: nothing queued can ever run. Fail the priority lane
     // out so every job still terminates and drain() returns.
-    std::vector<int> pend;
-    pend.swap(prio_pending_);
-    for (int id : pend) {
-      Job& job = jobs_[std::size_t(id)];
+    while (!queue_.empty()) {
+      Job& job = jobs_[std::size_t(queue_.front().job_id)];
       job.result.error = "no surviving devices";
       finalizeQueuedLocked(job, JobState::kFailed);
     }
@@ -960,7 +880,7 @@ void Dispatcher::deviceLoop(int device) {
         if (job) return true;
         // A migration can put work back after the queue looked empty, so
         // drain-mode exit also requires that nothing is still running.
-        return draining_ && queued_ == 0 && running_ == 0;
+        return draining_ && queue_.empty() && runningLocked() == 0;
       });
       if (stop_ || device_failed_[std::size_t(device)] || !job) break;
       // Resolve this run's fault while the plan cannot change under us.
@@ -981,13 +901,10 @@ void Dispatcher::deviceLoop(int device) {
       if (job->spec.shards > 1) {
         // The gang occupies every surviving device: it starts when the
         // slowest of them is free and advances all of their clocks.
-        int survivors = 0;
-        for (int d2 = 0; d2 < opt_.num_devices; ++d2) {
-          if (device_failed_[std::size_t(d2)]) continue;
-          ++survivors;
+        const std::vector<int> alive = survivorsLocked();
+        for (int d2 : alive)
           start_clock = std::max(start_clock, device_clock_[std::size_t(d2)]);
-        }
-        gang_devices = std::min(job->spec.shards, survivors);
+        gang_devices = std::min(job->spec.shards, int(alive.size()));
       } else {
         start_clock = device_clock_[std::size_t(device)];
       }
@@ -1006,9 +923,7 @@ void Dispatcher::deviceLoop(int device) {
         job->fault_fired = true;
         if (job->spec.shards > 1) gang_active_ = false;
         device_running_[std::size_t(device)] = -1;
-        --running_;
         migrateLocked(*job, device);
-        requeueLocked(*job);
       }
       flushFlightDumps();
       break;  // this device is gone (or the dispatcher is tearing down)
@@ -1043,16 +958,13 @@ void Dispatcher::deviceLoop(int device) {
         job->has_image = false;
         job->image_hash = 0;
         device_running_[std::size_t(device)] = -1;
-        --running_;
         migrateLocked(*job, device);
-        requeueLocked(*job);
       } else {
         if (job->spec.shards > 1) {
           // The gang ends synchronized: every surviving device's clock
           // advances to the same post-job time.
-          for (int d2 = 0; d2 < opt_.num_devices; ++d2)
-            if (!device_failed_[std::size_t(d2)])
-              device_clock_[std::size_t(d2)] = clock_after;
+          for (int d2 : survivorsLocked())
+            device_clock_[std::size_t(d2)] = clock_after;
         } else {
           device_clock_[std::size_t(device)] = clock_after;
         }
@@ -1066,7 +978,6 @@ void Dispatcher::deviceLoop(int device) {
         job->state = r.failed      ? JobState::kFailed
                      : r.cancelled ? JobState::kCancelled
                                    : JobState::kDone;
-        --running_;
         noteTerminalLocked(*job);
       }
     }
@@ -1116,6 +1027,34 @@ JobStatus Dispatcher::snapshotLocked(const Job& job) const {
   return s;
 }
 
+bool Dispatcher::warmStarted(const Job& job) {
+  return isTerminal(job.state) && job.dispatch_seq >= 0 &&
+         job.result.run.warm_started;
+}
+
+int Dispatcher::runningLocked() const {
+  return int(std::count_if(device_running_.begin(), device_running_.end(),
+                           [](int id) { return id >= 0; }));
+}
+
+Dispatcher::Counts Dispatcher::countsLocked() const {
+  Counts c;
+  c.submitted = jobs_.size();
+  for (const Job& job : jobs_) {
+    c.finished += isTerminal(job.state);
+    // One automatic dump per badly ending job (and per failed device).
+    c.flight_dumps += isTerminal(job.state) && job.state != JobState::kDone;
+    c.cache_hits += job.cache_hit;
+    c.warm_starts += warmStarted(job);
+    c.recovered += job.spec.recoveries > 0;
+    c.migrated += std::uint64_t(job.migrations);
+  }
+  c.devices_failed = std::uint64_t(
+      std::count(device_failed_.begin(), device_failed_.end(), 1));
+  c.flight_dumps += c.devices_failed;
+  return c;
+}
+
 Dispatcher::LiveStats Dispatcher::liveStats() const {
   const auto now = std::chrono::steady_clock::now();
   std::lock_guard lock(mu_);
@@ -1125,21 +1064,20 @@ Dispatcher::LiveStats Dispatcher::liveStats() const {
   s.uptime_host_s = lifetime_.seconds();
   s.num_devices = opt_.num_devices;
   s.queue_capacity = opt_.queue_capacity;
-  s.queued = queued_;
-  s.running = running_;
-  s.submitted = accepted_;
+  s.queued = int(queue_.size());
+  s.running = runningLocked();
+  const Counts c = countsLocked();
+  s.submitted = c.submitted;
   s.rejected = rejected_;
-  s.finished = finished_;
+  s.finished = c.finished;
   s.chaos_enabled = injector_ != nullptr;
   s.watchdog_ms = watchdog_ms_;
-  s.devices_failed = devices_failed_;
-  s.jobs_migrated = jobs_migrated_;
-  s.cache_hits = cache_hits_;
-  s.warm_starts = warm_starts_;
-  s.jobs_recovered = jobs_recovered_;
+  s.devices_failed = c.devices_failed;
+  s.jobs_migrated = c.migrated;
+  s.cache_hits = c.cache_hits;
+  s.warm_starts = c.warm_starts;
+  s.jobs_recovered = c.recovered;
   s.tenant_shares = fq_.snapshot();
-  for (int id : prio_pending_)
-    ++s.queue_depth_by_priority[jobs_[std::size_t(id)].spec.priority];
   s.devices.reserve(std::size_t(opt_.num_devices));
   for (int d = 0; d < opt_.num_devices; ++d) {
     LiveDevice dev;
@@ -1148,8 +1086,11 @@ Dispatcher::LiveStats Dispatcher::liveStats() const {
     dev.busy = dev.running_job >= 0;
     dev.failed = device_failed_[std::size_t(d)] != 0;
     dev.modeled_s = device_clock_[std::size_t(d)];
-    dev.det_lane_depth = int(det_lane_[std::size_t(d)].size());
     s.devices.push_back(std::move(dev));
+  }
+  for (const QueueEntry& e : queue_) {
+    if (e.lane >= 0) ++s.devices[std::size_t(e.lane)].det_lane_depth;
+    else ++s.queue_depth_by_priority[e.priority];
   }
   for (const Job& job : jobs_) {
     if (isTerminal(job.state)) continue;
@@ -1162,15 +1103,13 @@ Dispatcher::LiveStats Dispatcher::liveStats() const {
     lj.deterministic = job.spec.deterministic;
     lj.device = job.state == JobState::kRunning ? job.device : -1;
     lj.age_host_s = secondsBetween(job.admit_tp, now);
-    lj.has_deadline = job.has_deadline;
-    if (job.has_deadline)
-      lj.deadline_remaining_ms =
-          std::chrono::duration<double, std::milli>(job.deadline_tp - now)
-              .count();
+    lj.has_deadline = job.spec.deadline_ms >= 0.0;
+    if (lj.has_deadline)
+      lj.deadline_remaining_ms = job.spec.deadline_ms - lj.age_host_s * 1e3;
     s.in_flight.push_back(std::move(lj));
   }
   s.flight_events = flight_.totalRecorded();
-  s.flight_dumps = flight_dumps_;
+  s.flight_dumps = c.flight_dumps;
   return s;
 }
 
@@ -1256,11 +1195,6 @@ std::string Dispatcher::liveStatsJson() const {
   return w.str();
 }
 
-std::uint64_t Dispatcher::flightDumpCount() const {
-  std::lock_guard lock(mu_);
-  return flight_dumps_;
-}
-
 const SvcReport& Dispatcher::drain() {
   std::lock_guard drain_lock(drain_mu_);
   if (joined_) return report_;  // idempotent: repeat callers share the report
@@ -1272,25 +1206,28 @@ const SvcReport& Dispatcher::drain() {
   }
   {
     std::unique_lock lock(mu_);
-    cv_done_.wait(lock, [&] { return queued_ == 0 && running_ == 0; });
+    cv_done_.wait(lock, [&] { return queue_.empty() && runningLocked() == 0; });
   }
   for (std::thread& t : devices_) t.join();
   joined_ = true;
   stopWatchdog();
   flushFlightDumps();  // anything the device threads did not get to
 
-  // Threads are gone; every job is terminal and fully published.
+  // Threads are gone; every job is terminal and fully published. The lock
+  // still guards against late (rejected) submits and stats scrapes.
+  std::lock_guard lock(mu_);
   SvcReport& rep = report_;
   rep.num_devices = opt_.num_devices;
   rep.queue_capacity = opt_.queue_capacity;
-  rep.jobs_submitted = accepted_;
+  const Counts c = countsLocked();
+  rep.jobs_submitted = c.submitted;
   rep.admission_rejected = rejected_;
   rep.queue_depth_max = queue_depth_max_;
-  rep.devices_failed = devices_failed_;
-  rep.jobs_migrated = jobs_migrated_;
-  rep.cache_hits = cache_hits_;
-  rep.warm_starts = warm_starts_;
-  rep.jobs_recovered = jobs_recovered_;
+  rep.devices_failed = c.devices_failed;
+  rep.jobs_migrated = c.migrated;
+  rep.cache_hits = c.cache_hits;
+  rep.warm_starts = c.warm_starts;
+  rep.jobs_recovered = c.recovered;
   for (int d = 0; d < opt_.num_devices; ++d)
     if (device_failed_[std::size_t(d)]) rep.failed_devices.push_back(d);
   rep.device_modeled_s = device_clock_;
@@ -1327,7 +1264,7 @@ const SvcReport& Dispatcher::drain() {
     ++agg.submitted;
     if (s.state == JobState::kDone) ++agg.done;
     if (s.cache_hit) ++agg.cache_hits;
-    if (s.warm_start && s.dispatch_seq >= 0) ++agg.warm_starts;
+    if (warmStarted(job)) ++agg.warm_starts;
     agg.queue_wait.push_back(s.queue_wait_host_s);
     agg.e2e.push_back(s.e2e_host_s);
   }

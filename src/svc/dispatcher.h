@@ -11,7 +11,9 @@
 //    highest-priority queued job (ties in submission order), after failing
 //    fast every queued job whose host-clock deadline already expired —
 //    expired jobs transition to kDeadlineMissed without ever running, so a
-//    late job cannot waste device time.
+//    late job cannot waste device time. These pick rules, the det lane's
+//    and gang exclusivity live in svc/policy (pickNext, a pure function);
+//    this class owns the threads, locks and state transitions.
 //  * A deterministic lane. Jobs submitted with deterministic == true bypass
 //    priority/deadline logic entirely: they are assigned round-robin by
 //    deterministic sequence number (det job s -> device s % D) and each
@@ -21,7 +23,6 @@
 //    and host thread count (tests/test_sched.cpp asserts it). This lane is
 //    the offline batch path: submit every job with deterministic = true
 //    into a dispatcher whose queue_capacity is the job count, then drain().
-//    Devices prefer their deterministic lane over the priority lane.
 //
 // Execution is one device-run step for single and gang jobs alike
 // (runOnDevice): it applies the dispatcher's plumbing (cancel flag, shared
@@ -68,7 +69,9 @@
 #include "core/timer.h"
 #include "obs/flight.h"
 #include "recon/reconstructor.h"
+#include "store/cache.h"
 #include "store/wfq.h"
+#include "svc/policy.h"
 #include "svc/protocol.h"
 
 namespace mbir::svc {
@@ -299,21 +302,13 @@ class Dispatcher {
   /// dispatcher is draining.
   SubmitOutcome submit(const JobSpec& spec);
 
-  /// A finished result the server pulled from the result cache.
-  struct CachedResult {
-    bool converged = false;
-    double equits = 0.0;
-    double final_rmse_hu = 0.0;
-    double modeled_seconds = 0.0;
-    std::uint64_t image_hash = 0;
-  };
   /// Admit a job that is already complete: an exact result-cache hit. The
   /// job is created directly in the kDone state with the cached image and
   /// outcome — it never occupies a queue slot or a device, so it cannot be
   /// rejected for capacity (only while draining). status/result/report
   /// treat it like any other done job, with cache_hit = true.
-  SubmitOutcome submitCached(const JobSpec& spec, const Image2D& image,
-                             const CachedResult& cached);
+  SubmitOutcome submitCached(const JobSpec& spec,
+                             const store::ResultCache::Entry& hit);
 
   /// Cooperative cancel. Queued priority-lane jobs are finalized
   /// immediately (freeing their queue slot); running jobs stop at the next
@@ -402,10 +397,6 @@ class Dispatcher {
   std::string flightJson(std::string_view reason) const {
     return flight_.dumpJson(reason);
   }
-  /// Automatic dumps triggered so far (terminal-failure dumps only; manual
-  /// flightJson() calls don't count).
-  std::uint64_t flightDumpCount() const;
-
   /// Block until the job reaches a terminal state; returns the snapshot.
   JobStatus waitTerminal(int job_id) const;
 
@@ -442,9 +433,7 @@ class Dispatcher {
   struct Job {
     int id = -1;
     JobSpec spec;
-    bool has_deadline = false;
     std::chrono::steady_clock::time_point admit_tp;
-    std::chrono::steady_clock::time_point deadline_tp;
     JobState state = JobState::kQueued;
     std::atomic<bool> cancel{false};
     int det_seq = -1;
@@ -479,20 +468,39 @@ class Dispatcher {
   /// metric and svc.job spans, and returns the device clock after the job.
   double runOnDevice(Job& job, int device, double start_clock,
                      int gang_devices, gsim::FaultHook* hook);
-  /// Select this device's next job; also fails expired / drops cancelled
-  /// queued priority-lane jobs encountered during the scan.
+  /// Select this device's next job with pickNext(), failing the expired
+  /// entries it reports.
   Job* pickJobLocked(int device);
+  /// Append the job to the queue: priority lane, or its det lane (device
+  /// det_seq % D, re-keyed onto the survivors when that device is dead).
+  void enqueueLocked(const Job& job);
+  void unqueueLocked(int job_id);
+  /// Take a queued job out of the queue straight into a terminal state.
   void finalizeQueuedLocked(Job& job, JobState state);
   void noteTerminalLocked(Job& job);
-  /// Queue an automatic flight dump for a job that ended badly. File I/O
-  /// happens later in flushFlightDumps(), off the dispatcher lock.
-  void requestFlightDumpLocked(const Job& job);
+  /// Queue an automatic flight dump (a job that ended badly, a failed
+  /// device). File I/O happens later in flushFlightDumps(), off the lock.
+  void requestFlightDumpLocked(std::string stem, std::string reason);
   /// Flush deferred off-lock side effects: automatic flight-dump file I/O
   /// and on_terminal notifications (WAL/cache writes in the server). Called
   /// wherever terminal transitions may have queued work, after mu_ is
   /// released.
   void flushFlightDumps();
   JobStatus snapshotLocked(const Job& job) const;
+  const Job& jobLocked(int job_id) const;  ///< throws for unknown ids
+  /// Counts derived from the job table and device_failed_, shared by
+  /// liveStats() and drain().
+  struct Counts {
+    std::uint64_t submitted = 0, finished = 0, cache_hits = 0,
+                  warm_starts = 0, recovered = 0, devices_failed = 0,
+                  migrated = 0, flight_dumps = 0;
+  };
+  Counts countsLocked() const;
+  int runningLocked() const;  ///< devices running a job (a gang counts once)
+  /// The one warm-start definition: a dispatched job, terminal, whose run
+  /// started from a cached image (run.warm_started is published by the
+  /// terminal transition).
+  static bool warmStarted(const Job& job);
   int tracePid(int device) const { return opt_.base_trace_pid + device; }
   // Chaos lane:
   /// Samples per-device heartbeats; declares a device failed when a
@@ -501,15 +509,13 @@ class Dispatcher {
   void stopWatchdog();  ///< idempotent; called under drain_mu_
   std::vector<int> survivorsLocked() const;  ///< non-failed device ids
   /// Mark the device failed, re-lane its queued deterministic jobs onto
-  /// the survivors (in det-sequence order), wake anything parked on its
+  /// the survivors (in queue order), wake anything parked on its
   /// chaos channel. The *running* job, if any, is migrated later by the
   /// device thread itself when its run unwinds.
   void declareDeviceFailedLocked(int device, const std::string& reason);
   /// Record a migration event for `job` and requeue it on the survivors
   /// (or finalize it as failed when no device survives).
   void migrateLocked(Job& job, int from_device);
-  /// Put a (previously running) job back in a queue lane.
-  void requeueLocked(Job& job);
 
   DispatcherOptions opt_;
   WallTimer lifetime_;
@@ -518,8 +524,7 @@ class Dispatcher {
   mutable std::condition_variable cv_work_;  ///< queue / shutdown changes
   mutable std::condition_variable cv_done_;  ///< job became terminal
   std::deque<Job> jobs_;  // deque: jobs hold atomics, must never relocate
-  std::vector<std::deque<int>> det_lane_;  ///< per-device FIFO of det job ids
-  std::vector<int> prio_pending_;          ///< queued priority-lane job ids
+  std::vector<QueueEntry> queue_;          ///< queued jobs, enqueue order
   std::vector<double> device_clock_;       ///< cumulative modeled clock
   std::vector<int> device_running_;        ///< running job id per device; -1 idle
   /// Automatic flight dumps waiting for file I/O: (file stem, reason).
@@ -527,30 +532,24 @@ class Dispatcher {
   /// Terminal snapshots waiting for the on_terminal callback (off-lock).
   std::vector<JobStatus> pending_terminal_;
   /// Delivery watermark for flushNotifications(). Notifications are
-  /// numbered in queue order: terminal_queued_ counts every one queued,
+  /// numbered in queue order: terminal_posted_ counts every one posted,
   /// terminal_taken_ those already swapped out of pending_terminal_, and
   /// terminal_delivering_ holds the first number of each batch still being
   /// delivered. Everything below the watermark (the lowest in-flight batch,
   /// else terminal_taken_) has been delivered.
-  std::uint64_t terminal_queued_ = 0;
+  std::uint64_t terminal_posted_ = 0;
   std::uint64_t terminal_taken_ = 0;
   std::set<std::uint64_t> terminal_delivering_;
   mutable std::condition_variable cv_delivered_;
-  std::uint64_t flight_dumps_ = 0;
   /// Weighted fair queuing across tenants (guarded by mu_).
   store::FairQueue fq_;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t warm_starts_ = 0;
-  std::uint64_t jobs_recovered_ = 0;
   /// A sharded job is running: it owns every device, so no other pick may
   /// dispatch until it finishes (cleared by the gang leader's thread).
   bool gang_active_ = false;
   int det_count_ = 0;
   int dispatch_count_ = 0;
-  int queued_ = 0;
-  int running_ = 0;
   int queue_depth_max_ = 0;
-  std::uint64_t accepted_ = 0, rejected_ = 0, finished_ = 0;
+  std::uint64_t rejected_ = 0;
   bool accepting_ = true;
   bool draining_ = false;
   bool stop_ = false;
@@ -563,8 +562,6 @@ class Dispatcher {
   double watchdog_ms_ = 0.0;
   std::deque<chaos::DeviceChaos> chaos_dev_;  ///< stable addresses; one per device
   std::vector<char> device_failed_;
-  std::uint64_t devices_failed_ = 0;
-  std::uint64_t jobs_migrated_ = 0;
   mutable std::condition_variable cv_watchdog_;
   bool watchdog_exit_ = false;
   std::thread watchdog_;

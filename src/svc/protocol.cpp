@@ -127,14 +127,20 @@ const obs::JsonValue* findTyped(const obs::JsonValue& doc,
 }
 }  // namespace
 
-std::int64_t Request::getInt(const std::string& key, std::int64_t def) const {
-  const obs::JsonValue* v =
-      findTyped(doc, key, obs::JsonValue::Type::kNumber, "number");
-  if (!v) return def;
-  const double d = v->num_v;
-  if (d != std::floor(d) || std::fabs(d) > 9.0e15)
-    throw Error("field '" + key + "' must be an integer");
+std::int64_t checkedInt(const obs::JsonValue& v, const std::string& key,
+                        std::int64_t lo, std::int64_t hi) {
+  if (!v.isNumber()) throw Error("field '" + key + "' must be a number");
+  const double d = v.num_v;
+  if (d != std::floor(d) || d < double(lo) || d > double(hi))
+    throw Error("field '" + key + "' must be an integer in [" +
+                std::to_string(lo) + ", " + std::to_string(hi) + "]");
   return std::int64_t(d);
+}
+
+std::int64_t Request::getInt(const std::string& key, std::int64_t def,
+                             std::int64_t lo, std::int64_t hi) const {
+  const obs::JsonValue* v = doc.find(key);
+  return v ? checkedInt(*v, key, lo, hi) : def;
 }
 
 double Request::getDouble(const std::string& key, double def) const {
@@ -177,9 +183,7 @@ Request parseRequest(std::string_view payload) {
 
 std::string encodeSubmit(const SubmitParams& p) {
   obs::JsonWriter w;
-  w.beginObject();
-  w.kv("schema", kProtocolSchema);
-  w.kv("verb", "submit");
+  beginRequest(w, "submit");
   w.kv("case", p.case_index);
   w.kv("algorithm", p.algorithm);
   if (p.max_equits > 0.0) w.kv("max_equits", p.max_equits);
@@ -203,19 +207,18 @@ std::string encodeSubmit(const SubmitParams& p) {
 
 SubmitParams parseSubmitParams(const Request& req) {
   SubmitParams p;
-  p.case_index = int(req.getInt("case", 0));
-  if (p.case_index < 0) throw Error("'case' must be >= 0");
+  p.case_index = int(req.getInt("case", 0, 0));
   p.algorithm = req.getString("algorithm", "gpu");
   p.max_equits = req.getDouble("max_equits", 0.0);
   if (req.has("stop_rmse_hu")) p.stop_rmse_hu = req.getDouble("stop_rmse_hu", 0.0);
   p.sv_side = int(req.getInt("sv_side", 0));
   p.priority = int(req.getInt("priority", 0));
   p.deadline_ms = req.getDouble("deadline_ms", -1.0);
+  if (!(p.deadline_ms <= kMaxDeadlineMs))
+    throw Error("'deadline_ms' must be finite and <= 1e12");
   p.deterministic = req.getBool("deterministic", false);
-  p.shards = int(req.getInt("shards", 1));
-  if (p.shards < 1) throw Error("'shards' must be >= 1");
-  p.shard_halo = int(req.getInt("shard_halo", 1));
-  if (p.shard_halo < 0) throw Error("'shard_halo' must be >= 0");
+  p.shards = int(req.getInt("shards", 1, 1));
+  p.shard_halo = int(req.getInt("shard_halo", 1, 0));
   if (p.shards > 1 && p.deterministic)
     throw Error("sharded jobs cannot be deterministic-lane");
   p.simd = req.getString("simd", "");
@@ -307,10 +310,17 @@ std::uint64_t hashCaseInputs(const OwnedProblem& problem,
 // Responses
 // ---------------------------------------------------------------------------
 
-void beginResponse(obs::JsonWriter& w, bool ok) {
+void beginRequest(obs::JsonWriter& w, std::string_view verb) {
+  w.beginObject();
+  w.kv("schema", kProtocolSchema);
+  w.kv("verb", verb);
+}
+
+void beginResponse(obs::JsonWriter& w, bool ok, std::string_view verb) {
   w.beginObject();
   w.kv("schema", kProtocolSchema);
   w.kv("ok", ok);
+  if (!verb.empty()) w.kv("verb", verb);
 }
 
 std::string errorResponse(std::string_view message, bool rejected) {

@@ -13,13 +13,14 @@
 // Verbs: submit / status / cancel / result / stats / flight / chaos /
 // drain / ping.
 // Field access is
-// strictly typed (wrong-typed or non-integral fields throw mbir::Error,
-// which the server turns into an ok:false response) — combined with the
-// parser's strictness (finite numbers only, valid UTF-16 escapes) nothing
-// non-finite or malformed reaches the dispatcher.
+// strictly typed (wrong-typed, non-integral or out-of-range integer fields
+// throw mbir::Error, which the server turns into an ok:false response) —
+// combined with the parser's strictness (finite numbers only, valid UTF-16
+// escapes) nothing non-finite or malformed reaches the dispatcher.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -34,6 +35,9 @@ inline constexpr std::string_view kReportSchema = "gpumbir.svc_report/1";
 inline constexpr std::string_view kStatsSchema = "gpumbir.svc_stats/1";
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 inline constexpr std::size_t kDefaultMaxFrameBytes = 8u << 20;
+/// Longest accepted job deadline (~31 years): anything longer would
+/// overflow the steady_clock deadline, so it is rejected, not clamped.
+inline constexpr double kMaxDeadlineMs = 1e12;
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -69,12 +73,19 @@ struct Request {
 
   bool has(const std::string& key) const { return doc.find(key) != nullptr; }
   /// Typed accessors: absent fields yield the default; present fields of
-  /// the wrong type (or non-integral where an int is required) throw.
-  std::int64_t getInt(const std::string& key, std::int64_t def) const;
+  /// the wrong type throw, and so do integers that are fractional or lie
+  /// outside [lo, hi] (default: the int range) — none is ever narrowed.
+  std::int64_t getInt(const std::string& key, std::int64_t def,
+                      std::int64_t lo = std::numeric_limits<int>::min(),
+                      std::int64_t hi = std::numeric_limits<int>::max()) const;
   double getDouble(const std::string& key, double def) const;
   bool getBool(const std::string& key, bool def) const;
   std::string getString(const std::string& key, const std::string& def) const;
 };
+
+/// getInt's check on one JSON value (array elements use it directly).
+std::int64_t checkedInt(const obs::JsonValue& v, const std::string& key,
+                        std::int64_t lo, std::int64_t hi);
 
 /// Parse + validate a request payload (schema and verb fields are
 /// mandatory). Throws mbir::Error on malformed JSON or schema mismatch.
@@ -168,9 +179,12 @@ std::uint64_t hashCaseInputs(const OwnedProblem& problem,
 // Responses
 // ---------------------------------------------------------------------------
 
-/// Open a response object and write schema + ok; caller adds fields and
+/// Open a request object and write schema + verb; caller adds fields and
 /// closes the object.
-void beginResponse(obs::JsonWriter& w, bool ok);
+void beginRequest(obs::JsonWriter& w, std::string_view verb);
+/// Open a response object and write schema + ok (+ verb when given);
+/// likewise.
+void beginResponse(obs::JsonWriter& w, bool ok, std::string_view verb = {});
 /// Complete ok:false payload. `rejected` marks admission backpressure
 /// (distinguishes "queue full, retry later" from protocol errors).
 std::string errorResponse(std::string_view message, bool rejected = false);

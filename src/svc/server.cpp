@@ -14,6 +14,22 @@
 
 namespace mbir::svc {
 
+namespace {
+
+/// The submit verb's answer: the job id and whether the result cache served
+/// it — or the rejection, marked as admission backpressure.
+std::string submitResponse(const SubmitOutcome& out) {
+  if (!out.accepted) return errorResponse(out.reason, /*rejected=*/true);
+  obs::JsonWriter w;
+  beginResponse(w, true, "submit");
+  w.kv("job_id", out.job_id);
+  w.kv("cache_hit", out.cache_hit);
+  w.endObject();
+  return w.str();
+}
+
+}  // namespace
+
 Server::Server(ServerOptions options, JobSource& source)
     : opt_(std::move(options)),
       source_(source),
@@ -72,17 +88,6 @@ JobSpec Server::makeJobSpec(const SubmitParams& p,
   spec.shard_halo = p.shard_halo;
   spec.fault = chaos::parseFaultSpec(p.fault);
   return spec;
-}
-
-SubmitOutcome Server::submitCached(const JobSpec& spec,
-                                   const store::ResultCache::Entry& hit) {
-  Dispatcher::CachedResult cr;
-  cr.converged = hit.meta.converged;
-  cr.equits = hit.meta.equits;
-  cr.final_rmse_hu = hit.meta.final_rmse_hu;
-  cr.modeled_seconds = hit.meta.modeled_seconds;
-  cr.image_hash = hit.meta.image_hash;
-  return dispatcher_.submitCached(spec, *hit.image, cr);
 }
 
 std::uint64_t Server::caseInputHash(int case_index, const JobSource::Case& c) {
@@ -193,7 +198,7 @@ void Server::recoverPendingJobs() {
       if (opt_.cache && !p.bypass_cache && !p.deterministic &&
           p.fault.empty()) {
         if (const auto hit = opt_.cache->find(input_hash, config_key)) {
-          if (submitCached(spec, *hit).accepted) {
+          if (dispatcher_.submitCached(spec, *hit).accepted) {
             // Cache-hit jobs are not store-tracked, so write the terminal
             // record here: the pending entry is now satisfied.
             opt_.wal->appendTerminal(pj.wal_id, "done", hit->meta.image_hash);
@@ -295,8 +300,7 @@ std::string Server::handleRequest(const Request& req) {
   if (req.verb == "drain") return handleDrain();
   if (req.verb == "ping") {
     obs::JsonWriter w;
-    beginResponse(w, true);
-    w.kv("verb", "ping");
+    beginResponse(w, true, "ping");
     w.endObject();
     return w.str();
   }
@@ -332,17 +336,8 @@ std::string Server::handleSubmit(const Request& req) {
     // Exact (input, config) hit: serve the finished image without
     // dispatching. No WAL records either — the result was durable before
     // the job existed, so there is nothing to recover.
-    if (const auto hit = opt_.cache->find(input_hash, config_key)) {
-      const SubmitOutcome out = submitCached(spec, *hit);
-      if (!out.accepted) return errorResponse(out.reason, /*rejected=*/true);
-      obs::JsonWriter w;
-      beginResponse(w, true);
-      w.kv("verb", "submit");
-      w.kv("job_id", out.job_id);
-      w.kv("cache_hit", true);
-      w.endObject();
-      return w.str();
-    }
+    if (const auto hit = opt_.cache->find(input_hash, config_key))
+      return submitResponse(dispatcher_.submitCached(spec, *hit));
     // Near-duplicate: same inputs under a different config — warm-start
     // from the most-converged cached image. Single-shard only: a sharded
     // job's slab subproblems cannot take a full-size initial image.
@@ -356,9 +351,7 @@ std::string Server::handleSubmit(const Request& req) {
   }
 
   const SubmitOutcome out = dispatcher_.submit(spec);
-  if (!out.accepted) return errorResponse(out.reason, /*rejected=*/true);
-
-  if (store_on) {
+  if (out.accepted && store_on) {
     StoreRec rec;
     rec.input_hash = input_hash;
     rec.config_key = config_key;
@@ -370,14 +363,7 @@ std::string Server::handleSubmit(const Request& req) {
     }
     registerStoreRec(out.job_id, std::move(rec));
   }
-
-  obs::JsonWriter w;
-  beginResponse(w, true);
-  w.kv("verb", "submit");
-  w.kv("job_id", out.job_id);
-  w.kv("cache_hit", false);
-  w.endObject();
-  return w.str();
+  return submitResponse(out);
 }
 
 std::string Server::handleStatus(const Request& req) {
@@ -386,15 +372,13 @@ std::string Server::handleStatus(const Request& req) {
     const int id = int(req.getInt("job", -1));
     if (!dispatcher_.knownJob(id))
       return errorResponse("unknown job id " + std::to_string(id));
-    beginResponse(w, true);
-    w.kv("verb", "status");
+    beginResponse(w, true, "status");
     writeJobStatus(w, dispatcher_.status(id));
     w.endObject();
     return w.str();
   }
   const Dispatcher::LiveStats s = dispatcher_.liveStats();
-  beginResponse(w, true);
-  w.kv("verb", "status");
+  beginResponse(w, true, "status");
   w.kv("accepting", s.accepting);
   w.kv("queued", s.queued);
   w.kv("running", s.running);
@@ -414,8 +398,7 @@ std::string Server::handleCancel(const Request& req) {
     return errorResponse("unknown job id " + std::to_string(id));
   const bool cancelled = dispatcher_.cancel(id);
   obs::JsonWriter w;
-  beginResponse(w, true);
-  w.kv("verb", "cancel");
+  beginResponse(w, true, "cancel");
   w.kv("job_id", id);
   w.kv("cancelled", cancelled);  // false = the job was already terminal
   w.endObject();
@@ -435,8 +418,7 @@ std::string Server::handleResult(const Request& req) {
   const JobStatus s = dispatcher_.waitTerminal(id);
   dispatcher_.flushNotifications();
   obs::JsonWriter w;
-  beginResponse(w, true);
-  w.kv("verb", "result");
+  beginResponse(w, true, "result");
   writeJobStatus(w, s);
   if (include_image && s.has_image) {
     const std::optional<Image2D> img = dispatcher_.image(id);
@@ -458,8 +440,7 @@ std::string Server::handleStats() {
   // The live snapshot is built under the dispatcher lock, which the device
   // threads only touch between jobs — a stats scrape never pauses a run.
   obs::JsonWriter w;
-  beginResponse(w, true);
-  w.kv("verb", "stats");
+  beginResponse(w, true, "stats");
   w.key("stats");
   w.raw(dispatcher_.liveStatsJson());
   w.endObject();
@@ -469,8 +450,7 @@ std::string Server::handleStats() {
 std::string Server::handleFlight(const Request& req) {
   const std::string reason = req.getString("reason", "flight verb");
   obs::JsonWriter w;
-  beginResponse(w, true);
-  w.kv("verb", "flight");
+  beginResponse(w, true, "flight");
   w.key("flight");
   w.raw(dispatcher_.flightJson(reason));
   w.endObject();
@@ -483,18 +463,16 @@ std::string Server::handleChaos(const Request& req) {
   // read-only report. Either way the response shows the active plan.
   if (req.has("seed")) {
     chaos::FaultPlan plan;
-    plan.seed = std::uint64_t(req.getInt("seed", 0));
+    plan.seed = std::uint64_t(req.getInt("seed", 0, -(1LL << 53), 1LL << 53));
     plan.launch_fault_rate = req.getDouble("launch_fault_rate", 0.0);
     plan.stall_rate = req.getDouble("stall_rate", 0.0);
     plan.death_rate = req.getDouble("death_rate", 0.0);
     if (const obs::JsonValue* devs = req.doc.find("target_devices")) {
       if (!devs->isArray())
         throw Error("'target_devices' must be an array of device ids");
-      for (const obs::JsonValue& d : devs->array_v) {
-        if (!d.isNumber())
-          throw Error("'target_devices' must be an array of device ids");
-        plan.target_devices.push_back(int(d.num_v));
-      }
+      for (const obs::JsonValue& d : devs->array_v)
+        plan.target_devices.push_back(int(checkedInt(
+            d, "target_devices", 0, std::numeric_limits<int>::max())));
     }
     plan.validate();
     const double watchdog_ms = req.getDouble("watchdog_ms", 1000.0);
@@ -502,8 +480,7 @@ std::string Server::handleChaos(const Request& req) {
   }
   const Dispatcher::LiveStats s = dispatcher_.liveStats();
   obs::JsonWriter w;
-  beginResponse(w, true);
-  w.kv("verb", "chaos");
+  beginResponse(w, true, "chaos");
   w.kv("enabled", s.chaos_enabled);
   w.kv("watchdog_ms", s.watchdog_ms);
   w.kv("devices_failed", std::int64_t(s.devices_failed));
@@ -516,8 +493,7 @@ std::string Server::handleChaos(const Request& req) {
 std::string Server::handleDrain() {
   drainAndReport();
   obs::JsonWriter w;
-  beginResponse(w, true);
-  w.kv("verb", "drain");
+  beginResponse(w, true, "drain");
   w.key("report");
   w.raw(dispatcher_.reportJson());
   w.endObject();

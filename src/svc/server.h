@@ -149,12 +149,9 @@ class Server {
   /// Re-dispatch every admitted-but-unfinished job from the WAL replay
   /// (constructor, before the acceptor starts).
   void recoverPendingJobs();
-  /// Memoized hashCaseInputs per case index (sinogram hashing is O(data)).
   /// The dispatcher job a submit request describes (fault spec included).
   JobSpec makeJobSpec(const SubmitParams& p, const JobSource::Case& c) const;
-  /// Admit an exact result-cache hit as an already-done job.
-  SubmitOutcome submitCached(const JobSpec& spec,
-                             const store::ResultCache::Entry& hit);
+  /// Memoized hashCaseInputs per case index (sinogram hashing is O(data)).
   std::uint64_t caseInputHash(int case_index, const JobSource::Case& c);
   void registerStoreRec(int job_id, StoreRec rec);
   /// Dispatcher terminal callback (runs on device threads, off-lock).

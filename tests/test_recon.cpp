@@ -1,11 +1,15 @@
-// Tests for the recon facade: suites, golden protocol, reconstruct(), and
-// cross-algorithm integration on a small problem.
+// Tests for the recon facade: suites, golden protocol, reconstruct(),
+// cross-algorithm integration on a small problem, and the flat-region
+// artifact metric.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "core/error.h"
+#include "core/rng.h"
 #include "icd/convergence.h"
 #include "icd/cost.h"
+#include "recon/metrics.h"
 #include "recon/reconstructor.h"
 #include "recon/suite.h"
 #include "test_support.h"
@@ -176,6 +180,34 @@ TEST(PriorConfig, BothKindsConstruct) {
   PriorConfig quad;
   quad.kind = PriorConfig::Kind::kQuadratic;
   EXPECT_NE(makePrior(quad), nullptr);
+}
+
+// ---------- flat-region metric ----------
+
+TEST(Metrics, FlatRegionExcludesEdges) {
+  Image2D truth(16);
+  for (int r = 0; r < 16; ++r)
+    for (int c = 0; c < 8; ++c) truth(r, c) = 0.02f;  // half-plane edge
+  Image2D img = truth;
+  // Corrupt only the edge column: flat metric must ignore it.
+  for (int r = 0; r < 16; ++r) img(r, 8) = 0.05f;
+  EXPECT_NEAR(flatRegionRmseHu(img, truth), 0.0, 1e-9);
+  EXPECT_GT(flatRegionFraction(truth), 0.3);
+}
+
+TEST(Metrics, FlatRegionSeesUniformNoise) {
+  Image2D truth(16), img(16);
+  Rng rng(4);
+  for (float& v : img.flat()) v = float(rng.uniform() * 1e-3);
+  EXPECT_GT(flatRegionRmseHu(img, truth), 1.0);
+}
+
+TEST(Metrics, AllEdgesThrows) {
+  Image2D truth(8);
+  for (int r = 0; r < 8; ++r)
+    for (int c = 0; c < 8; ++c) truth(r, c) = float(r * 8 + c);  // no flat area
+  Image2D img = truth;
+  EXPECT_THROW(flatRegionRmseHu(img, truth), Error);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "chaos/fault.h"
 #include "core/error.h"
 #include "core/hash.h"
+#include "obs/obs.h"
 #include "store/cache.h"
 #include "store/wal.h"
 #include "store/wfq.h"
@@ -663,8 +664,10 @@ TEST(SvcStore, WalRecoveryServesAnExactDuplicateFromTheCache) {
   // Recovery recognized the finished bits: served from the cache, no
   // dispatch, and the WAL entry was closed with a terminal record.
   EXPECT_EQ(1u, rep.cache_hits);
+  EXPECT_EQ(1u, rep.jobs_recovered);  // a recovery served from the cache
   ASSERT_EQ(1u, rep.jobs.size());
   EXPECT_TRUE(rep.jobs[0].cache_hit);
+  EXPECT_EQ(1, rep.jobs[0].recoveries);
   EXPECT_EQ(-1, rep.jobs[0].dispatch_seq);
   EXPECT_EQ(cold_hash, hashToHex(rep.jobs[0].image_hash));
 
@@ -713,6 +716,73 @@ TEST(SvcStore, RecoveredJobMigratesOffADyingDeviceExactlyOnce) {
 
   JobLog reopened(wal_dir);
   EXPECT_TRUE(reopened.pending().empty());
+}
+
+TEST(SvcStore, StatsReportAndMetricCountersAgreeAfterAMixedRun) {
+  // One of each outcome the counts cover: a WAL recovery, a cold run, an
+  // exact cache hit, a warm start and a deadline miss. The stats verb, the
+  // drain report and the svc.* counters must tell the same story.
+  TempDir tmp;
+  const std::string wal_dir = tmp.sub("wal");
+  {
+    JobLog wal(wal_dir);
+    SubmitParams p;
+    p.max_equits = 2.0;
+    wal.appendAdmit(wal.nextId(), 0, svc::encodeSubmit(p));
+  }
+  obs::Recorder recorder(obs::ObsConfig{.metrics = true});
+  JobLog wal(wal_dir);
+  ResultCache cache(tmp.sub("cache"), 8);
+  StoreService service(&wal, &cache, /*devices=*/2,
+                       svc::DispatcherOptions{.recorder = &recorder});
+  Client client = service.connect();
+
+  const SubmitParams cold;
+  ASSERT_EQ("done", client.result(client.submit(cold).job_id).state);
+  EXPECT_TRUE(client.submit(cold).cache_hit);
+  SubmitParams warm;
+  warm.max_equits = 4.0;  // same inputs, another config: a warm start
+  EXPECT_TRUE(client.result(client.submit(warm).job_id).warm_start);
+  SubmitParams late;
+  late.deadline_ms = 0.0;  // expired by the time any device picks it
+  late.bypass_cache = true;
+  EXPECT_EQ("deadline_missed",
+            client.result(client.submit(late).job_id).state);
+
+  const svc::SvcReport& rep = service.server->drainAndReport();
+  const obs::JsonValue stats = client.stats();
+  const obs::MetricsRegistry& m = recorder.metrics();
+  const auto num = [&](const char* section, const char* key) {
+    const obs::JsonValue& doc = *section ? *stats.find(section) : stats;
+    return std::uint64_t(doc.find(key)->num_v);
+  };
+  const svc::SvcReport::TenantSummary& tenant = rep.tenants.at(0);
+  // Each row: the expected count, then every place that reports it.
+  const std::pair<const char*, std::vector<std::uint64_t>> counts[] = {
+      {"submitted", {5, rep.jobs_submitted, num("", "submitted"),
+                     tenant.jobs_submitted,
+                     m.counterValue("svc.jobs.submitted")}},
+      {"finished", {5, num("", "finished"),
+                    rep.jobs_done + rep.jobs_deadline_missed}},
+      {"done", {4, rep.jobs_done, tenant.jobs_done,
+                m.counterValue("svc.jobs.done"),
+                m.counterValue("svc.jobs.done{tenant=default}")}},
+      {"deadline missed", {1, rep.jobs_deadline_missed,
+                           m.counterValue("svc.jobs.deadline_missed")}},
+      {"cache hits", {1, rep.cache_hits, num("store", "cache_hits"),
+                      tenant.cache_hits,
+                      m.counterValue("svc.cache.hits{tenant=default}")}},
+      {"warm starts", {1, rep.warm_starts, num("store", "warm_starts"),
+                       tenant.warm_starts,
+                       m.counterValue("svc.cache.warm_starts{tenant=default}")}},
+      {"recovered", {1, rep.jobs_recovered, num("store", "jobs_recovered"),
+                     m.counterValue("svc.jobs.recovered")}},
+      // One automatic flight dump per badly ending job.
+      {"flight dumps", {1, num("flight", "dumps"),
+                        m.counterValue("svc.flight.dumps")}},
+  };
+  for (const auto& [what, seen] : counts)
+    for (std::uint64_t v : seen) EXPECT_EQ(seen.front(), v) << what;
 }
 
 TEST(SvcStore, DrainReportCarriesPerTenantSummariesAndWeights) {

@@ -1,8 +1,8 @@
 // Integration tests for the online reconstruction service (src/svc): wire
-// framing, protocol parsing, admission control, deadline fail-fast,
-// priority ordering, the deterministic lane's bit-identity to serial runs,
-// cancellation, graceful drain, and malformed-frame fuzz over a real
-// loopback connection.
+// framing, protocol parsing, the pure pick policy (svc/policy, no threads),
+// admission control, deadline fail-fast, priority ordering, the
+// deterministic lane's bit-identity to serial runs, cancellation, graceful
+// drain, and malformed-frame fuzz over a real loopback connection.
 //
 // Flake resistance: anything that must observe a "busy" service first parks
 // the device(s) on long blocker jobs (RMSE stop disabled, large equit cap)
@@ -11,10 +11,12 @@
 // as synchronization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -23,7 +25,9 @@
 #include "core/hash.h"
 #include "core/rng.h"
 #include "obs/obs.h"
+#include "store/wfq.h"
 #include "svc/client.h"
+#include "svc/policy.h"
 #include "svc/server.h"
 #include "svc_test_support.h"
 
@@ -165,6 +169,164 @@ TEST(SvcProtocol, RequestFieldAccessIsStrictlyTyped) {
       Error);  // non-integral int field
 }
 
+TEST(SvcProtocol, OutOfRangeIntegersAndDeadlinesAreRejectedNotNarrowed) {
+  const auto params = [](const std::string& fields) {
+    return svc::parseSubmitParams(svc::parseRequest(
+        R"({"schema":"gpumbir.svc/1","verb":"submit",)" + fields + "}"));
+  };
+  // 2^32 narrows to 0 through int(): it must not become case 0.
+  EXPECT_THROW(params(R"("case":4294967296)"), Error);
+  EXPECT_THROW(params(R"("priority":-4294967296)"), Error);
+  EXPECT_THROW(params(R"("sv_side":1e15)"), Error);
+  EXPECT_THROW(params(R"("case":-1)"), Error);
+  EXPECT_THROW(params(R"("shards":0)"), Error);
+  EXPECT_THROW(params(R"("shard_halo":-1)"), Error);
+  EXPECT_EQ(2147483647, params(R"("priority":2147483647)").priority);
+  // 1e300 ms overflows the steady_clock deadline into one already passed.
+  EXPECT_THROW(params(R"("deadline_ms":1e300)"), Error);
+  EXPECT_EQ(svc::kMaxDeadlineMs,
+            params(R"("deadline_ms":1e12)").deadline_ms);
+}
+
+// ---------------------------------------------------------------------------
+// Pick policy (svc/policy): pure, so no threads or timing
+// ---------------------------------------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+svc::QueueEntry entry(int job_id, int priority = 0, int lane = -1,
+                      const std::string& tenant = "default") {
+  svc::QueueEntry e;
+  e.job_id = job_id;
+  e.priority = priority;
+  e.lane = lane;
+  e.tenant = tenant;
+  return e;
+}
+
+std::uint64_t fairnessCharges(const store::FairQueue& fq) {
+  std::uint64_t picks = 0;
+  for (const store::FairQueue::Share& s : fq.snapshot()) picks += s.picks;
+  return picks;
+}
+
+TEST(SvcPolicy, GangWaitsWhileAnythingRunsAndASingleMayPassIt) {
+  const Clock::time_point now = Clock::now();
+  std::vector<svc::QueueEntry> q = {entry(0, /*priority=*/5), entry(1)};
+  q[0].gang = true;
+  store::FairQueue fq;
+  EXPECT_EQ(1, svc::pickNext(q, 0, now, false, /*any_running=*/true, fq).index);
+  EXPECT_EQ(0, svc::pickNext(q, 0, now, false, /*any_running=*/false, fq).index);
+  // A running gang owns every device: nothing is picked, nothing charged.
+  EXPECT_EQ(-1, svc::pickNext(q, 0, now, /*gang_running=*/true, false, fq).index);
+  EXPECT_EQ(2u, fairnessCharges(fq));
+}
+
+TEST(SvcPolicy, DeterministicEntryWinsWithNoExpiryScan) {
+  const Clock::time_point now = Clock::now();
+  std::vector<svc::QueueEntry> q = {entry(0, 9), entry(1, 0, /*lane=*/1),
+                                    entry(2, 0, 0), entry(3, 0, 0)};
+  q[0].deadline = now;  // expired
+  store::FairQueue fq;
+  const svc::Pick pick = svc::pickNext(q, 0, now, false, true, fq);
+  EXPECT_EQ(2, pick.index);  // device 0's earliest det entry
+  EXPECT_TRUE(pick.expired.empty());
+  EXPECT_EQ(0u, fairnessCharges(fq));  // the det lane bypasses fairness
+  // Device 2 has no det entry; other devices' entries are never taken.
+  EXPECT_EQ(-1, svc::pickNext(q, 2, now, false, true, fq).index);
+}
+
+TEST(SvcPolicy, ExpiredEntriesAreReportedAndNeverPicked) {
+  const Clock::time_point now = Clock::now();
+  std::vector<svc::QueueEntry> q = {entry(0, 9), entry(1, 1), entry(2, 9)};
+  q[0].deadline = now;  // a deadline equal to now has passed
+  q[2].deadline = now - std::chrono::seconds(1);
+  store::FairQueue fq;
+  svc::Pick pick = svc::pickNext(q, 0, now, false, false, fq);
+  EXPECT_EQ(1, pick.index);
+  EXPECT_EQ((std::vector<std::size_t>{0, 2}), pick.expired);
+  // Nothing eligible: still reported, and the fair queue is not charged.
+  q.erase(q.begin() + 1);
+  pick = svc::pickNext(q, 0, now, false, false, fq);
+  EXPECT_EQ(-1, pick.index);
+  EXPECT_EQ((std::vector<std::size_t>{0, 1}), pick.expired);
+  EXPECT_EQ(1u, fairnessCharges(fq));
+}
+
+TEST(SvcPolicy, PriorityTiesGoToTheEarliestEntry) {
+  const std::vector<svc::QueueEntry> q = {entry(0, 1), entry(1, 3),
+                                          entry(2, 3), entry(3, 2)};
+  store::FairQueue fq;
+  EXPECT_EQ(1, svc::pickNext(q, 0, Clock::now(), false, false, fq).index);
+}
+
+TEST(SvcPolicy, SeededRandomQueuesKeepLaneInvariantsAndWfqShares) {
+  const Clock::time_point now = Clock::now();
+  const std::string tenants[] = {"gold", "bronze"};
+  for (std::uint64_t seed = 0; seed < 500; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<svc::QueueEntry> q;
+    for (int i = 0, n = int(rng.below(12)); i < n; ++i) {
+      q.push_back(entry(i, int(rng.below(4)),
+                        rng.below(3) == 0 ? int(rng.below(3)) : -1,
+                        tenants[rng.below(2)]));
+      q.back().gang = q.back().lane < 0 && rng.below(5) == 0;
+      if (rng.below(4) == 0)  // 1 ms ago, now, or 1 ms ahead
+        q.back().deadline = now + std::chrono::milliseconds(rng.below(3)) -
+                            std::chrono::milliseconds(1);
+    }
+    const int device = int(rng.below(3));
+    const bool any_running = rng.below(2) == 0;
+    const bool gang_running = rng.below(6) == 0;
+    // Oracle. A fresh FairQueue holds every tenant at virtual time 0, so
+    // WFQ takes the tenant of the first eligible entry.
+    int want = -1;
+    std::vector<std::size_t> expired;
+    for (std::size_t i = 0; i < q.size() && !gang_running; ++i) {
+      if (q[i].lane == device) {
+        want = int(i);
+        expired.clear();
+        break;
+      }
+      if (q[i].lane >= 0) continue;
+      if (now >= q[i].deadline) {
+        expired.push_back(i);
+      } else if (!(q[i].gang && any_running) &&
+                 (want < 0 || (q[i].tenant == q[std::size_t(want)].tenant &&
+                               q[i].priority > q[std::size_t(want)].priority))) {
+        want = int(i);
+      }
+    }
+    store::FairQueue fq;
+    const svc::Pick pick =
+        svc::pickNext(q, device, now, gang_running, any_running, fq);
+    EXPECT_EQ(want, pick.index);
+    EXPECT_EQ(expired, pick.expired);
+    const bool charged = want >= 0 && q[std::size_t(want)].lane < 0;
+    EXPECT_EQ(charged ? 1u : 0u, fairnessCharges(fq));
+  }
+
+  // Shares: two always-backlogged tenants at 4:1 get picks at 4:1.
+  store::FairQueue fq;
+  fq.configure({{"gold", 4.0}, {"bronze", 1.0}});
+  Rng rng(7);
+  std::vector<svc::QueueEntry> q;
+  for (int i = 0; i < 6; ++i)
+    q.push_back(entry(i, int(rng.below(3)), -1, tenants[i % 2]));
+  std::map<std::string, int> picks;
+  for (int round = 0; round < 500; ++round) {
+    const svc::Pick pick = svc::pickNext(q, 0, now, false, false, fq);
+    ASSERT_GE(pick.index, 0);
+    const std::string tenant = q[std::size_t(pick.index)].tenant;
+    ++picks[tenant];
+    q.erase(q.begin() + pick.index);
+    q.push_back(entry(6 + round, int(rng.below(3)), -1, tenant));
+  }
+  EXPECT_EQ(400, picks["gold"]);
+  EXPECT_EQ(100, picks["bronze"]);
+}
+
 // ---------------------------------------------------------------------------
 // Round trip / status / result
 // ---------------------------------------------------------------------------
@@ -270,7 +432,21 @@ TEST(SvcServer, ExpiredDeadlineFailsFastWithoutRunning) {
   TestService service(/*devices=*/1, /*queue_cap=*/4);
   Client client = service.connect();
   const int blocker = client.submit(blockerParams("blocker")).job_id;
+  ASSERT_EQ(0, blocker);
   awaitState(client, blocker, "running");
+
+  // Wire integers are range-checked, not narrowed: job 2^32 is not job 0.
+  EXPECT_FALSE(client.call(R"({"schema":"gpumbir.svc/1","verb":"cancel",)"
+                           R"("job":4294967296})").find("ok")->bool_v);
+  EXPECT_EQ("running", client.jobStatus(blocker).state);
+  // A 1e300 ms deadline would overflow into an already-expired one: a bad
+  // request at the wire and at the dispatcher.
+  SubmitParams overflow;
+  overflow.deadline_ms = 1e300;
+  EXPECT_FALSE(client.submit(overflow).accepted);
+  svc::JobSpec spec = tinyJob(tinyBaseConfig(), "overflow", false);
+  spec.deadline_ms = 1e300;
+  EXPECT_FALSE(service.server->dispatcher().submit(spec).accepted);
 
   SubmitParams late;
   late.deadline_ms = 0.0;  // already expired when the device frees up
@@ -563,7 +739,7 @@ TEST(SvcServer, FlightDumpsFireExactlyOncePerBadlyEndingJob) {
   client.drain();  // flushes any dump the device thread did not get to
 
   // Exactly one automatic dump per badly-ending job, named after it.
-  EXPECT_EQ(3u, service.server->dispatcher().flightDumpCount());
+  EXPECT_EQ(3u, service.server->dispatcher().liveStats().flight_dumps);
   std::size_t files = 0;
   for ([[maybe_unused]] const auto& e : fs::directory_iterator(dir)) ++files;
   EXPECT_EQ(3u, files);
