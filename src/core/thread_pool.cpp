@@ -46,27 +46,6 @@ void ThreadPool::wait() {
   }
 }
 
-void ThreadPool::wait(const std::function<void()>& on_error) {
-  std::unique_lock lock(mu_);
-  cv_done_.wait(lock,
-                [this] { return in_flight_ == 0 || first_error_ != nullptr; });
-  if (first_error_ && in_flight_ > 0 && on_error) {
-    // A task died while peers are still running — possibly blocked on a
-    // rendezvous the dead task will never reach. Let the caller break them
-    // out (e.g. abort a barrier) before draining the rest.
-    lock.unlock();
-    on_error();
-    lock.lock();
-  }
-  cv_done_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
 void ThreadPool::workerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -85,12 +64,7 @@ void ThreadPool::workerLoop() {
       task();
     } catch (...) {
       std::lock_guard lock(mu_);
-      if (!first_error_) {
-        first_error_ = std::current_exception();
-        // Wake wait(on_error) immediately: peers of the failed task may be
-        // blocked on a rendezvous only the waiter can abort.
-        cv_done_.notify_all();
-      }
+      if (!first_error_) first_error_ = std::current_exception();
     }
     {
       std::lock_guard lock(mu_);
@@ -111,8 +85,8 @@ void ThreadPool::parallelFor(int begin, int end,
 
   // Completion is tracked per call, not via the pool-global wait(): several
   // threads may drive independent parallelFor calls on one pool at once
-  // (the batch scheduler's device drivers do), and none of them may block
-  // on another call's tasks.
+  // (the service's device threads do), and none of them may block on
+  // another call's tasks.
   std::atomic<int> next{begin};
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;

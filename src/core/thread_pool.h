@@ -34,22 +34,13 @@ class ThreadPool {
   /// exception any task threw since the last wait().
   void wait();
 
-  /// Like wait(), but wakes as soon as the first task error is stashed and
-  /// invokes `on_error` (outside the pool lock, at most once) before
-  /// resuming the drain. Gang workloads use this to break peers out of a
-  /// rendezvous a failed task will never reach — without it, a task
-  /// blocked on a dead peer would deadlock the wait (the shard runner's
-  /// cancelled-between-halo-phases case). The first error still rethrows
-  /// after every task has finished.
-  void wait(const std::function<void()>& on_error);
-
   /// Run fn(i) for i in [begin, end) across the pool with dynamic
   /// self-scheduling in blocks of `grain`. Blocks until complete.
   /// Exceptions from fn propagate (first one wins). Completion is tracked
   /// per call, so any number of external threads can run parallelFor on the
-  /// same pool concurrently without waiting on each other's work (the batch
-  /// scheduler's device drivers rely on this). Must not be called from
-  /// inside a pool task of the same pool.
+  /// same pool concurrently without waiting on each other's work (the
+  /// service's device threads share the process-wide pool this way). Must
+  /// not be called from inside a pool task of the same pool.
   void parallelFor(int begin, int end, const std::function<void(int)>& fn,
                    int grain = 1);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <list>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -74,16 +73,14 @@ struct GpuIcd::Impl {
   // view * num_channels + channel.
   int rb_image = -1, rb_sino_e = -1, rb_sino_w = -1;
 
-  // Slab window (multi-device sharding): when enabled, only rows in
-  // [upd_row0, upd_row1) are updated and only SVs intersecting that window
-  // are selectable. Disabled => the window covers the whole image and the
-  // original selection path runs verbatim.
-  bool slab_on = false;
+  // Slab window (multi-device sharding): only rows in [upd_row0, upd_row1)
+  // are updated and only SVs intersecting that window are selectable. With
+  // no slab the window is the whole image.
   int upd_row0 = 0, upd_row1 = 0;
   std::vector<int> owned_svs;
 
-  // Stepwise-run state (beginRun/stepIteration; run() drives the same).
-  std::optional<Rng> run_rng;
+  // Run state: one engine object is one run.
+  Rng run_rng;
   GpuRunStats run_stats;
   int run_iter = 0;
 
@@ -91,7 +88,8 @@ struct GpuIcd::Impl {
       : problem(p),
         opt(std::move(o)),
         grid(p.A.geometry().image_size, opt.tunables.sv),
-        sim(opt.device) {
+        sim(opt.device),
+        run_rng(opt.seed) {
     problem.validate();
     opt.tunables.validate();
     MBIR_CHECK(opt.max_iterations >= 1);
@@ -125,8 +123,8 @@ struct GpuIcd::Impl {
     magnitude.assign(std::size_t(grid.count()), 1e30);
 
     const int n = p.A.geometry().image_size;
-    slab_on = opt.slab.enabled();
-    if (slab_on) {
+    upd_row1 = n;
+    if (opt.slab.enabled()) {
       MBIR_CHECK(opt.slab.row0 >= 0 && opt.slab.row1 <= n);
       MBIR_CHECK(opt.slab.halo >= 0);
       // halo == 0 means no neighbour rows are ever refreshed, so updates
@@ -137,18 +135,17 @@ struct GpuIcd::Impl {
       upd_row0 = opt.slab.row0 == 0 ? 0 : opt.slab.row0 + shrink;
       upd_row1 = opt.slab.row1 == n ? n : opt.slab.row1 - shrink;
       upd_row1 = std::max(upd_row0, upd_row1);
-      for (int i = 0; i < grid.count(); ++i) {
-        const SuperVoxel& sv = grid.sv(i);
-        if (sv.row1 > upd_row0 && sv.row0 < upd_row1) owned_svs.push_back(i);
-      }
-    } else {
-      upd_row0 = 0;
-      upd_row1 = n;
+    }
+    // SVs intersecting the window, in index order: every SV when the
+    // window is the whole image.
+    for (int i = 0; i < grid.count(); ++i) {
+      const SuperVoxel& sv = grid.sv(i);
+      if (sv.row1 > upd_row0 && sv.row0 < upd_row1) owned_svs.push_back(i);
     }
   }
 
   bool rowUpdatable(int row) const {
-    return !slab_on || (row >= upd_row0 && row < upd_row1);
+    return row >= upd_row0 && row < upd_row1;
   }
 
   int effectiveTbPerSv() const {
@@ -703,23 +700,13 @@ GpuIcd::~GpuIcd() = default;
 const SvGrid& GpuIcd::grid() const { return impl_->grid; }
 gsim::GpuSimulator& GpuIcd::simulator() { return impl_->sim; }
 
-void GpuIcd::beginRun(Image2D& x, Sinogram& e) {
-  Impl& im = *impl_;
-  MBIR_CHECK(x.size() == im.problem.A.geometry().image_size);
-  (void)e;
-  im.sim.resetTotals();
-  im.run_rng.emplace(im.opt.seed);
-  im.run_stats = GpuRunStats{};
-  im.run_iter = 0;
-}
-
 bool GpuIcd::stepIteration(Image2D& x, Sinogram& e) {
   Impl& im = *impl_;
-  MBIR_CHECK(im.run_rng.has_value());  // beginRun first
+  MBIR_CHECK(x.size() == im.problem.A.geometry().image_size);
   if (im.run_iter >= im.opt.max_iterations) return false;
   const int iter = ++im.run_iter;
   GpuRunStats& stats = im.run_stats;
-  Rng& rng = *im.run_rng;
+  Rng& rng = im.run_rng;
   const double voxels_per_equit = double(x.numVoxels());
   const GpuTunables& tn = im.opt.tunables;
 
@@ -730,24 +717,19 @@ bool GpuIcd::stepIteration(Image2D& x, Sinogram& e) {
   const double iter_modeled_s = im.sim.totalModeledSeconds();
   const std::size_t iter_updates0 = stats.work.voxel_updates;
 
+  // Selection runs over the owned SVs through a dense local index space,
+  // so the magnitude ranking and the random pick see the same shape they
+  // would on a dedicated grid. The whole-image window maps by identity,
+  // which is what makes an S=1 shard plan bit-identical to the unsharded
+  // engine.
+  std::vector<double> local_mag(im.owned_svs.size());
+  for (std::size_t i = 0; i < im.owned_svs.size(); ++i)
+    local_mag[i] = im.magnitude[std::size_t(im.owned_svs[i])];
+  const std::vector<int> local = selectSuperVoxels(
+      iter, im.owned_svs.size(), local_mag, tn.sv_fraction, rng);
   std::vector<int> selected;
-  if (im.slab_on) {
-    // Slab sharding: selection runs over the owned SVs through a dense
-    // local index space, so the magnitude ranking and the random pick see
-    // the same shape they would on a dedicated grid. A single-slab window
-    // covering the whole image maps by identity, which is what makes an
-    // S=1 shard plan bit-identical to the unsharded engine.
-    std::vector<double> local_mag(im.owned_svs.size());
-    for (std::size_t i = 0; i < im.owned_svs.size(); ++i)
-      local_mag[i] = im.magnitude[std::size_t(im.owned_svs[i])];
-    const std::vector<int> local = selectSuperVoxels(
-        iter, im.owned_svs.size(), local_mag, tn.sv_fraction, rng);
-    selected.reserve(local.size());
-    for (int li : local) selected.push_back(im.owned_svs[std::size_t(li)]);
-  } else {
-    selected = selectSuperVoxels(iter, std::size_t(im.grid.count()),
-                                 im.magnitude, tn.sv_fraction, rng);
-  }
+  selected.reserve(local.size());
+  for (int li : local) selected.push_back(im.owned_svs[std::size_t(li)]);
   const auto groups = im.grid.checkerboardGroups(selected);
 
   for (const auto& group : groups) {
@@ -816,8 +798,8 @@ bool GpuIcd::stepIteration(Image2D& x, Sinogram& e) {
     rec->trace().record(std::move(dev_ev));
   }
 
-  // Keep the public stats fully synced after every step — the shard runner
-  // reads them between iterations, and run()'s final state falls out.
+  // Keep the public stats fully synced after every step — callers read
+  // them between iterations and after the last one.
   stats.kernel_stats = im.sim.totalStats();
   stats.per_kernel = im.sim.perKernel();
   stats.race_check_enabled = im.sim.raceCheckOn();
@@ -829,20 +811,5 @@ bool GpuIcd::stepIteration(Image2D& x, Sinogram& e) {
 }
 
 const GpuRunStats& GpuIcd::runStats() const { return impl_->run_stats; }
-
-GpuRunStats GpuIcd::run(Image2D& x, Sinogram& e,
-                        const GpuIterationCallback& on_iteration) {
-  Impl& im = *impl_;
-  beginRun(x, e);
-  while (stepIteration(x, e)) {
-    if (on_iteration &&
-        !on_iteration(GpuIterationInfo{im.run_iter, im.run_stats.equits,
-                                       im.run_stats.modeled_seconds, x})) {
-      im.run_stats.stopped_by_callback = true;
-      break;
-    }
-  }
-  return im.run_stats;
-}
 
 }  // namespace mbir

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 
@@ -39,8 +38,8 @@ namespace mbir {
 class ThreadPool;
 
 /// Row-slab ownership window for multi-device sharding (src/shard,
-/// DESIGN.md §13). Disabled by default (row1 == row0): the engine owns the
-/// whole image and behaves exactly as before. When enabled, the engine
+/// DESIGN.md §13). Disabled by default (row1 == row0): the engine's window
+/// is the whole image [0, n). When enabled, the engine
 /// updates only voxels inside its *updatable* window — the owned rows,
 /// shrunk by one row at interior slab boundaries when halo == 0 so no
 /// update ever reads an unowned, never-refreshed neighbour row. SV
@@ -77,8 +76,8 @@ struct GpuIcdOptions {
   /// Purely observational; results are bit-identical either way.
   obs::Recorder* recorder = nullptr;
   /// Trace process for modeled-clock spans (0 = the shared modeled-clock
-  /// process). The batch scheduler sets this to the assigned device's pid
-  /// so each simulated device renders as its own trace process.
+  /// process). The service dispatcher sets this to the assigned device's
+  /// pid so each simulated device renders as its own trace process.
   int trace_pid = 0;
   /// Per-job span context (nullptr = none, obs/span.h): iteration and
   /// launch spans carry the job's id/tenant and land on its host-clock
@@ -102,20 +101,9 @@ struct GpuIcdOptions {
   SlabWindow slab;
 };
 
-struct GpuIterationInfo {
-  int iteration = 0;  ///< 1-based
-  double equits = 0.0;
-  double modeled_seconds = 0.0;  ///< cumulative simulated GPU time
-  const Image2D& x;
-};
-
-/// Return false to stop.
-using GpuIterationCallback = std::function<bool(const GpuIterationInfo&)>;
-
 struct GpuRunStats {
   double equits = 0.0;
   int iterations = 0;
-  bool stopped_by_callback = false;
   double modeled_seconds = 0.0;
   int kernels_launched = 0;
   int batches_skipped_by_threshold = 0;
@@ -134,22 +122,17 @@ struct GpuRunStats {
   std::uint64_t race_reports = 0;
 };
 
+/// One engine object is one run. The caller owns the iteration loop
+/// (reconstruct() tests convergence between steps; the shard runner
+/// interleaves one step per slab with a halo exchange): stepIteration
+/// performs one full outer iteration on x and e in place and returns false
+/// once max_iterations have run; runStats() is kept in sync after every
+/// step.
 class GpuIcd {
  public:
   GpuIcd(const Problem& problem, GpuIcdOptions options = {});
   ~GpuIcd();
 
-  /// Run until callback stop or max_iterations; x and e updated in place.
-  GpuRunStats run(Image2D& x, Sinogram& e,
-                  const GpuIterationCallback& on_iteration = {});
-
-  /// Stepwise API used by the multi-device shard runner (src/shard): the
-  /// runner interleaves one outer iteration per slab with a halo exchange.
-  /// beginRun resets modeled time and the run RNG; stepIteration performs
-  /// one full outer iteration (returns false once max_iterations have
-  /// run); runStats() is kept in sync after every step. run() is exactly
-  /// beginRun + stepIteration-loop, bit-identical to the one-shot path.
-  void beginRun(Image2D& x, Sinogram& e);
   bool stepIteration(Image2D& x, Sinogram& e);
   const GpuRunStats& runStats() const;
 

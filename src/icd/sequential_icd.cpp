@@ -103,10 +103,7 @@ IcdRunStats SequentialIcd::run(Image2D& x, Sinogram& e, const SweepCallback& on_
                       double(stats.work.voxel_updates - sweep_updates0)}};
       rec->trace().record(std::move(ev));
     }
-    if (on_sweep && !on_sweep(x, stats)) {
-      stats.stopped_by_callback = true;
-      break;
-    }
+    if (on_sweep && !on_sweep(x, stats)) break;
     // Degenerate all-zero start: every voxel zero-skipped forever.
     if (equits.updates() == 0) break;
   }

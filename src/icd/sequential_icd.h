@@ -42,7 +42,6 @@ struct IcdRunStats {
   double equits = 0.0;
   std::size_t voxel_updates = 0;
   int sweeps = 0;
-  bool stopped_by_callback = false;
   WorkCounters work;  ///< consumed by gsim's CPU timing models
   /// Device-semantics race checking (zeros when disabled).
   bool race_check_enabled = false;

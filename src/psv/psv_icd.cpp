@@ -324,10 +324,8 @@ PsvRunStats PsvIcd::run(Image2D& x, Sinogram& e,
       rec->trace().record(std::move(ev));
     }
     if (on_iteration &&
-        !on_iteration(PsvIterationInfo{iter, stats.equits, stats.work, x})) {
-      stats.stopped_by_callback = true;
+        !on_iteration(PsvIterationInfo{iter, stats.equits, stats.work, x}))
       break;
-    }
   }
   stats.race_check_enabled = race_on;
   const gsim::RaceCheckTotals race_totals = race.totals();

@@ -76,7 +76,6 @@ using PsvIterationCallback = std::function<bool(const PsvIterationInfo&)>;
 struct PsvRunStats {
   double equits = 0.0;
   int iterations = 0;
-  bool stopped_by_callback = false;
   WorkCounters work;
   /// Device-semantics race checking (zeros when disabled).
   bool race_check_enabled = false;

@@ -94,14 +94,14 @@ void runBuiltinEngine(const OwnedProblem& problem, const RunConfig& config,
     }
     case Algorithm::kGpuIcd: {
       GpuIcd icd(p, gpuEngineOptions(problem, config, rec));
-      GpuRunStats stats = icd.run(
-          result.image, e, [&](const GpuIterationInfo& info) {
-            return track(info.x, info.equits, info.modeled_seconds);
-          });
+      const GpuRunStats& stats = icd.runStats();
+      while (icd.stepIteration(result.image, e) &&
+             track(result.image, stats.equits, stats.modeled_seconds)) {
+      }
       result.equits = stats.equits;
       result.work = stats.work;
       result.modeled_seconds = stats.modeled_seconds;
-      result.gpu_stats = std::move(stats);
+      result.gpu_stats = stats;
       break;
     }
   }

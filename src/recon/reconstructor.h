@@ -139,9 +139,9 @@ using IterationTrack = std::function<bool(const Image2D& x, double equits,
 
 /// An engine plugged into reconstruct()'s protocol. It iterates in place on
 /// result.image and `e` (already set up: FBP or warm start, e = y - Ax),
-/// calls `track` at every iteration boundary, and fills the engine-owned
-/// fields of `result`: equits, work, modeled_seconds, its stats, and
-/// cancelled when it stopped on RunConfig::cancel by itself.
+/// calls `track` at every iteration boundary, stops when `track` returns
+/// false, and fills the engine-owned fields of `result`: equits, work,
+/// modeled_seconds and its stats.
 using Engine = std::function<void(obs::Recorder* rec, Sinogram& e,
                                   const IterationTrack& track,
                                   RunResult& result)>;

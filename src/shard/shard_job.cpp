@@ -13,9 +13,9 @@ ShardRunResult reconstructSharded(const OwnedProblem& problem,
   out.devices = config.devices;
   out.link_name = config.link.name;
   // Only the engine differs from an unsharded run: setup, the per-iteration
-  // protocol and finish are reconstruct()'s own. The iteration callback
-  // runs on the exchange leader's thread under the shard barrier, so it is
-  // single-threaded like any engine's.
+  // protocol and finish are reconstruct()'s own. Each step joins its device
+  // tasks before returning, so `track` runs on this thread like any
+  // engine's.
   out.run = reconstruct(
       problem, golden, config.base,
       [&](obs::Recorder* rec, Sinogram& e, const IterationTrack& track,
@@ -24,15 +24,13 @@ ShardRunResult reconstructSharded(const OwnedProblem& problem,
         opt.engine = gpuEngineOptions(problem, config.base, rec);
         opt.devices = config.devices;
         opt.link = config.link;
-        // The runner also checks cancellation at the exchange boundary,
-        // before the exchange, so a gang stops promptly on a consistent
-        // BSP snapshot.
-        opt.cancel = config.base.cancel;
-        ShardedGpuIcd icd(problem.view(), config.plan, std::move(opt));
-        out.shard = icd.run(result.image, e, [&](const ShardIterationInfo& info) {
-          return track(info.x, info.equits, info.modeled_seconds);
-        });
-        result.cancelled = result.cancelled || out.shard.cancelled;
+        ShardedGpuIcd icd(problem.view(), config.plan, std::move(opt),
+                          result.image, e);
+        const ShardRunStats& stats = icd.runStats();
+        while (icd.stepIteration(result.image, e) &&
+               track(result.image, stats.equits, stats.modeled_seconds)) {
+        }
+        out.shard = icd.finish();
         result.equits = out.shard.equits;
         result.work = out.shard.work;
         result.modeled_seconds = out.shard.modeled_seconds;

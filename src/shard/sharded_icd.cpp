@@ -1,13 +1,13 @@
 #include "shard/sharded_icd.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <vector>
 
 #include "core/thread_pool.h"
 #include "obs/obs.h"
 #include "obs/span.h"
-#include "shard/barrier.h"
 
 namespace mbir::shard {
 
@@ -22,6 +22,23 @@ struct ShardedGpuIcd::Impl {
   const ShardedOptions opt;
   gsim::GpuSimulator exchange_sim;
   std::vector<std::unique_ptr<GpuIcd>> engines;
+  // Steps each device's slabs, one task per simulated device. Slab
+  // engines' kernel blocks run on the (distinct) host pool, so parallelFor
+  // never nests on one pool.
+  ThreadPool driver;
+
+  // Per-slab private state: full image + error copies, refreshed by the
+  // exchange. `snap` is the pre-iteration error baseline the reduce folds
+  // deltas over.
+  std::vector<Image2D> xs;
+  std::vector<Sinogram> es;
+  Sinogram snap;
+  const std::size_t img_bytes, img_row_bytes, sino_bytes;
+
+  // Modeled clocks, per device, and each slab engine's modeled time at the
+  // last step.
+  std::vector<double> device_clock, device_compute, prev_modeled;
+  ShardRunStats stats;
 
   // Exchange-simulator race buffers (-1 = checking off). "shard.image" /
   // "shard.sino.e" are the shared assembly buffers; the per-slab entries
@@ -35,15 +52,24 @@ struct ShardedGpuIcd::Impl {
   obs::Counter* m_comm_transfers = nullptr;
   obs::Gauge* m_comm_seconds = nullptr;
 
-  Impl(const Problem& p, ShardPlan pl, ShardedOptions o)
+  Impl(const Problem& p, ShardPlan pl, ShardedOptions o, const Image2D& x,
+       const Sinogram& e)
       : problem(p),
         plan(std::move(pl)),
         opt(std::move(o)),
-        exchange_sim(opt.engine.device) {
+        exchange_sim(opt.engine.device),
+        driver(unsigned(std::max(1, opt.devices))),  // checked below
+        xs(std::size_t(plan.numSlabs()), x),
+        es(std::size_t(plan.numSlabs()), e),
+        snap(e),
+        img_bytes(x.numVoxels() * sizeof(float)),
+        img_row_bytes(std::size_t(x.size()) * sizeof(float)),
+        sino_bytes(e.size() * sizeof(float)) {
     plan.validate();
     MBIR_CHECK_MSG(plan.image_size == p.A.geometry().image_size,
                    "plan image_size " << plan.image_size << " != problem "
                                       << p.A.geometry().image_size);
+    MBIR_CHECK(x.size() == plan.image_size);
     MBIR_CHECK_MSG(opt.devices >= 1 && opt.devices <= plan.numSlabs(),
                    "devices=" << opt.devices << " for " << plan.numSlabs()
                               << " slabs");
@@ -82,11 +108,26 @@ struct ShardedGpuIcd::Impl {
                            plan.slabs[std::size_t(s)].row1, plan.halo};
       // Fault events must form one deterministic, single-threaded sequence
       // for replay-by-index; only device 0's slabs (plus the exchange
-      // simulator, above) carry the hook. Device loops never run a hooked
-      // engine concurrently with another hooked call site: device 0's
-      // steps and the leader's exchange are ordered by the barrier.
+      // simulator, above) carry the hook. Device 0's task steps its slabs
+      // in order, and the exchange runs only after every task has joined.
       if (s % opt.devices != 0) eo.fault_hook = nullptr;
       engines.push_back(std::make_unique<GpuIcd>(problem, std::move(eo)));
+    }
+
+    // Device count > 1 pays an initial broadcast of the image + error +
+    // weights sinograms to every non-leader device (links in parallel, so
+    // one transfer on the critical path).
+    const int D = opt.devices;
+    device_clock.assign(std::size_t(D), 0.0);
+    device_compute.assign(std::size_t(D), 0.0);
+    prev_modeled.assign(std::size_t(plan.numSlabs()), 0.0);
+    if (D > 1) {
+      const double bcast =
+          gsim::transferSeconds(opt.link, img_bytes + 2 * sino_bytes);
+      std::fill(device_clock.begin(), device_clock.end(), bcast);
+      stats.comm_seconds += bcast;
+      stats.comm_bytes += std::size_t(D - 1) * (img_bytes + 2 * sino_bytes);
+      stats.comm_transfers += std::size_t(D - 1);
     }
   }
 
@@ -94,9 +135,9 @@ struct ShardedGpuIcd::Impl {
   /// function of plan, device count and buffer sizes — host timing never
   /// leaks into the modeled clock. Adjacent cross-device slab pairs swap
   /// their halo rows concurrently (one link each, critical path = one
-  /// pair); the error sinogram is merged with a ring all-reduce.
-  double iterationCommSeconds(std::size_t img_row_bytes,
-                              std::size_t sino_bytes, std::size_t& bytes,
+  /// pair; halo 0 sends nothing); the error sinogram is merged with a ring
+  /// all-reduce.
+  double iterationCommSeconds(std::size_t& bytes,
                               std::size_t& transfers) const {
     const int D = opt.devices;
     if (D == 1) return 0.0;
@@ -104,14 +145,13 @@ struct ShardedGpuIcd::Impl {
     const std::size_t halo_pair_bytes =
         2 * std::size_t(plan.halo) * img_row_bytes;
     bool any_cross = false;
-    for (int s = 0; s + 1 < plan.numSlabs(); ++s) {
+    for (int s = 0; plan.halo > 0 && s + 1 < plan.numSlabs(); ++s) {
       if (s % D == (s + 1) % D) continue;  // same device: no link traffic
       any_cross = true;
       bytes += halo_pair_bytes;
       transfers += 2;
     }
-    if (any_cross && plan.halo > 0)
-      t += gsim::transferSeconds(opt.link, halo_pair_bytes);
+    if (any_cross) t += gsim::transferSeconds(opt.link, halo_pair_bytes);
     // Ring all-reduce of the error sinogram: 2(D-1) steps of sino/D each;
     // total fabric traffic 2(D-1) * sino_bytes.
     t += 2.0 * double(D - 1) *
@@ -128,8 +168,7 @@ struct ShardedGpuIcd::Impl {
   /// per-slab error deltas over the pre-iteration snapshot in slab order
   /// (view-striped, single writer per view); kernel 3 refreshes each
   /// slab's halo rows and hands every slab the merged sinogram.
-  void runExchange(Image2D& x, Sinogram& e, std::vector<Image2D>& xs,
-                   std::vector<Sinogram>& es, Sinogram& snap) {
+  void runExchange(Image2D& x, Sinogram& e) {
     const int S = plan.numSlabs();
     const int n = x.size();
     const int views = e.views();
@@ -263,8 +302,10 @@ struct ShardedGpuIcd::Impl {
 };
 
 ShardedGpuIcd::ShardedGpuIcd(const Problem& problem, ShardPlan plan,
-                             ShardedOptions opt)
-    : impl_(std::make_unique<Impl>(problem, std::move(plan), std::move(opt))) {}
+                             ShardedOptions opt, const Image2D& x,
+                             const Sinogram& e)
+    : impl_(std::make_unique<Impl>(problem, std::move(plan), std::move(opt),
+                                   x, e)) {}
 
 ShardedGpuIcd::~ShardedGpuIcd() = default;
 
@@ -275,189 +316,112 @@ gsim::GpuSimulator& ShardedGpuIcd::exchangeSimulator() {
 gsim::GpuSimulator& ShardedGpuIcd::slabSimulator(int s) {
   return impl_->engines[std::size_t(s)]->simulator();
 }
+const ShardRunStats& ShardedGpuIcd::runStats() const { return impl_->stats; }
 
-ShardRunStats ShardedGpuIcd::run(Image2D& x, Sinogram& e,
-                                 const ShardIterationCallback& on_iteration) {
+bool ShardedGpuIcd::stepIteration(Image2D& x, Sinogram& e) {
   Impl& im = *impl_;
   MBIR_CHECK(x.size() == im.plan.image_size);
   const int S = im.plan.numSlabs();
   const int D = im.opt.devices;
-  const int n = x.size();
+  ShardRunStats& stats = im.stats;
 
-  im.exchange_sim.resetTotals();
-  ShardRunStats stats;
-
-  // Per-slab private state: full image + error copies, refreshed by the
-  // exchange. `snap` is the pre-iteration error baseline the reduce folds
-  // deltas over.
-  std::vector<Image2D> xs(std::size_t(S), x);
-  std::vector<Sinogram> es(std::size_t(S), e);
-  Sinogram snap = e;
-  for (int s = 0; s < S; ++s)
-    im.engines[std::size_t(s)]->beginRun(xs[std::size_t(s)],
-                                         es[std::size_t(s)]);
-
-  const std::size_t img_bytes = x.numVoxels() * sizeof(float);
-  const std::size_t img_row_bytes = std::size_t(n) * sizeof(float);
-  const std::size_t sino_bytes = e.size() * sizeof(float);
-
-  // Modeled clocks. Device count > 1 pays an initial broadcast of the
-  // image + error + weights sinograms to every non-leader device (links in
-  // parallel, so one transfer on the critical path).
-  std::vector<double> device_clock(std::size_t(D), 0.0);
-  std::vector<double> device_compute(std::size_t(D), 0.0);
-  if (D > 1) {
-    const double bcast =
-        gsim::transferSeconds(im.opt.link, img_bytes + 2 * sino_bytes);
-    std::fill(device_clock.begin(), device_clock.end(), bcast);
-    stats.comm_seconds += bcast;
-    stats.comm_bytes += std::size_t(D - 1) * (img_bytes + 2 * sino_bytes);
-    stats.comm_transfers += std::size_t(D - 1);
-  }
-
-  obs::Recorder* rec = im.opt.engine.recorder;
-  const bool tracing = rec && rec->traceOn();
-
-  ShardBarrier barrier(D);
-  std::vector<double> prev_modeled(std::size_t(S), 0.0);
+  // Fork: each device steps its slabs (slab s -> device s % D) in slab
+  // order. Join before anything below reads the slab state.
   std::vector<double> compute_delta(std::size_t(D), 0.0);
   std::atomic<bool> exhausted{false};
-
-  // Runs on the last device loop to arrive, under the barrier lock; every
-  // shared-state access below is ordered by that lock.
-  const auto leader_work = [&]() -> ShardBarrier::Signal {
-    if (exhausted.load(std::memory_order_acquire))
-      return ShardBarrier::Signal::kStop;
-    if (im.opt.cancel &&
-        im.opt.cancel->load(std::memory_order_acquire)) {
-      stats.cancelled = true;
-      return ShardBarrier::Signal::kStop;
-    }
-    ++stats.iterations;
-    for (int d = 0; d < D; ++d) {
-      device_clock[std::size_t(d)] += compute_delta[std::size_t(d)];
-      device_compute[std::size_t(d)] += compute_delta[std::size_t(d)];
-    }
-    const double sync =
-        *std::max_element(device_clock.begin(), device_clock.end());
-
-    const double ex0 = im.exchange_sim.totalModeledSeconds();
-    im.runExchange(x, e, xs, es, snap);
-    const double ex_delta = im.exchange_sim.totalModeledSeconds() - ex0;
-
-    std::size_t bytes = 0, transfers = 0;
-    const double comm =
-        im.iterationCommSeconds(img_row_bytes, sino_bytes, bytes, transfers);
-    const double after = sync + ex_delta + comm;
-    std::fill(device_clock.begin(), device_clock.end(), after);
-
-    ++stats.exchanges;
-    stats.comm_seconds += comm;
-    stats.comm_bytes += bytes;
-    stats.comm_transfers += transfers;
-    stats.modeled_seconds = after;
-    if (im.m_exchanges) {
-      im.m_exchanges->add();
-      im.m_comm_bytes->add(bytes);
-      im.m_comm_transfers->add(transfers);
-      im.m_comm_seconds->set(stats.comm_seconds);
-    }
-    if (tracing && comm > 0.0) {
-      obs::TraceEvent ev;
-      ev.name = "shard.transfer";
-      ev.cat = "shard";
-      ev.clock = obs::Clock::kModeled;
-      ev.pid = im.opt.engine.trace_pid;
-      ev.ts_us = (sync + ex_delta) * 1e6;
-      ev.dur_us = comm * 1e6;
-      ev.num_args = {{"iteration", double(stats.iterations)},
-                     {"bytes", double(bytes)},
-                     {"transfers", double(transfers)},
-                     {"devices", double(D)}};
-      ev.str_args = {{"link", im.opt.link.name}};
-      if (im.opt.engine.span) obs::tagSpan(ev, *im.opt.engine.span);
-      rec->trace().record(std::move(ev));
-    }
-
-    std::size_t updates = 0;
-    for (const auto& eng : im.engines)
-      updates += eng->runStats().work.voxel_updates;
-    stats.equits = double(updates) / double(x.numVoxels());
-
-    if (on_iteration &&
-        !on_iteration(ShardIterationInfo{stats.iterations, stats.equits,
-                                         stats.modeled_seconds, x})) {
-      stats.stopped_by_callback = true;
-      return ShardBarrier::Signal::kStop;
-    }
-    return ShardBarrier::Signal::kContinue;
-  };
-
-  // One persistent loop per simulated device on a private driver pool
-  // (slab engines' kernel blocks run on the — distinct — host pool, so the
-  // parallelFor-from-own-pool restriction is never violated).
-  ThreadPool driver{unsigned(D)};
-  for (int d = 0; d < D; ++d) {
-    driver.submit([&, d] {
-      try {
-        for (;;) {
-          bool done = false;
-          double delta = 0.0;
-          for (int s = d; s < S; s += D) {
-            GpuIcd& eng = *im.engines[std::size_t(s)];
-            if (!eng.stepIteration(xs[std::size_t(s)], es[std::size_t(s)])) {
-              // All engines share max_iterations, so every device loop
-              // exhausts on the same round.
-              done = true;
-              break;
-            }
-            const double m = eng.runStats().modeled_seconds;
-            delta += m - prev_modeled[std::size_t(s)];
-            prev_modeled[std::size_t(s)] = m;
-          }
-          if (done)
-            exhausted.store(true, std::memory_order_release);
-          else
-            compute_delta[std::size_t(d)] = delta;
-          if (barrier.arriveAndWait(leader_work) ==
-              ShardBarrier::Signal::kStop)
-            return;
-        }
-      } catch (...) {
-        // A slab engine (or the exchange) died — release peers parked at
-        // the rendezvous before unwinding, else they wait forever on an
-        // arrival that will never come.
-        barrier.abort();
-        throw;
+  im.driver.parallelFor(0, D, [&](int d) {
+    for (int s = d; s < S; s += D) {
+      GpuIcd& eng = *im.engines[std::size_t(s)];
+      if (!eng.stepIteration(im.xs[std::size_t(s)], im.es[std::size_t(s)])) {
+        // All engines share max_iterations, so every device exhausts on
+        // the same round.
+        exhausted.store(true, std::memory_order_relaxed);
+        return;
       }
-    });
+      const double m = eng.runStats().modeled_seconds;
+      compute_delta[std::size_t(d)] += m - im.prev_modeled[std::size_t(s)];
+      im.prev_modeled[std::size_t(s)] = m;
+    }
+  });
+  if (exhausted.load(std::memory_order_relaxed)) return false;
+
+  ++stats.iterations;
+  for (int d = 0; d < D; ++d) {
+    im.device_clock[std::size_t(d)] += compute_delta[std::size_t(d)];
+    im.device_compute[std::size_t(d)] += compute_delta[std::size_t(d)];
   }
-  // The on_error hook is the backstop for the same deadlock if an error
-  // reaches the pool before abort() does (regression-tested in test_core).
-  driver.wait([&] { barrier.abort(); });
+  const double sync =
+      *std::max_element(im.device_clock.begin(), im.device_clock.end());
+
+  const double ex0 = im.exchange_sim.totalModeledSeconds();
+  im.runExchange(x, e);
+  const double ex_delta = im.exchange_sim.totalModeledSeconds() - ex0;
+
+  std::size_t bytes = 0, transfers = 0;
+  const double comm = im.iterationCommSeconds(bytes, transfers);
+  const double after = sync + ex_delta + comm;
+  std::fill(im.device_clock.begin(), im.device_clock.end(), after);
+
+  ++stats.exchanges;
+  stats.comm_seconds += comm;
+  stats.comm_bytes += bytes;
+  stats.comm_transfers += transfers;
+  stats.modeled_seconds = after;
+  if (im.m_exchanges) {
+    im.m_exchanges->add();
+    im.m_comm_bytes->add(bytes);
+    im.m_comm_transfers->add(transfers);
+    im.m_comm_seconds->set(stats.comm_seconds);
+  }
+  obs::Recorder* rec = im.opt.engine.recorder;
+  if (rec && rec->traceOn() && comm > 0.0) {
+    obs::TraceEvent ev;
+    ev.name = "shard.transfer";
+    ev.cat = "shard";
+    ev.clock = obs::Clock::kModeled;
+    ev.pid = im.opt.engine.trace_pid;
+    ev.ts_us = (sync + ex_delta) * 1e6;
+    ev.dur_us = comm * 1e6;
+    ev.num_args = {{"iteration", double(stats.iterations)},
+                   {"bytes", double(bytes)},
+                   {"transfers", double(transfers)},
+                   {"devices", double(D)}};
+    ev.str_args = {{"link", im.opt.link.name}};
+    if (im.opt.engine.span) obs::tagSpan(ev, *im.opt.engine.span);
+    rec->trace().record(std::move(ev));
+  }
+
+  std::size_t updates = 0;
+  for (const auto& eng : im.engines)
+    updates += eng->runStats().work.voxel_updates;
+  stats.equits = double(updates) / double(x.numVoxels());
+  return true;
+}
+
+const ShardRunStats& ShardedGpuIcd::finish() {
+  Impl& im = *impl_;
+  ShardRunStats& stats = im.stats;
 
   // Final device-to-host gather of the assembled image.
   double final_clock =
-      *std::max_element(device_clock.begin(), device_clock.end());
-  if (D > 1) {
-    const double gather = gsim::transferSeconds(im.opt.link, img_bytes);
+      *std::max_element(im.device_clock.begin(), im.device_clock.end());
+  if (im.opt.devices > 1) {
+    const double gather = gsim::transferSeconds(im.opt.link, im.img_bytes);
     final_clock += gather;
     stats.comm_seconds += gather;
-    stats.comm_bytes += img_bytes;
+    stats.comm_bytes += im.img_bytes;
     stats.comm_transfers += 1;
   }
   stats.modeled_seconds = final_clock;
   stats.compute_seconds =
-      *std::max_element(device_compute.begin(), device_compute.end());
+      *std::max_element(im.device_compute.begin(), im.device_compute.end());
   stats.exchange_seconds = im.exchange_sim.totalModeledSeconds();
 
   stats.kernels_launched = 3 * stats.exchanges;
   for (const auto& eng : im.engines) {
-    const GpuRunStats& es_ = eng->runStats();
-    stats.work += es_.work;
-    stats.kernels_launched += es_.kernels_launched;
+    stats.work += eng->runStats().work;
+    stats.kernels_launched += eng->runStats().kernels_launched;
   }
-  stats.equits = double(stats.work.voxel_updates) / double(x.numVoxels());
 
   const auto add_race = [&](const gsim::GpuSimulator& sim) {
     stats.race_check_enabled = stats.race_check_enabled || sim.raceCheckOn();
@@ -467,7 +431,7 @@ ShardRunStats ShardedGpuIcd::run(Image2D& x, Sinogram& e,
     stats.race_reports += t.races_found;
   };
   add_race(im.exchange_sim);
-  for (int s = 0; s < S; ++s) add_race(im.engines[std::size_t(s)]->simulator());
+  for (const auto& eng : im.engines) add_race(eng->simulator());
   return stats;
 }
 

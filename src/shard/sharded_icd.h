@@ -1,11 +1,13 @@
-// Multi-device slab-sharded GPU-ICD runner (DESIGN.md §13).
+// Multi-device slab-sharded GPU-ICD engine (DESIGN.md §13).
 //
 // Splits one reconstruction across the slabs of a ShardPlan: every slab
 // gets its own GpuIcd engine on its own simulated device state (a full
 // private image + error-sinogram copy), restricted to its slab window.
-// Execution is bulk-synchronous: each outer iteration all slabs update
-// their owned rows concurrently, then a halo exchange — three kernels on a
-// dedicated exchange simulator, every access race-declared — merges the
+// Execution is bulk-synchronous and, like GpuIcd, stepped one outer
+// iteration at a time by the caller's loop. Each step is a fork-join: one
+// task per simulated device steps that device's slabs, and after the join
+// the calling thread runs a halo exchange — three kernels on a dedicated
+// exchange simulator, every access race-declared — that merges the
 // per-slab error deltas in slab order, assembles the authoritative image
 // from owned rows, and refreshes each slab's halo rows. Interconnect cost
 // (halo rows + error all-reduce over a modeled PCIe/NVLink link) is added
@@ -18,9 +20,7 @@
 // S=1 plan is bit-identical to the unsharded GpuIcd.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "geom/image.h"
@@ -45,10 +45,6 @@ struct ShardedOptions {
   int devices = 1;
   /// Interconnect the halo rows and error all-reduce travel over.
   gsim::LinkSpec link = gsim::pcie3Link();
-  /// Cooperative cancellation, checked at every exchange boundary. The
-  /// returned image is always the assembly of the last *completed*
-  /// exchange — a consistent BSP snapshot, never a torn mix.
-  const std::atomic<bool>* cancel = nullptr;
   /// Test-only sabotage (tests/test_shard.cpp): the halo-pack kernel's
   /// first block declares — without performing — a write reaching past its
   /// slab boundary, modeling a kernel that touches an unowned halo without
@@ -57,23 +53,10 @@ struct ShardedOptions {
   bool plant_undeclared_halo_write = false;
 };
 
-struct ShardIterationInfo {
-  int iteration = 0;             ///< 1-based outer iteration
-  double equits = 0.0;           ///< summed over slabs
-  double modeled_seconds = 0.0;  ///< synchronized clock incl. exchange+comm
-  const Image2D& x;              ///< assembled image at the BSP boundary
-};
-
-/// Return false to stop (invoked by the exchange leader, after the
-/// exchange, with the assembled image).
-using ShardIterationCallback = std::function<bool(const ShardIterationInfo&)>;
-
 struct ShardRunStats {
   int iterations = 0;
   double equits = 0.0;
-  bool stopped_by_callback = false;
-  bool cancelled = false;
-  /// Synchronized multi-device modeled time: per-device compute, barrier
+  /// Synchronized multi-device modeled time: per-device compute, synced
   /// at each exchange, plus exchange kernels and interconnect transfers.
   double modeled_seconds = 0.0;
   /// Critical-path compute: max over devices of summed slab kernel time.
@@ -96,17 +79,29 @@ struct ShardRunStats {
   std::uint64_t race_reports = 0;
 };
 
+/// One engine object is one run, stepped by the caller exactly like GpuIcd:
+/// `while (icd.stepIteration(x, e) && ...) {}` and then finish().
 class ShardedGpuIcd {
  public:
   /// Validates the plan against the problem's image size and `opt.devices`
-  /// against the slab count; throws mbir::Error on mismatch.
-  ShardedGpuIcd(const Problem& problem, ShardPlan plan, ShardedOptions opt);
+  /// against the slab count (throws mbir::Error on mismatch), seeds every
+  /// slab's private copies of x and e, and charges the initial broadcast.
+  ShardedGpuIcd(const Problem& problem, ShardPlan plan, ShardedOptions opt,
+                const Image2D& x, const Sinogram& e);
   ~ShardedGpuIcd();
 
-  /// Run until callback stop, cancellation, or the engine iteration cap;
-  /// x and e are updated in place at every exchange boundary.
-  ShardRunStats run(Image2D& x, Sinogram& e,
-                    const ShardIterationCallback& on_iteration = {});
+  /// One BSP outer iteration: every device steps its slabs, then the
+  /// exchange assembles x and e in place. Returns false, leaving x and e at
+  /// the last exchange, once the slab engines have run max_iterations. A
+  /// slab engine's exception rethrows here after every device has joined.
+  bool stepIteration(Image2D& x, Sinogram& e);
+  /// Kept in sync after every step; modeled_seconds is the synchronized
+  /// clock after the last exchange.
+  const ShardRunStats& runStats() const;
+  /// End of run, called once after the last step: charges the final
+  /// device-to-host gather and fills the compute and exchange seconds, the
+  /// work and kernel sums, and the race-check totals.
+  const ShardRunStats& finish();
 
   const ShardPlan& plan() const;
   /// The exchange simulator — tests read its race detector to prove the

@@ -4,9 +4,7 @@
 
 #include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
-#include <mutex>
 #include <set>
 
 #include "core/aligned.h"
@@ -220,31 +218,6 @@ TEST(ThreadPool, SubmittedTaskExceptionRethrownByWait) {
     });
   EXPECT_THROW(pool.wait(), Error);
   EXPECT_EQ(done.load(), 7);
-}
-
-TEST(ThreadPool, WaitOnErrorBreaksBlockedGangPeer) {
-  // A gang task that dies before a rendezvous must not leave its peer
-  // blocked forever: wait(on_error) wakes as soon as the error is stashed
-  // and lets the caller abort the rendezvous the dead task will never
-  // reach (the shard runner's cancelled-between-halo-phases case). Without
-  // the early wake this test deadlocks.
-  ThreadPool pool(2);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  pool.submit([] { throw Error("gang member died"); });
-  pool.submit([&] {
-    std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return release; });
-  });
-  EXPECT_THROW(pool.wait([&] {
-    {
-      std::lock_guard lock(mu);
-      release = true;
-    }
-    cv.notify_all();
-  }),
-               Error);
 }
 
 TEST(ThreadPool, PoolUsableAfterTaskException) {

@@ -101,7 +101,7 @@ GpuRunStats runGpuWith(ThreadPool* pool, int chunk_cache_capacity, Image2D& x,
   x = problem.fbpInitialImage();
   Sinogram e = problem.initialError(x);
   GpuIcd icd(problem.view(), opt);
-  return icd.run(x, e);
+  return test::stepGpu(icd, x, e);
 }
 
 using test::expectGpuRunsBitIdentical;

@@ -42,9 +42,7 @@ class EngineFixture : public ::testing::Test {
     x_out = problem_->fbpInitialImage();
     Sinogram e = problem_->initialError(x_out);
     GpuIcd icd(problem_->view(), test::tinyGpuOptions(std::move(opt)));
-    return icd.run(x_out, e, [&](const GpuIterationInfo& info) {
-      return info.equits < max_equits;
-    });
+    return test::stepGpu(icd, x_out, e, max_equits);
   }
 
   const OwnedProblem* problem_;
@@ -197,7 +195,7 @@ TEST_F(EngineFixture, GpuErrorSinogramIntegrity) {
   opt.tunables.sv.sv_side = 8;
   opt.flags.quantize_amatrix = false;  // exact A so e stays y - A x
   GpuIcd icd(p, opt);
-  icd.run(x, e, [&](const GpuIterationInfo& info) { return info.equits < 5.0; });
+  test::stepGpu(icd, x, e, 5.0);
   const Sinogram fresh = errorSinogram(p.A, p.y, x);
   double worst = 0.0;
   for (std::size_t i = 0; i < fresh.flat().size(); ++i)
@@ -279,13 +277,13 @@ TEST_F(EngineFixture, GpuEquitsAtLeastPsvEquits) {
   Sinogram ge = problem_->initialError(gx);
   GpuIcd gpu(problem_->view(), gopt);
   double gpu_equits = 1e9;
-  gpu.run(gx, ge, [&](const GpuIterationInfo& info) {
-    if (rmseHu(info.x, *golden_) < 10.0) {
-      gpu_equits = info.equits;
-      return false;
+  while (gpu.stepIteration(gx, ge)) {
+    if (rmseHu(gx, *golden_) < 10.0) {
+      gpu_equits = gpu.runStats().equits;
+      break;
     }
-    return info.equits < 20.0;
-  });
+    if (gpu.runStats().equits >= 20.0) break;
+  }
 
   ASSERT_LT(psv_equits, 1e9);
   ASSERT_LT(gpu_equits, 1e9);

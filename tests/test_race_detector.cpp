@@ -487,9 +487,7 @@ class RaceEngineFixture : public ::testing::Test {
     x_out = problem.fbpInitialImage();
     Sinogram e = problem.initialError(x_out);
     GpuIcd icd(problem.view(), test::tinyGpuOptions(std::move(opt)));
-    return icd.run(x_out, e, [&](const GpuIterationInfo& info) {
-      return info.equits < max_equits;
-    });
+    return test::stepGpu(icd, x_out, e, max_equits);
   }
 };
 

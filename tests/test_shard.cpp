@@ -1,16 +1,19 @@
 // The shard test wall (DESIGN.md §13): slab-plan properties, the
 // device-count determinism contract, halo-width edge cases, race-cleanliness
 // of the halo exchange (plus exact attribution of a planted undeclared halo
-// write), and cancellation between halo phases of a multi-device gang.
+// write), interconnect accounting, and cancellation and slab faults in a
+// multi-device gang.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "core/error.h"
+#include "gsim/fault.h"
 #include "obs/json.h"
 #include "shard/plan.h"
 #include "shard/shard_job.h"
@@ -116,13 +119,14 @@ struct ShardRun {
   ShardRunStats stats;
 };
 
-ShardRun runSharded(const ShardPlan& plan, ShardedOptions opt,
-                    const ShardIterationCallback& cb = {}) {
+ShardRun runSharded(const ShardPlan& plan, ShardedOptions opt) {
   const OwnedProblem& problem = tinyProblem();
   ShardRun out{problem.fbpInitialImage(), Sinogram(), {}};
   out.e = problem.initialError(out.x);
-  ShardedGpuIcd runner(problem.view(), plan, std::move(opt));
-  out.stats = runner.run(out.x, out.e, cb);
+  ShardedGpuIcd runner(problem.view(), plan, std::move(opt), out.x, out.e);
+  while (runner.stepIteration(out.x, out.e)) {
+  }
+  out.stats = runner.finish();
   return out;
 }
 
@@ -174,7 +178,7 @@ TEST(ShardedGpuIcd, SingleSlabPlanMatchesUnshardedEngine) {
   GpuIcdOptions opt = tinyGpuOptions();
   opt.max_iterations = 4;
   GpuIcd engine(problem.view(), opt);
-  const GpuRunStats stats = engine.run(x, e);
+  const GpuRunStats stats = test::stepGpu(engine, x, e);
 
   expectImagesBitIdentical(sharded.x, x);
   EXPECT_EQ(sinoHash(sharded.e), sinoHash(e));
@@ -186,14 +190,16 @@ TEST(ShardedGpuIcd, SingleSlabPlanMatchesUnshardedEngine) {
 TEST(ShardedGpuIcd, ValidatesDevicesAndImageSize) {
   const OwnedProblem& problem = tinyProblem();
   const int n = problem.geometry().image_size;
+  const Image2D x = problem.fbpInitialImage();
+  const Sinogram e = problem.initialError(x);
   EXPECT_THROW(ShardedGpuIcd(problem.view(), makeShardPlan(n, 4, 1),
-                             tinyShardOptions(0)),
+                             tinyShardOptions(0), x, e),
                Error);
   EXPECT_THROW(ShardedGpuIcd(problem.view(), makeShardPlan(n, 4, 1),
-                             tinyShardOptions(5)),  // more devices than slabs
+                             tinyShardOptions(5), x, e),  // devices > slabs
                Error);
   EXPECT_THROW(ShardedGpuIcd(problem.view(), makeShardPlan(n / 2, 2, 1),
-                             tinyShardOptions(1)),  // plan for the wrong image
+                             tinyShardOptions(1), x, e),  // wrong image size
                Error);
 }
 
@@ -210,8 +216,10 @@ TEST(ShardedGpuIcd, HaloExchangeIsRaceClean) {
   const OwnedProblem& problem = tinyProblem();
   Image2D x = problem.fbpInitialImage();
   Sinogram e = problem.initialError(x);
-  ShardedGpuIcd runner(problem.view(), plan, opt);
-  const ShardRunStats stats = runner.run(x, e);  // throw_on_race: any race dies
+  ShardedGpuIcd runner(problem.view(), plan, opt, x, e);
+  while (runner.stepIteration(x, e)) {  // throw_on_race: any race dies
+  }
+  const ShardRunStats stats = runner.finish();
 
   EXPECT_TRUE(runner.exchangeSimulator().raceDetector().races().empty());
   const gsim::RaceCheckTotals ex = runner.exchangeSimulator().raceDetector().totals();
@@ -242,8 +250,10 @@ TEST(ShardedGpuIcd, PlantedUndeclaredHaloWriteIsAttributedExactly) {
   const OwnedProblem& problem = tinyProblem();
   Image2D x = problem.fbpInitialImage();
   Sinogram e = problem.initialError(x);
-  ShardedGpuIcd runner(problem.view(), plan, opt);
-  const ShardRunStats stats = runner.run(x, e);
+  ShardedGpuIcd runner(problem.view(), plan, opt, x, e);
+  while (runner.stepIteration(x, e)) {
+  }
+  const ShardRunStats stats = runner.finish();
 
   const auto& races = runner.exchangeSimulator().raceDetector().races();
   ASSERT_FALSE(races.empty());
@@ -260,34 +270,91 @@ TEST(ShardedGpuIcd, PlantedUndeclaredHaloWriteIsAttributedExactly) {
   EXPECT_GE(stats.race_reports, 1u);
 }
 
+TEST(ShardedGpuIcd, HaloZeroPlansCountNoHaloTransfers) {
+  // Each exchange, every cross-device slab pair swaps its halo rows as two
+  // transfers; a halo-0 plan sends none. One exchange on 2 slabs x 2
+  // devices: broadcast 1 + halo 2 + all-reduce 2 + final gather 1.
+  const int n = tinyProblem().geometry().image_size;
+  for (const int halo : {0, 1}) {
+    const ShardRun r = runSharded(makeShardPlan(n, 2, halo),
+                                  tinyShardOptions(2, /*max_iterations=*/1));
+    EXPECT_EQ(r.stats.exchanges, 1);
+    EXPECT_EQ(r.stats.comm_transfers, halo == 0 ? 4u : 6u) << "halo=" << halo;
+  }
+}
+
 TEST(ShardedGpuIcd, CancelBetweenExchangesKeepsConsistentSnapshot) {
-  // A 2-device gang cancelled between halo phases must terminate (the
-  // ThreadPool error path breaks the peer out of the barrier rendezvous)
-  // and return the last *completed* BSP snapshot — bit-identical to a run
-  // stopped cleanly at that exchange — never a torn mix of iterations.
-  const ShardPlan plan = makeShardPlan(tinyProblem().geometry().image_size,
+  // A 2-device gang cancelled mid-run stops at the iteration boundary,
+  // like every unsharded engine, and returns the assembly of the last
+  // completed exchange: bit-identical to the gang stepped exactly that many
+  // times, never a torn mix of iterations. The cancel flag is set from the
+  // fault seam at the second iteration boundary (event 1), i.e. after the
+  // second exchange.
+  struct CancelAtSecondBoundary : gsim::FaultHook {
+    std::atomic<bool> cancel{false};
+    void onEvent(const char* what, std::uint64_t index) override {
+      if (std::strcmp(what, "iteration") == 0 && index == 1) cancel.store(true);
+    }
+  } hook;
+  const OwnedProblem& problem = tinyProblem();
+  ShardConfig cfg;
+  cfg.plan = makeShardPlan(problem.geometry().image_size, /*num_slabs=*/4,
+                           /*halo=*/1);
+  cfg.devices = 2;
+  cfg.base = test::tinyRunConfig(Algorithm::kGpuIcd);
+  cfg.base.stop_rmse_hu = -1.0;  // only the cancel stops the run
+  cfg.base.fault_hook = &hook;
+  cfg.base.cancel = &hook.cancel;
+  const ShardRunResult cancelled = reconstructSharded(problem, tinyGolden(), cfg);
+
+  ShardedOptions opt;
+  opt.engine = gpuEngineOptions(problem, cfg.base, nullptr);
+  opt.engine.fault_hook = nullptr;
+  opt.devices = 2;
+  Image2D x = problem.fbpInitialImage();
+  Sinogram e = problem.initialError(x);
+  ShardedGpuIcd twice(problem.view(), cfg.plan, std::move(opt), x, e);
+  ASSERT_TRUE(twice.stepIteration(x, e));
+  ASSERT_TRUE(twice.stepIteration(x, e));
+  const ShardRunStats& ref = twice.finish();
+
+  EXPECT_TRUE(cancelled.run.cancelled);
+  EXPECT_FALSE(cancelled.run.converged);
+  EXPECT_EQ(cancelled.run.curve.size(), 1u);
+  EXPECT_EQ(cancelled.shard.iterations, 2);
+  EXPECT_EQ(cancelled.shard.exchanges, 2);
+  expectImagesBitIdentical(cancelled.run.image, x);
+  // reconstructSharded keeps its error sinogram internal; the exchange's
+  // bookkeeping pins the same two-exchange state from the other side.
+  EXPECT_EQ(cancelled.shard.equits, ref.equits);
+  EXPECT_EQ(cancelled.shard.work.voxel_updates, ref.work.voxel_updates);
+  EXPECT_EQ(cancelled.shard.modeled_seconds, ref.modeled_seconds);
+  EXPECT_EQ(cancelled.shard.comm_bytes, ref.comm_bytes);
+}
+
+TEST(ShardedGpuIcd, SlabFaultSurfacesFromStepWithoutHanging) {
+  // A launch fault inside device 0's slab step must rethrow from
+  // stepIteration once the step's device tasks have joined, and the engine
+  // must then destruct promptly: a fork-join step leaves no peer parked on
+  // a rendezvous the failed device will never reach.
+  struct FailFirstUpdate : gsim::FaultHook {
+    void onEvent(const char* what, std::uint64_t index) override {
+      if (std::strcmp(what, "launch:mbir_update") == 0)
+        throw gsim::LaunchFault("mbir_update", index, 0);
+    }
+  } hook;
+  const OwnedProblem& problem = tinyProblem();
+  const ShardPlan plan = makeShardPlan(problem.geometry().image_size,
                                        /*num_slabs=*/4, /*halo=*/1);
-
-  const ShardRun clean = runSharded(
-      plan, tinyShardOptions(2, /*max_iterations=*/6),
-      [](const ShardIterationInfo& info) { return info.iteration < 2; });
-  ASSERT_EQ(clean.stats.iterations, 2);
-  ASSERT_TRUE(clean.stats.stopped_by_callback);
-
-  std::atomic<bool> cancel{false};
-  ShardedOptions opt = tinyShardOptions(2, /*max_iterations=*/6);
-  opt.cancel = &cancel;
-  const ShardRun cancelled = runSharded(
-      plan, std::move(opt), [&cancel](const ShardIterationInfo& info) {
-        if (info.iteration == 2) cancel.store(true);
-        return true;
-      });
-
-  EXPECT_TRUE(cancelled.stats.cancelled);
-  EXPECT_FALSE(cancelled.stats.stopped_by_callback);
-  EXPECT_EQ(cancelled.stats.iterations, 2);
-  expectImagesBitIdentical(cancelled.x, clean.x);
-  EXPECT_EQ(sinoHash(cancelled.e), sinoHash(clean.e));
+  ShardedOptions opt = tinyShardOptions(2);
+  opt.engine.fault_hook = &hook;
+  Image2D x = problem.fbpInitialImage();
+  Sinogram e = problem.initialError(x);
+  {
+    ShardedGpuIcd gang(problem.view(), plan, std::move(opt), x, e);
+    EXPECT_THROW(gang.stepIteration(x, e), gsim::LaunchFault);
+    EXPECT_EQ(gang.runStats().exchanges, 0);
+  }  // destructs here; a parked peer would hang the test
 }
 
 // ---------------------------------------------------------------------------

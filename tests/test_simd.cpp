@@ -446,9 +446,7 @@ class SimdEngineIdentity : public ::testing::Test {
     Sinogram e = problem_->initialError(x_out);
     opt.race_check.enabled = true;
     GpuIcd icd(problem_->view(), test::tinyGpuOptions(std::move(opt)));
-    return icd.run(x_out, e, [&](const GpuIterationInfo& info) {
-      return info.equits < 3.0;
-    });
+    return test::stepGpu(icd, x_out, e, 3.0);
   }
 
   void expectGpuBothWaysIdentical(OptimFlags flags) {

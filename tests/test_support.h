@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "core/hash.h"
 #include "gpuicd/gpu_icd.h"
@@ -44,6 +45,17 @@ inline RunConfig tinyRunConfig(Algorithm algorithm,
   cfg.gpu.tunables.sv.sv_side = 8;
   cfg.max_equits = max_equits;
   return cfg;
+}
+
+/// Step a GPU-ICD engine on x and e until it has run max_iterations or its
+/// equits reach `max_equits` (reconstruct()'s loop with only the equit cap);
+/// returns the final stats.
+inline GpuRunStats stepGpu(
+    GpuIcd& icd, Image2D& x, Sinogram& e,
+    double max_equits = std::numeric_limits<double>::infinity()) {
+  while (icd.stepIteration(x, e) && icd.runStats().equits < max_equits) {
+  }
+  return icd.runStats();
 }
 
 inline void expectImagesBitIdentical(const Image2D& a, const Image2D& b) {
