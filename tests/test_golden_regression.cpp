@@ -61,6 +61,18 @@ std::vector<EngineRecord> computeCurrent() {
   RunConfig gpu_exact = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
   gpu_exact.gpu.flags.quantize_amatrix = false;
   run("gpu_exact_amatrix", gpu_exact);
+  // Accounting branches the default flags leave dark: float-width SVB
+  // reads, a non-warp-multiple chunk width (idle lanes, unaligned chunks,
+  // lane groups cut by the window end) and registers kept out of smem.
+  RunConfig gpu_float_svb = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
+  gpu_float_svb.gpu.flags.read_svb_as_double = false;
+  run("gpu_float_svb_reads", gpu_float_svb);
+  RunConfig gpu_w29 = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
+  gpu_w29.gpu.tunables.chunk_width = 29;
+  run("gpu_chunk_width_29", gpu_w29);
+  RunConfig gpu_no_spill = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
+  gpu_no_spill.gpu.flags.spill_registers_to_smem = false;
+  run("gpu_no_smem_spill", gpu_no_spill);
   return records;
 }
 
