@@ -36,6 +36,7 @@
 // math executes, so they are bit-identical across paths by construction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -71,6 +72,14 @@ struct alignas(32) ThetaLanes {
   }
 };
 
+/// One chunk row's band: the voxel's true footprint [i0, i0 + n) inside
+/// its chunk window (sv/chunks.h stores one per row; windows are at most
+/// 255 wide).
+struct RowBand {
+  std::uint8_t i0;
+  std::uint8_t n;
+};
+
 /// Dispatch table of the lane-group row ops the engines' hot loops run on.
 /// `n` is the row length in elements; rows need not be aligned (hot buffers
 /// come from core/aligned.h, but ops tolerate any offset into them).
@@ -82,35 +91,41 @@ struct SimdOps {
   ///   acc.t1[i%8] -= m * double(e[i]);  acc.t2[i%8] += m * double(a[i]);
   void (*theta_row_f)(const float* a, const float* e, const float* w, int n,
                       ThetaLanes& acc);
-  /// Same with on-the-fly dequantization a_i = float(q[i]) * scale
-  /// (uint8 A-chunk rows, paper §4.3.1).
-  void (*theta_row_q)(const std::uint8_t* q, float scale, const float* e,
-                      const float* w, int n, ThetaLanes& acc);
 
   /// Error-SVB row update: e[i] -= a[i] * delta (float multiply/subtract).
   void (*err_row_f)(const float* a, float delta, float* e, int n);
-  /// Quantized variant: e[i] -= (float(q[i]) * scale) * delta.
-  void (*err_row_q)(const std::uint8_t* q, float scale, float delta,
-                    float* e, int n);
 
-  /// Band-covering *window* variants for the transformed GPU-ICD layout:
-  /// pointers are chunk-window bases (window width `win`, zero-padded A
-  /// outside the true band [i0, i1)), and the op processes exactly the lane
-  /// groups covering the band — [i0 & ~7, min(roundUp8(i1), win)) — with
-  /// lane = window index mod 8. Skipped window elements hold a == +0.0 so
-  /// omitting them cannot change any accumulator bit; processed zero-padded
-  /// elements contribute +0.0 products identically on both paths.
-  /// Preconditions: 0 <= i0 <= i1 <= win; all row buffers are readable
+  /// Whole-chunk ops for the transformed GPU-ICD layout (paper §4.1). A
+  /// chunk is `rows` consecutive rows of one window of width `win`: the A
+  /// rows are dense and `win` elements apart, zero-padded outside each
+  /// row's band; the SVB rows (`e`, `w` point at column 0 of the window in
+  /// the chunk's first view) are `pitch` elements apart. Row r is processed
+  /// exactly like a single window over the lane groups covering its band
+  /// [i0, i1) = [bands[r].i0, bands[r].i0 + bands[r].n):
+  /// [i0 & ~7, min(roundUp8(i1), win)), lane = window index mod 8, full
+  /// groups vectorized, then a scalar tail only when the window ends
+  /// mid-group. Rows run in order and the theta lane accumulators stay in
+  /// registers across them, so a chunk call equals the loop of its one-row
+  /// calls bit for bit. Skipped window elements hold a == +0.0, so omitting
+  /// them cannot change any accumulator bit; processed zero-padded elements
+  /// contribute +0.0 products identically on both paths.
+  /// The quantized variants dequantize a = float(q[i]) * scale (uint8
+  /// A-chunk rows, paper §4.3.1); err ops compute e[i] -= a * delta.
+  /// Preconditions: i1 <= win for every row; every SVB row is readable
   /// (err: writable) over [0, win).
-  void (*theta_win_f)(const float* a, const float* e, const float* w, int i0,
-                      int i1, int win, ThetaLanes& acc);
-  void (*theta_win_q)(const std::uint8_t* q, float scale, const float* e,
-                      const float* w, int i0, int i1, int win,
-                      ThetaLanes& acc);
-  void (*err_win_f)(const float* a, float delta, float* e, int i0, int i1,
-                    int win);
-  void (*err_win_q)(const std::uint8_t* q, float scale, float delta, float* e,
-                    int i0, int i1, int win);
+  void (*theta_chunk_f)(const float* a, const float* e, const float* w,
+                        std::ptrdiff_t pitch, const RowBand* bands, int rows,
+                        int win, ThetaLanes& acc);
+  void (*theta_chunk_q)(const std::uint8_t* q, float scale, const float* e,
+                        const float* w, std::ptrdiff_t pitch,
+                        const RowBand* bands, int rows, int win,
+                        ThetaLanes& acc);
+  void (*err_chunk_f)(const float* a, float delta, float* e,
+                      std::ptrdiff_t pitch, const RowBand* bands, int rows,
+                      int win);
+  void (*err_chunk_q)(const std::uint8_t* q, float scale, float delta,
+                      float* e, std::ptrdiff_t pitch, const RowBand* bands,
+                      int rows, int win);
 
   /// Writeback row: dst[i] += cur[i] - orig[i] (Svb::applyDeltaTo core).
   void (*apply_delta_row)(const float* cur, const float* orig, float* dst,

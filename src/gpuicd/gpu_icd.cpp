@@ -312,28 +312,32 @@ struct GpuIcd::Impl {
   /// One SV's voxel sweep against the padded SVB + A-chunks. Runs inside
   /// one simulated block; everything it mutates (x inside the SV, the SV's
   /// SVBs, `work`, `mag`) is private to that block during the launch.
-  /// Functional row math executes as lane groups over the band-covering
-  /// slice of each chunk window (the zero padding cannot perturb the lane
-  /// accumulators — see core/simd.h); profiler and race declarations are
-  /// untouched by the path choice.
+  /// Each pass walks whole chunks: one lane-group op over the chunk's rows
+  /// (the band-covering slice of each row's window — the zero padding
+  /// cannot perturb the lane accumulators, see core/simd.h) and one
+  /// profiler charge standing for the chunk's per-row warp accesses;
+  /// profiler and race declarations are untouched by the path choice.
   void processSvTransformed(BatchSv& b, Image2D& x, Rng& rng,
                             gsim::KernelProfiler& prof,
                             const gsim::SimdOps& ops, WorkCounters& work,
                             double& mag) {
-    const SystemMatrix& A = problem.A;
     const GpuTunables& tn = opt.tunables;
     const OptimFlags& fl = opt.flags;
     const SuperVoxel& sv = grid.sv(b.sv_id);
     const SvbPlan& plan = *b.plan;
     const ChunkPlan& cp = *b.chunks;
-    const int n = x.size();
     const int W = tn.chunk_width;
     const int warps = tn.threads_per_block / 32;
     const int abytes = cp.bytesPerElement();
+    const bool quant = cp.quantized();
+    const std::ptrdiff_t pitch = plan.paddedWidth();
     const int tb_per_sv = effectiveTbPerSv();
     const double conflict = intraSvConflictMultiplier(
-        plan, A, std::min(tb_per_sv, sv.numVoxels()));
-    const KernelFootprint fp = updateKernelFootprint(fl);
+        plan, problem.A, std::min(tb_per_sv, sv.numVoxels()));
+    // Spilled thread-locals live in shared memory (§4.2); without the
+    // spill they stay in registers and cost no traffic.
+    const std::size_t smem_per_row =
+        std::size_t(32) * (fl.spill_registers_to_smem ? 8 : 0);
 
     std::vector<int> order(std::size_t(sv.numVoxels()));
     for (std::size_t k = 0; k < order.size(); ++k) order[k] = int(k);
@@ -357,54 +361,32 @@ struct GpuIcd::Impl {
         work_rows.push_back(0);
         continue;
       }
-      const std::size_t voxel = std::size_t(row) * std::size_t(n) + std::size_t(col);
 
-      const bool quant = cp.quantized();
       const float scale = cp.scaleOf(k);
       gsim::ThetaLanes lanes;
       lanes.reset();
       int rows_total = 0;
+      std::size_t elems_total = 0;
       for (const ChunkDesc& d : cp.chunksOf(k)) {
         prof.descRead(sizeof(ChunkDesc));
-        const std::uint8_t* qrows = quant ? cp.dataQuant(d).data() : nullptr;
-        const float* frows = quant ? nullptr : cp.dataFloat(d).data();
-        for (int i = 0; i < d.nrows; ++i) {
-          const int v = d.view0 + i;
-          const SystemMatrix::Run& r = A.run(voxel, v);
-          // Warp-level traffic: e row + w row + A row. Rows whose width is
-          // not a warp multiple leave lanes idle on the last pass — the
-          // reason warp-multiple chunk widths win in Fig. 6.
-          prof.svbAccess(W, 4, d.aligned, fl.read_svb_as_double);
-          prof.svbAccess(W, 4, d.aligned, fl.read_svb_as_double);
-          prof.amatrixAccess(W, abytes, d.aligned);
-          const int idle_lanes = (W + 31) / 32 * 32 - W;
-          if (idle_lanes > 0) {
-            prof.svbIdle(idle_lanes, 4);
-            prof.svbIdle(idle_lanes, 4);
-          }
-          // Spilled thread-locals live in shared memory (§4.2); without
-          // the spill they stay in registers and cost no traffic.
-          prof.smemTraffic(std::size_t(32) *
-                           (fl.spill_registers_to_smem ? 8 : 0));
-          prof.addFlops(3.0 * W);
-          // Functional math as lane groups over the groups covering the
-          // row's true band inside the chunk window (window elements
-          // outside the band hold exact +0.0 A values, so the skipped
-          // groups could never perturb a lane accumulator — core/simd.h).
-          const float* erow = b.e_svb->rowData(v) + d.base;
-          const float* wrow = b.w_svb->rowData(v) + d.base;
-          const int i0 = int(r.first_channel) - plan.lo(v) - d.base;
-          const int i1 = i0 + int(r.count);
-          if (quant)
-            ops.theta_win_q(qrows + std::size_t(i) * std::size_t(W), scale,
-                            erow, wrow, i0, i1, W, lanes);
-          else
-            ops.theta_win_f(frows + std::size_t(i) * std::size_t(W), erow,
-                            wrow, i0, i1, W, lanes);
-          work.theta_elements += r.count;
-          ++rows_total;
-        }
+        // Warp-level traffic per row: e row + w row + A row. Rows whose
+        // width is not a warp multiple leave lanes idle on the last pass —
+        // the reason warp-multiple chunk widths win in Fig. 6.
+        prof.thetaChunk(d.nrows, W, abytes, d.aligned, fl.read_svb_as_double,
+                        smem_per_row);
+        const std::span<const RowBand> bands = cp.bandsOf(d);
+        const float* erow = b.e_svb->rowData(d.view0) + d.base;
+        const float* wrow = b.w_svb->rowData(d.view0) + d.base;
+        if (quant)
+          ops.theta_chunk_q(cp.dataQuant(d).data(), scale, erow, wrow, pitch,
+                            bands.data(), d.nrows, W, lanes);
+        else
+          ops.theta_chunk_f(cp.dataFloat(d).data(), erow, wrow, pitch,
+                            bands.data(), d.nrows, W, lanes);
+        for (const RowBand& rb : bands) elems_total += rb.n;
+        rows_total += d.nrows;
       }
+      work.theta_elements += elems_total;
       ThetaPair theta;
       theta.theta1 = gsim::reduceLanes(lanes.t1);
       theta.theta2 = gsim::reduceLanes(lanes.t2);
@@ -422,34 +404,24 @@ struct GpuIcd::Impl {
       prof.addFlops(60.0);  // prior solve, single thread
       x(row, col) += delta;
 
-      // Error SVB update: e_svb -= A * delta, atomic per element. Runs
-      // over the band-covering groups like the theta pass; zero-padded A
-      // columns inside those groups subtract an exact ±0.0, which
-      // preserves every error bit.
+      // Error SVB update: e_svb -= A * delta, atomic per element of each
+      // row's band (zero lanes are masked). Runs over the band-covering
+      // groups like the theta pass; zero-padded A columns inside those
+      // groups subtract an exact ±0.0, which preserves every error bit.
       if (delta != 0.0f) {
         for (const ChunkDesc& d : cp.chunksOf(k)) {
-          const std::uint8_t* qrows = quant ? cp.dataQuant(d).data() : nullptr;
-          const float* frows = quant ? nullptr : cp.dataFloat(d).data();
-          for (int i = 0; i < d.nrows; ++i) {
-            const int v = d.view0 + i;
-            const SystemMatrix::Run& r = A.run(voxel, v);
-            prof.svbAccess(W, 4, d.aligned, false);  // atomics are 4-byte
-            prof.amatrixAccess(W, abytes, d.aligned);
-            // atomicAdd only where A is nonzero (zero lanes are masked).
-            prof.svbAtomic(int(r.count), conflict);
-            prof.addFlops(2.0 * W);
-            float* erow = b.e_svb->rowData(v) + d.base;
-            const int i0 = int(r.first_channel) - plan.lo(v) - d.base;
-            const int i1 = i0 + int(r.count);
-            if (quant)
-              ops.err_win_q(qrows + std::size_t(i) * std::size_t(W), scale,
-                            delta, erow, i0, i1, W);
-            else
-              ops.err_win_f(frows + std::size_t(i) * std::size_t(W), delta,
-                            erow, i0, i1, W);
-            work.error_update_elements += r.count;
-          }
+          const std::span<const RowBand> bands = cp.bandsOf(d);
+          prof.errorChunk(bands.data(), d.nrows, W, abytes, d.aligned,
+                          conflict);
+          float* erow = b.e_svb->rowData(d.view0) + d.base;
+          if (quant)
+            ops.err_chunk_q(cp.dataQuant(d).data(), scale, delta, erow, pitch,
+                            bands.data(), d.nrows, W);
+          else
+            ops.err_chunk_f(cp.dataFloat(d).data(), delta, erow, pitch,
+                            bands.data(), d.nrows, W);
         }
+        work.error_update_elements += elems_total;
       }
       mag += std::abs(double(delta));
       ++work.voxel_updates;
@@ -469,7 +441,6 @@ struct GpuIcd::Impl {
       const double imb = staticPartitionImbalance(work_rows, effectiveTbPerSv());
       prof.setImbalance(1.0 + (imb - 1.0) * 0.25);
     }
-    (void)fp;
   }
 
   /// The naive (untransformed, Fig. 4a) kernel: packed SVB walked in

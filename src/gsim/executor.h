@@ -43,12 +43,18 @@ namespace mbir::gsim {
 
 /// Accounting interface kernels report through.
 ///
-/// All accounting methods are defined inline: kernels call them once per
-/// warp-granularity access inside their hottest loops, and the calls must
-/// melt into the surrounding loop rather than pay an out-of-line call each
-/// (they dominated the profile before the SIMD lane-group rework). The
-/// operations and their order are exactly the out-of-line originals, so
-/// every accumulated stat is bit-identical to pre-inline builds.
+/// Kernels report at warp granularity: one call per warp-contiguous access,
+/// flop batch or atomic run. The transformed update kernel's hot loop
+/// instead makes one chunk charge per pass (thetaChunk, errorChunk), which
+/// stands for its per-row calls over all of the chunk's rows and leaves
+/// every accumulator bit-identical to them. Counters whose addends are all
+/// integers (transaction bytes, smem bytes, flops, atomic counts) are
+/// charged once as rows x value, which is exact while the sum stays below
+/// 2^53. The two whose addends are not integers keep one add per row in
+/// the original order, because floating-point addition is not associative:
+/// svb_access_time_bytes (float-width reads add bytes /
+/// l2_float_width_factor) and atomic_ops_weighted (count x conflict).
+/// Everything is inline, so the calls melt into the kernels' loops.
 class KernelProfiler {
  public:
   explicit KernelProfiler(const DeviceSpec& dev) : dev_(dev) {}
@@ -135,6 +141,65 @@ class KernelProfiler {
   }
 
   void setL2WorkingSet(double bytes) { stats_.l2_working_set_bytes = bytes; }
+
+  /// Theta pass of the transformed update kernel over one chunk of `rows`
+  /// rows, W wide. Per row: the e and w SVB rows (svbAccess twice), the A
+  /// row (amatrixAccess), the lanes past W in the row's last warp pass
+  /// (svbIdle twice, when W is not a warp multiple), `smem_per_row` spill
+  /// bytes and 3W flops.
+  void thetaChunk(int rows, int W, int a_bytes, bool aligned, bool as_double,
+                  std::size_t smem_per_row) {
+    const double tx = dev_.transaction_bytes;
+    const double svb = double(transactions(W, 4, aligned)) * tx;
+    const double svb_time = as_double ? svb : svb / dev_.l2_float_width_factor;
+    const int warp = dev_.warp_size;
+    const int idle_lanes = (W + warp - 1) / warp * warp - W;
+    const double idle = double(transactions(idle_lanes, 4, true)) * tx;
+    double time_bytes = stats_.svb_access_time_bytes;
+    for (int r = 0; r < rows; ++r) {
+      time_bytes += svb_time;
+      time_bytes += svb_time;
+      if (idle_lanes > 0) {
+        time_bytes += idle;
+        time_bytes += idle;
+      }
+    }
+    stats_.svb_access_time_bytes = time_bytes;
+    const double n = rows;
+    stats_.svb_access_bytes += n * (2.0 * svb);
+    stats_.amatrix_access_bytes +=
+        n * (double(transactions(W, a_bytes, aligned)) * tx);
+    stats_.smem_bytes += n * double(smem_per_row);
+    stats_.flops += n * (3.0 * W);
+  }
+
+  /// Error pass of the transformed update kernel over one chunk. Per row:
+  /// one 4-byte SVB row access (atomics are 4-byte), the A row, an atomic
+  /// per element of the row's band (svbAtomic(band.n, conflict)) and 2W
+  /// flops.
+  void errorChunk(const RowBand* bands, int rows, int W, int a_bytes,
+                  bool aligned, double conflict) {
+    MBIR_CHECK(conflict >= 1.0);
+    const double tx = dev_.transaction_bytes;
+    const double svb = double(transactions(W, 4, aligned)) * tx;
+    const double svb_time = svb / dev_.l2_float_width_factor;
+    double time_bytes = stats_.svb_access_time_bytes;
+    double weighted = stats_.atomic_ops_weighted;
+    int ops = 0;
+    for (int r = 0; r < rows; ++r) {
+      time_bytes += svb_time;
+      weighted += double(bands[r].n) * conflict;
+      ops += bands[r].n;
+    }
+    stats_.svb_access_time_bytes = time_bytes;
+    stats_.atomic_ops_weighted = weighted;
+    const double n = rows;
+    stats_.svb_access_bytes += n * svb;
+    stats_.amatrix_access_bytes +=
+        n * (double(transactions(W, a_bytes, aligned)) * tx);
+    stats_.atomic_ops += ops;
+    stats_.flops += n * (2.0 * W);
+  }
 
   // Race-check declarations (no-ops — one branch — unless the executor
   // attached a BlockAccessLog for this launch). Buffer ids come from

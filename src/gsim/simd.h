@@ -12,6 +12,7 @@
 namespace mbir::gsim {
 
 using mbir::kSimdLanes;
+using mbir::RowBand;
 using mbir::SimdMode;
 using mbir::SimdOps;
 using mbir::ThetaLanes;

@@ -13,6 +13,9 @@ ChunkPlan::ChunkPlan(const SystemMatrix& A, SvbPlan& svb_plan,
                  "chunk width " << options.chunk_width
                                 << " below max footprint width "
                                 << A.maxFootprintWidth());
+  MBIR_CHECK_MSG(options.chunk_width <= 255,
+                 "chunk width " << options.chunk_width
+                                << " above 255 (row bands are uint8)");
 
   const int W = options.chunk_width;
   const int align_unit = std::min(W, svb_plan.padAlign());
@@ -84,6 +87,7 @@ ChunkPlan::ChunkPlan(const SystemMatrix& A, SvbPlan& svb_plan,
     MBIR_CHECK_MSG(offset <= UINT32_MAX, "chunk table exceeds uint32 offsets");
   }
   total_elements_ = offset;
+  bands_.resize(total_elements_ / std::size_t(W));
 
   // Pass 2: fill A rows (zero-padded outside the voxel's true footprint).
   if (options_.quantize)
@@ -101,6 +105,8 @@ ChunkPlan::ChunkPlan(const SystemMatrix& A, SvbPlan& svb_plan,
       const auto aw = A.weights(voxel, v);
       const int ws = int(r.first_channel) - svb_plan.lo(v);
       const std::size_t row_off = d.data_offset + std::size_t(i) * std::size_t(W);
+      bands_[row_off / std::size_t(W)] =
+          RowBand{std::uint8_t(ws - d.base), std::uint8_t(r.count)};
       for (int k = 0; k < int(r.count); ++k) {
         const int col = ws + k - d.base;
         MBIR_CHECK(col >= 0 && col < W);
@@ -122,6 +128,11 @@ std::span<const ChunkDesc> ChunkPlan::chunksOf(int local_voxel) const {
   const std::size_t b = voxel_begin_[std::size_t(local_voxel)];
   const std::size_t e = voxel_begin_[std::size_t(local_voxel) + 1];
   return {descs_.data() + b, e - b};
+}
+
+std::span<const RowBand> ChunkPlan::bandsOf(const ChunkDesc& d) const {
+  return {bands_.data() + d.data_offset / std::uint32_t(options_.chunk_width),
+          std::size_t(d.nrows)};
 }
 
 std::span<const float> ChunkPlan::dataFloat(const ChunkDesc& d) const {

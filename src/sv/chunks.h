@@ -13,6 +13,11 @@
 // non-voxel-related SVB elements inside the window never affect correctness
 // (a property the test suite pins against the global-sinogram reference).
 //
+// Each chunk row also records its band: where the voxel's true footprint
+// sits inside the window ([i0, i0 + n), 2 bytes per row), so the update
+// kernel walks whole chunks without looking the footprint up in the
+// SystemMatrix again.
+//
 // The same table can be built with uint8-quantized A entries (§4.3.1):
 // q = round(A / voxelMax * 255), dequantized on the fly by q * scale with
 // scale = voxelMax / 255 stored once per voxel.
@@ -23,6 +28,7 @@
 #include <vector>
 
 #include "core/aligned.h"
+#include "core/simd.h"
 #include "geom/system_matrix.h"
 #include "sv/svb.h"
 
@@ -38,7 +44,8 @@ struct ChunkDesc {
 };
 
 struct ChunkPlanOptions {
-  /// Chunk width W in elements (paper Fig. 6 sweeps 8..128; best 32).
+  /// Chunk width W in elements (paper Fig. 6 sweeps 8..128; best 32). At
+  /// most 255, so a row's band fits RowBand's uint8 fields.
   int chunk_width = 32;
   /// Store A entries as uint8 with per-voxel scale (paper §4.3.1) instead
   /// of float.
@@ -62,6 +69,11 @@ class ChunkPlan {
   /// live depending on quantized().
   std::span<const float> dataFloat(const ChunkDesc& d) const;
   std::span<const std::uint8_t> dataQuant(const ChunkDesc& d) const;
+
+  /// Per-row bands of a chunk (nrows entries): row i's footprint occupies
+  /// window columns [i0, i0 + n), n >= 1, i.e. first_channel - lo(v) - base
+  /// for view v = view0 + i.
+  std::span<const RowBand> bandsOf(const ChunkDesc& d) const;
 
   /// Dequantization scale for a voxel (voxelMax / 255); 0 for empty columns.
   float scaleOf(int local_voxel) const { return scale_[std::size_t(local_voxel)]; }
@@ -88,6 +100,7 @@ class ChunkPlan {
   AlignedBuffer<float> fdata_;
   AlignedBuffer<std::uint8_t> qdata_;
   std::vector<float> scale_;
+  std::vector<RowBand> bands_;  // one per chunk row, in data order
   std::size_t total_elements_ = 0;
   std::size_t true_nnz_ = 0;
 };

@@ -177,6 +177,43 @@ TEST_F(ChunkFixture, TooNarrowWidthThrows) {
       ChunkPlan(*A_, plan, {.chunk_width = 1, .quantize = false}), Error);
 }
 
+// The update kernel reads each row's band from the plan instead of the
+// SystemMatrix, so the stored bands must be exactly the matrix runs.
+TEST_F(ChunkFixture, RowBandsMatchSystemMatrixRuns) {
+  for (int sv_id : {0, 5, grid_->count() - 1}) {
+    for (int width : {16, 29, 32, 64}) {
+      for (bool quantize : {false, true}) {
+        SvbPlan plan(g_, grid_->sv(sv_id));
+        const ChunkPlan cp(
+            *A_, plan, {.chunk_width = width, .quantize = quantize});
+        const SuperVoxel& sv = grid_->sv(sv_id);
+        for (int k = 0; k < sv.numVoxels(); ++k) {
+          const std::size_t voxel = std::size_t(sv.voxelAt(k, g_.image_size));
+          for (const ChunkDesc& d : cp.chunksOf(k)) {
+            const std::span<const RowBand> bands = cp.bandsOf(d);
+            ASSERT_EQ(bands.size(), std::size_t(d.nrows));
+            for (int i = 0; i < d.nrows; ++i) {
+              const int v = d.view0 + i;
+              const auto& r = A_->run(voxel, v);
+              const RowBand b = bands[std::size_t(i)];
+              ASSERT_GT(int(b.n), 0) << "voxel " << voxel << " view " << v;
+              EXPECT_EQ(int(b.i0), int(r.first_channel) - plan.lo(v) - d.base)
+                  << "voxel " << voxel << " view " << v;
+              EXPECT_EQ(int(b.n), int(r.count))
+                  << "voxel " << voxel << " view " << v;
+              EXPECT_LE(int(b.i0) + int(b.n), width);
+            }
+          }
+        }
+      }
+    }
+  }
+  SvbPlan plan(g_, grid_->sv(5));
+  EXPECT_NO_THROW(ChunkPlan(*A_, plan, {.chunk_width = 255, .quantize = true}));
+  EXPECT_THROW(ChunkPlan(*A_, plan, {.chunk_width = 256, .quantize = true}),
+               Error);
+}
+
 TEST_F(ChunkFixture, TrueNnzMatchesMatrix) {
   SvbPlan plan(g_, grid_->sv(5));
   const ChunkPlan cp(*A_, plan, {.chunk_width = 16, .quantize = false});

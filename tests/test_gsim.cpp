@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "core/error.h"
 #include "core/thread_pool.h"
@@ -134,6 +137,98 @@ TEST(Profiler, AtomicConflictWeighting) {
   EXPECT_DOUBLE_EQ(prof.stats().atomic_ops, 10.0);
   EXPECT_DOUBLE_EQ(prof.stats().atomic_ops_weighted, 25.0);
   EXPECT_THROW(prof.svbAtomic(1, 0.5), mbir::Error);
+}
+
+// The update kernel's transformed path makes one charge per chunk and pass
+// (thetaChunk, errorChunk). Each must leave every KernelStats field
+// bit-equal to the per-row warp calls it stands for. The profiler starts
+// with non-integral time bytes (a width factor that does not divide the
+// transaction size evenly), where re-associating the per-row adds of
+// svb_access_time_bytes or atomic_ops_weighted would round differently.
+TEST(Profiler, ChunkChargeEqualsPerRowCharges) {
+  std::mt19937 rng(5);
+  const double conflict = 1.37;
+  const int nrows = 13;
+  for (double width_factor : {0.8, 0.7}) {
+    DeviceSpec dev = titanXMaxwell();
+    dev.l2_float_width_factor = width_factor;
+    for (int W : {24, 29, 32, 40}) {
+      for (bool aligned : {true, false}) {
+        for (bool as_double : {true, false}) {
+          for (int abytes : {1, 4}) {
+            for (std::size_t smem : {std::size_t(0), std::size_t(256)}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "factor=" << width_factor << " W=" << W
+                           << " aligned=" << aligned << " as_double="
+                           << as_double << " abytes=" << abytes
+                           << " smem=" << smem);
+              std::vector<RowBand> bands(static_cast<std::size_t>(nrows));
+              for (RowBand& b : bands) {
+                using Dist = std::uniform_int_distribution<int>;
+                const int i0 = Dist(0, W - 1)(rng);
+                const int n = Dist(1, W - i0)(rng);
+                b = RowBand{std::uint8_t(i0), std::uint8_t(n)};
+              }
+              KernelProfiler chunk(dev), rows(dev);
+              for (KernelProfiler* p : {&chunk, &rows}) {
+                p->svbScalarAccess(3, 4);
+                p->svbAtomic(5, conflict);
+                p->addFlops(17.0);
+              }
+              if (width_factor != 0.8) {
+                const double t = rows.stats().svb_access_time_bytes;
+                ASSERT_NE(t, std::floor(t));
+              }
+
+              chunk.thetaChunk(nrows, W, abytes, aligned, as_double, smem);
+              chunk.errorChunk(bands.data(), nrows, W, abytes, aligned,
+                               conflict);
+
+              const int idle_lanes = (W + 31) / 32 * 32 - W;
+              for (int r = 0; r < nrows; ++r) {
+                rows.svbAccess(W, 4, aligned, as_double);
+                rows.svbAccess(W, 4, aligned, as_double);
+                rows.amatrixAccess(W, abytes, aligned);
+                if (idle_lanes > 0) {
+                  rows.svbIdle(idle_lanes, 4);
+                  rows.svbIdle(idle_lanes, 4);
+                }
+                rows.smemTraffic(smem);
+                rows.addFlops(3.0 * W);
+              }
+              for (const RowBand& b : bands) {
+                rows.svbAccess(W, 4, aligned, false);
+                rows.amatrixAccess(W, abytes, aligned);
+                rows.svbAtomic(b.n, conflict);
+                rows.addFlops(2.0 * W);
+              }
+
+              const KernelStats& c = chunk.stats();
+              const KernelStats& r = rows.stats();
+              EXPECT_EQ(c.svb_access_bytes, r.svb_access_bytes);
+              EXPECT_EQ(c.svb_access_time_bytes, r.svb_access_time_bytes);
+              EXPECT_EQ(c.svb_unique_bytes, r.svb_unique_bytes);
+              EXPECT_EQ(c.amatrix_access_bytes, r.amatrix_access_bytes);
+              EXPECT_EQ(c.amatrix_unique_bytes, r.amatrix_unique_bytes);
+              EXPECT_EQ(c.amatrix_via_texture, r.amatrix_via_texture);
+              EXPECT_EQ(c.desc_bytes, r.desc_bytes);
+              EXPECT_EQ(c.smem_bytes, r.smem_bytes);
+              EXPECT_EQ(c.flops, r.flops);
+              EXPECT_EQ(c.atomic_ops_weighted, r.atomic_ops_weighted);
+              EXPECT_EQ(c.atomic_ops, r.atomic_ops);
+              EXPECT_EQ(c.l2_working_set_bytes, r.l2_working_set_bytes);
+              EXPECT_EQ(c.imbalance_factor, r.imbalance_factor);
+              EXPECT_EQ(c.grid_blocks, r.grid_blocks);
+              EXPECT_EQ(c.launches, r.launches);
+            }
+          }
+        }
+      }
+    }
+  }
+  KernelProfiler prof(titanXMaxwell());
+  const RowBand one{0, 1};
+  EXPECT_THROW(prof.errorChunk(&one, 1, 32, 1, true, 0.5), mbir::Error);
 }
 
 // ---------- timing model ----------

@@ -116,6 +116,11 @@ void referenceThetaRow(const float* a, const float* e, const float* w, int n,
   }
 }
 
+// Band [i0, i1) of one chunk row (a one-row chunk is a single window).
+RowBand band(int i0, int i1) {
+  return RowBand{std::uint8_t(i0), std::uint8_t(i1 - i0)};
+}
+
 std::vector<float> randomFloats(std::mt19937& rng, int n, float lo = -4.0f,
                                 float hi = 4.0f) {
   std::uniform_real_distribution<float> d(lo, hi);
@@ -215,11 +220,13 @@ TEST_F(SimdBitIdentity, ThetaRowQuantizedAllLengths) {
     const auto e = randomFloats(rng_, n);
     const auto w = randomFloats(rng_, n, 0.0f, 2.0f);
     const float scale = 0.0123f;
+    // A one-row chunk whose band fills its window is a plain row.
+    const RowBand full = band(0, n);
     ThetaLanes ls, lv;
     ls.reset();
     lv.reset();
-    sc.theta_row_q(qs.data(), scale, e.data(), w.data(), n, ls);
-    vx.theta_row_q(qs.data(), scale, e.data(), w.data(), n, lv);
+    sc.theta_chunk_q(qs.data(), scale, e.data(), w.data(), n, &full, 1, n, ls);
+    vx.theta_chunk_q(qs.data(), scale, e.data(), w.data(), n, &full, 1, n, lv);
     ASSERT_EQ(0, std::memcmp(&ls, &lv, sizeof ls)) << "n=" << n;
   }
 }
@@ -267,10 +274,13 @@ TEST_F(SimdBitIdentity, ErrRowQuantizedAndDotRowAllLengths) {
   for (int n = 0; n <= 70; ++n) {
     std::vector<std::uint8_t> qs(std::size_t(std::max(n, 1)));
     for (auto& v : qs) v = std::uint8_t(q(rng_));
-    const auto base = randomFloats(rng_, n);
+    // At least one element, so memcmp never sees the null data() of an
+    // empty vector.
+    const auto base = randomFloats(rng_, std::max(n, 1));
     std::vector<float> es(base.begin(), base.end()), ev(base);
-    sc.err_row_q(qs.data(), 0.031f, 0.625f, es.data(), n);
-    vx.err_row_q(qs.data(), 0.031f, 0.625f, ev.data(), n);
+    const RowBand full = band(0, n);
+    sc.err_chunk_q(qs.data(), 0.031f, 0.625f, es.data(), n, &full, 1, n);
+    vx.err_chunk_q(qs.data(), 0.031f, 0.625f, ev.data(), n, &full, 1, n);
     ASSERT_EQ(0, std::memcmp(es.data(), ev.data(), es.size() * 4)) << n;
 
     const auto w = randomFloats(rng_, n);
@@ -282,10 +292,10 @@ TEST_F(SimdBitIdentity, ErrRowQuantizedAndDotRowAllLengths) {
   }
 }
 
-// Band-covering window ops: scalar and AVX2 must touch exactly the same
+// Chunk ops on one-row chunks: scalar and AVX2 must touch exactly the same
 // covering groups and produce identical bits, for every band placement —
 // including windows that are not a multiple of the lane width.
-TEST_F(SimdBitIdentity, WindowOpsAllBandPlacements) {
+TEST_F(SimdBitIdentity, ChunkOpsAllBandPlacements) {
   const SimdOps& sc = scalarSimdOps();
   const SimdOps& vx = *avx2SimdOps();
   std::uniform_int_distribution<int> q(0, 255);
@@ -301,32 +311,35 @@ TEST_F(SimdBitIdentity, WindowOpsAllBandPlacements) {
         const auto e = randomFloats(rng_, win);
         const auto w = randomFloats(rng_, win, 0.0f, 2.0f);
         const float scale = 0.017f, delta = 0.4375f;
+        const RowBand b = band(i0, i1);
 
         ThetaLanes ls, lv;
         ls.reset();
         lv.reset();
-        sc.theta_win_f(a.data(), e.data(), w.data(), i0, i1, win, ls);
-        vx.theta_win_f(a.data(), e.data(), w.data(), i0, i1, win, lv);
+        sc.theta_chunk_f(a.data(), e.data(), w.data(), win, &b, 1, win, ls);
+        vx.theta_chunk_f(a.data(), e.data(), w.data(), win, &b, 1, win, lv);
         ASSERT_EQ(0, std::memcmp(&ls, &lv, sizeof ls))
             << "win=" << win << " i0=" << i0 << " i1=" << i1;
 
         ls.reset();
         lv.reset();
-        sc.theta_win_q(qs.data(), scale, e.data(), w.data(), i0, i1, win, ls);
-        vx.theta_win_q(qs.data(), scale, e.data(), w.data(), i0, i1, win, lv);
+        sc.theta_chunk_q(qs.data(), scale, e.data(), w.data(), win, &b, 1,
+                         win, ls);
+        vx.theta_chunk_q(qs.data(), scale, e.data(), w.data(), win, &b, 1,
+                         win, lv);
         ASSERT_EQ(0, std::memcmp(&ls, &lv, sizeof ls))
             << "win=" << win << " i0=" << i0 << " i1=" << i1;
 
         std::vector<float> es(e), ev(e);
-        sc.err_win_f(a.data(), delta, es.data(), i0, i1, win);
-        vx.err_win_f(a.data(), delta, ev.data(), i0, i1, win);
+        sc.err_chunk_f(a.data(), delta, es.data(), win, &b, 1, win);
+        vx.err_chunk_f(a.data(), delta, ev.data(), win, &b, 1, win);
         ASSERT_EQ(0, std::memcmp(es.data(), ev.data(), es.size() * 4))
             << "win=" << win << " i0=" << i0 << " i1=" << i1;
 
         es = e;
         ev = e;
-        sc.err_win_q(qs.data(), scale, delta, es.data(), i0, i1, win);
-        vx.err_win_q(qs.data(), scale, delta, ev.data(), i0, i1, win);
+        sc.err_chunk_q(qs.data(), scale, delta, es.data(), win, &b, 1, win);
+        vx.err_chunk_q(qs.data(), scale, delta, ev.data(), win, &b, 1, win);
         ASSERT_EQ(0, std::memcmp(es.data(), ev.data(), es.size() * 4))
             << "win=" << win << " i0=" << i0 << " i1=" << i1;
       }
@@ -334,10 +347,113 @@ TEST_F(SimdBitIdentity, WindowOpsAllBandPlacements) {
   }
 }
 
+// Whole chunks: SVB rows `pitch` apart (pitch > win, like the padded SVB),
+// A rows `win` apart, a random band per row, and windows whose scalar tails
+// fire mid-chunk. Both paths agree bit for bit, a chunk call equals the
+// loop of its one-row calls, and SVB elements outside every row's covering
+// groups — the pitch gap included — keep their bits.
+TEST_F(SimdBitIdentity, ChunkOpsMatchAcrossPathsAndEqualPerRowLoop) {
+  const SimdOps& sc = scalarSimdOps();
+  const SimdOps& vx = *avx2SimdOps();
+  std::uniform_int_distribution<int> q(0, 255);
+  struct Out {
+    ThetaLanes tf, tq;
+    std::vector<float> ef, eq;
+  };
+  for (int win : {8, 16, 19, 29, 32}) {
+    for (int rows : {1, 2, 7, 13}) {
+      const int pitch = win + 5;
+      std::vector<RowBand> bands(static_cast<std::size_t>(rows));
+      for (RowBand& b : bands) {
+        const int i0 = std::uniform_int_distribution<int>(0, win - 1)(rng_);
+        const int i1 = std::uniform_int_distribution<int>(i0 + 1, win)(rng_);
+        b = band(i0, i1);
+      }
+      auto a = randomFloats(rng_, rows * win);
+      std::vector<std::uint8_t> qs(std::size_t(rows * win), 0);
+      for (int r = 0; r < rows; ++r) {
+        const RowBand b = bands[std::size_t(r)];
+        for (int i = 0; i < win; ++i) {
+          const std::size_t idx = std::size_t(r * win + i);
+          if (i < b.i0 || i >= b.i0 + b.n)
+            a[idx] = 0.0f;
+          else
+            qs[idx] = std::uint8_t(q(rng_));
+        }
+      }
+      const auto e = randomFloats(rng_, rows * pitch);
+      const auto w = randomFloats(rng_, rows * pitch, 0.0f, 2.0f);
+      ThetaLanes seed;  // carried partials from earlier chunks
+      for (int l = 0; l < kSimdLanes; ++l) {
+        seed.t1[l] = randomFloats(rng_, 1)[0];
+        seed.t2[l] = randomFloats(rng_, 1, 0.0f, 4.0f)[0];
+      }
+      const float scale = 0.019f, delta = -0.6875f;
+
+      const auto chunkCall = [&](const SimdOps& ops) {
+        Out o{seed, seed, e, e};
+        ops.theta_chunk_f(a.data(), e.data(), w.data(), pitch, bands.data(),
+                          rows, win, o.tf);
+        ops.theta_chunk_q(qs.data(), scale, e.data(), w.data(), pitch,
+                          bands.data(), rows, win, o.tq);
+        ops.err_chunk_f(a.data(), delta, o.ef.data(), pitch, bands.data(),
+                        rows, win);
+        ops.err_chunk_q(qs.data(), scale, delta, o.eq.data(), pitch,
+                        bands.data(), rows, win);
+        return o;
+      };
+      const auto rowLoop = [&](const SimdOps& ops) {
+        Out o{seed, seed, e, e};
+        for (int r = 0; r < rows; ++r) {
+          const RowBand* b = &bands[std::size_t(r)];
+          const std::size_t ao = std::size_t(r * win);
+          const std::size_t so = std::size_t(r * pitch);
+          ops.theta_chunk_f(a.data() + ao, e.data() + so, w.data() + so,
+                            pitch, b, 1, win, o.tf);
+          ops.theta_chunk_q(qs.data() + ao, scale, e.data() + so,
+                            w.data() + so, pitch, b, 1, win, o.tq);
+          ops.err_chunk_f(a.data() + ao, delta, o.ef.data() + so, pitch, b, 1,
+                          win);
+          ops.err_chunk_q(qs.data() + ao, scale, delta, o.eq.data() + so,
+                          pitch, b, 1, win);
+        }
+        return o;
+      };
+
+      const Out ref = chunkCall(sc);
+      for (const Out& got : {chunkCall(vx), rowLoop(sc), rowLoop(vx)}) {
+        ASSERT_EQ(0, std::memcmp(&got.tf, &ref.tf, sizeof ref.tf))
+            << "win=" << win << " rows=" << rows;
+        ASSERT_EQ(0, std::memcmp(&got.tq, &ref.tq, sizeof ref.tq))
+            << "win=" << win << " rows=" << rows;
+        ASSERT_EQ(0, std::memcmp(got.ef.data(), ref.ef.data(), e.size() * 4))
+            << "win=" << win << " rows=" << rows;
+        ASSERT_EQ(0, std::memcmp(got.eq.data(), ref.eq.data(), e.size() * 4))
+            << "win=" << win << " rows=" << rows;
+      }
+      for (int r = 0; r < rows; ++r) {
+        const RowBand b = bands[std::size_t(r)];
+        const int g0 = b.i0 & ~(kSimdLanes - 1);
+        const int cov =
+            std::min((b.i0 + b.n + kSimdLanes - 1) & ~(kSimdLanes - 1), win);
+        for (int i = 0; i < pitch; ++i) {
+          if (i >= g0 && i < cov) continue;
+          const std::size_t idx = std::size_t(r * pitch + i);
+          ASSERT_EQ(0, std::memcmp(&ref.ef[idx], &e[idx], 4))
+              << "win=" << win << " row=" << r << " i=" << i;
+          ASSERT_EQ(0, std::memcmp(&ref.eq[idx], &e[idx], 4))
+              << "win=" << win << " row=" << r << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
 // Skipping the groups outside the band must be invisible: on zero-padded
-// data a window-theta call produces the exact accumulator bits of the
-// full-window row call (the skipped elements only ever added +0.0).
-TEST(SimdSemantics, WindowThetaEqualsFullWindowRowOnPaddedData) {
+// data a chunk-theta call produces the exact accumulator bits of the
+// full-window call — a plain row, or a chunk whose band is [0, win) (the
+// skipped elements only ever added +0.0).
+TEST(SimdSemantics, ChunkThetaEqualsFullWindowOnPaddedData) {
   std::mt19937 rng(23);
   std::uniform_int_distribution<int> q(0, 255);
   for (const SimdOps* ops : {&scalarSimdOps(), avx2SimdOps()}) {
@@ -354,20 +470,23 @@ TEST(SimdSemantics, WindowThetaEqualsFullWindowRowOnPaddedData) {
           const auto e = randomFloats(rng, win);
           const auto w = randomFloats(rng, win, 0.0f, 2.0f);
 
-          ThetaLanes full, band;
+          const RowBand whole = band(0, win), b = band(i0, i1);
+          ThetaLanes full, banded;
           full.reset();
-          band.reset();
+          banded.reset();
           ops->theta_row_f(a.data(), e.data(), w.data(), win, full);
-          ops->theta_win_f(a.data(), e.data(), w.data(), i0, i1, win, band);
-          ASSERT_EQ(0, std::memcmp(&full, &band, sizeof full))
+          ops->theta_chunk_f(a.data(), e.data(), w.data(), win, &b, 1, win,
+                             banded);
+          ASSERT_EQ(0, std::memcmp(&full, &banded, sizeof full))
               << ops->name << " win=" << win << " i0=" << i0 << " i1=" << i1;
 
           full.reset();
-          band.reset();
-          ops->theta_row_q(qs.data(), 0.02f, e.data(), w.data(), win, full);
-          ops->theta_win_q(qs.data(), 0.02f, e.data(), w.data(), i0, i1, win,
-                           band);
-          ASSERT_EQ(0, std::memcmp(&full, &band, sizeof full))
+          banded.reset();
+          ops->theta_chunk_q(qs.data(), 0.02f, e.data(), w.data(), win,
+                             &whole, 1, win, full);
+          ops->theta_chunk_q(qs.data(), 0.02f, e.data(), w.data(), win, &b, 1,
+                             win, banded);
+          ASSERT_EQ(0, std::memcmp(&full, &banded, sizeof full))
               << ops->name << " win=" << win << " i0=" << i0 << " i1=" << i1;
         }
       }
@@ -375,9 +494,9 @@ TEST(SimdSemantics, WindowThetaEqualsFullWindowRowOnPaddedData) {
   }
 }
 
-// Window err ops may only touch the covering groups — everything outside
-// [i0 & ~7, min(roundUp8(i1), win)) must keep its exact prior bits.
-TEST(SimdSemantics, WindowErrOpsLeaveUncoveredElementsUntouched) {
+// Chunk err ops may only touch each row's covering groups — everything
+// outside [i0 & ~7, min(roundUp8(i1), win)) must keep its exact prior bits.
+TEST(SimdSemantics, ChunkErrOpsLeaveUncoveredElementsUntouched) {
   std::mt19937 rng(29);
   for (const SimdOps* ops : {&scalarSimdOps(), avx2SimdOps()}) {
     if (!ops) continue;
@@ -387,7 +506,8 @@ TEST(SimdSemantics, WindowErrOpsLeaveUncoveredElementsUntouched) {
           auto a = randomFloats(rng, win);
           const auto e0 = randomFloats(rng, win);
           std::vector<float> e(e0);
-          ops->err_win_f(a.data(), 0.8125f, e.data(), i0, i1, win);
+          const RowBand b = band(i0, i1);
+          ops->err_chunk_f(a.data(), 0.8125f, e.data(), win, &b, 1, win);
           const int g0 = i0 & ~(kSimdLanes - 1);
           const int r8 = (i1 + kSimdLanes - 1) & ~(kSimdLanes - 1);
           const int cov = i1 > i0 ? std::min(r8, win) : g0;
