@@ -50,9 +50,11 @@ constexpr double kWeightCutoffFraction = 1e-6;
 
 }  // namespace
 
-SystemMatrix SystemMatrix::compute(const ParallelBeamGeometry& g) {
+SystemMatrix SystemMatrix::compute(const ParallelBeamGeometry& g,
+                                   std::size_t plan_budget_bytes) {
   g.validate();
   SystemMatrix m;
+  m.plan_store_ = OwnedPlanStore(plan_budget_bytes);
   m.geom_ = g;
 
   const auto setups = makeViewSetups(g);

@@ -10,13 +10,16 @@
 //
 // Shared by every algorithm in the repo: projectors, sequential ICD,
 // PSV-ICD, and GPU-ICD (which additionally re-packs it into zero-padded
-// chunks and a quantized uint8 form — see sv/).
+// chunks and a quantized uint8 form — see sv/). Those re-packed plans are
+// geometry-static, so the matrix owns a store of them (planStore()) that
+// every engine, device and shard slab on it shares.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/plan_store.h"
 #include "geom/geometry.h"
 
 namespace mbir {
@@ -31,8 +34,12 @@ class SystemMatrix {
   };
 
   /// Compute the matrix for a geometry. Cost is O(numVoxels * numViews);
-  /// parallelized over voxels on the global thread pool.
-  static SystemMatrix compute(const ParallelBeamGeometry& g);
+  /// parallelized over voxels on the global thread pool. The matrix's plan
+  /// store retains up to `plan_budget_bytes`; a copy of the matrix starts
+  /// with an empty store of the same budget.
+  static SystemMatrix compute(
+      const ParallelBeamGeometry& g,
+      std::size_t plan_budget_bytes = PlanStore::kDefaultBudgetBytes);
 
   const ParallelBeamGeometry& geometry() const { return geom_; }
   int numViews() const { return geom_.num_views; }
@@ -64,6 +71,11 @@ class SystemMatrix {
   /// Maximum voxel footprint width (channels) over all voxels and views.
   int maxFootprintWidth() const { return max_footprint_width_; }
 
+  /// Store of state derived from this matrix and shared by all its users
+  /// (sv/chunks.h sharedChunkPlan). Thread-safe, so it is usable through a
+  /// const matrix; it dies with the matrix.
+  PlanStore& planStore() const { return plan_store_.get(); }
+
   /// Visit every nonzero of a voxel column: fn(view, channel, weight).
   template <typename Fn>
   void forEachEntry(std::size_t voxel, Fn&& fn) const {
@@ -84,6 +96,7 @@ class SystemMatrix {
   std::vector<float> voxel_max_;
   std::size_t nnz_ = 0;
   int max_footprint_width_ = 0;
+  OwnedPlanStore plan_store_;
 };
 
 }  // namespace mbir

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "core/rng.h"
@@ -27,8 +25,9 @@ namespace {
 struct BatchSv {
   int sv_id;
   const SvbPlan* plan;
-  const ChunkPlan* chunks = nullptr;        // null for the naive layout
-  std::unique_ptr<ChunkPlan> owned_chunks;  // set only when caching is off
+  // Borrowed from the matrix's plan store for the batch's lifetime; null
+  // for the naive layout.
+  std::shared_ptr<const ChunkPlan> chunks;
   std::unique_ptr<Svb> e_svb;
   std::unique_ptr<Svb> e_orig;
   std::unique_ptr<Svb> w_svb;
@@ -51,14 +50,6 @@ struct GpuIcd::Impl {
   gsim::GpuSimulator sim;
   std::vector<SvbPlan> plans;
   std::vector<double> magnitude;
-
-  // Bounded LRU cache of per-SV chunk plans (front of lru = most recent).
-  struct CachedChunks {
-    std::unique_ptr<ChunkPlan> plan;
-    std::list<int>::iterator lru_it;
-  };
-  std::list<int> chunk_lru;
-  std::unordered_map<int, CachedChunks> chunk_cache;
 
   // gpuicd.* instruments (null = metrics off), resolved once at
   // construction so the batch path does no registry lookups.
@@ -93,7 +84,6 @@ struct GpuIcd::Impl {
     problem.validate();
     opt.tunables.validate();
     MBIR_CHECK(opt.max_iterations >= 1);
-    MBIR_CHECK(opt.chunk_cache_capacity >= 0);
     sim.setHostPool(opt.host_pool);
     sim.setRecorder(opt.recorder);
     sim.setTracePid(opt.trace_pid);
@@ -581,42 +571,6 @@ struct GpuIcd::Impl {
     });
   }
 
-  std::unique_ptr<ChunkPlan> buildChunkPlan(int sv_id) {
-    return std::make_unique<ChunkPlan>(
-        problem.A, plans[std::size_t(sv_id)],
-        ChunkPlanOptions{.chunk_width = opt.tunables.chunk_width,
-                         .quantize = opt.flags.quantize_amatrix});
-  }
-
-  /// Chunk plan for one SV through the bounded LRU cache. A-chunks are
-  /// static per SV (they depend only on A, the band, and the tunables), so
-  /// steady-state iterations hit the cache and skip chunk construction.
-  /// The effective capacity never drops below the live batch size so no
-  /// plan borrowed by the in-flight batch can be evicted.
-  const ChunkPlan* cachedChunkPlan(int sv_id, int batch_size,
-                                   GpuRunStats& stats) {
-    auto it = chunk_cache.find(sv_id);
-    if (it != chunk_cache.end()) {
-      ++stats.chunk_cache_hits;
-      if (m_cache_hits) m_cache_hits->add();
-      chunk_lru.splice(chunk_lru.begin(), chunk_lru, it->second.lru_it);
-      return it->second.plan.get();
-    }
-    ++stats.chunk_cache_misses;
-    if (m_cache_misses) m_cache_misses->add();
-    chunk_lru.push_front(sv_id);
-    auto [pos, inserted] = chunk_cache.emplace(
-        sv_id, CachedChunks{buildChunkPlan(sv_id), chunk_lru.begin()});
-    MBIR_CHECK(inserted);
-    const std::size_t capacity =
-        std::size_t(std::max(opt.chunk_cache_capacity, batch_size));
-    while (chunk_cache.size() > capacity) {
-      chunk_cache.erase(chunk_lru.back());
-      chunk_lru.pop_back();
-    }
-    return pos->second.plan.get();
-  }
-
   void runBatch(const std::vector<int>& ids, int iter, Image2D& x, Sinogram& e,
                 GpuRunStats& stats) {
     std::vector<BatchSv> batch;
@@ -627,15 +581,23 @@ struct GpuIcd::Impl {
       SvbPlan& plan = plans[std::size_t(id)];
       if (opt.flags.transformed_layout) {
         // Host-side preparation; no modeled GPU time is charged (a real
-        // deployment precomputes A-chunks once on the device).
-        if (opt.chunk_cache_capacity > 0) {
-          b.chunks = cachedChunkPlan(id, int(ids.size()), stats);
-        } else {
+        // deployment precomputes A-chunks once on the device). Plans are
+        // geometry-static, so every engine on the matrix shares one store;
+        // a miss means this lookup built the plan.
+        SharedChunkPlan shared = sharedChunkPlan(
+            problem.A, plan,
+            ChunkPlanOptions{.chunk_width = opt.tunables.chunk_width,
+                             .quantize = opt.flags.quantize_amatrix});
+        if (shared.built) {
           ++stats.chunk_cache_misses;
           if (m_cache_misses) m_cache_misses->add();
-          b.owned_chunks = buildChunkPlan(id);
-          b.chunks = b.owned_chunks.get();
+        } else {
+          ++stats.chunk_cache_hits;
+          if (m_cache_hits) m_cache_hits->add();
         }
+        // This engine's SVBs must be readable over every chunk window.
+        plan.growPaddedWidth(shared.plan->requiredPaddedWidth());
+        b.chunks = std::move(shared.plan);
       }
       if (sim.raceCheckOn()) {
         // Host-side: kernel blocks run concurrently and must not mutate

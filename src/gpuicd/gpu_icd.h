@@ -14,6 +14,11 @@
 // cache working set. Functional execution is exact (convergence behaviour,
 // quantization error, batch-snapshot staleness are real); time is modeled
 // per launch by gsim (DESIGN.md §1).
+//
+// A-chunk plans are not the engine's own: each batch borrows its SVs'
+// plans from the system matrix's shared plan store (sv/chunks.h
+// sharedChunkPlan), so every engine on one matrix — other jobs, devices
+// and shard slabs included — reuses a plan once any of them has built it.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +71,6 @@ struct GpuIcdOptions {
   /// process-wide pool). Results are bit-identical for any pool size; only
   /// host wall-clock changes.
   ThreadPool* host_pool = nullptr;
-  /// Bounded LRU cache of per-SV chunk plans, in entries (A-chunks are
-  /// static per SV, so steady-state iterations skip chunk construction
-  /// entirely). 0 disables caching: rebuild per batch, minimal host memory.
-  int chunk_cache_capacity = 128;
   /// Observability sink (nullptr = off): per-iteration spans on both
   /// clocks, `gpuicd.*` metrics (chunk-cache hits/misses, batches), and —
   /// forwarded to the simulator — per-launch `gsim.launch.*` telemetry.
@@ -107,7 +108,10 @@ struct GpuRunStats {
   double modeled_seconds = 0.0;
   int kernels_launched = 0;
   int batches_skipped_by_threshold = 0;
-  /// Chunk-plan LRU cache behaviour (host-side; no modeled GPU time).
+  /// Chunk-plan lookups in the matrix's shared plan store (sv/chunks.h
+  /// sharedChunkPlan; host-side, no modeled GPU time). A miss is a lookup
+  /// that built the plan; a hit found it built, by this run or any other
+  /// job, device or slab on the same matrix.
   std::size_t chunk_cache_hits = 0;
   std::size_t chunk_cache_misses = 0;
   WorkCounters work;

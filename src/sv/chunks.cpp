@@ -5,7 +5,7 @@
 
 namespace mbir {
 
-ChunkPlan::ChunkPlan(const SystemMatrix& A, SvbPlan& svb_plan,
+ChunkPlan::ChunkPlan(const SystemMatrix& A, const SvbPlan& svb_plan,
                      ChunkPlanOptions options)
     : options_(options), sv_(svb_plan.sv()) {
   MBIR_CHECK(options.chunk_width >= 1);
@@ -77,7 +77,7 @@ ChunkPlan::ChunkPlan(const SystemMatrix& A, SvbPlan& svb_plan,
   voxel_begin_[std::size_t(num_voxels)] = std::uint32_t(descs_.size());
 
   // The padded SVB must be readable over every chunk window.
-  svb_plan.growPaddedWidth(max_column_end);
+  required_padded_width_ = max_column_end;
 
   // Assign data offsets.
   std::size_t offset = 0;
@@ -155,6 +155,13 @@ float ChunkPlan::aValue(const ChunkDesc& d, int r, int c) const {
   return fdata_[idx];
 }
 
+std::size_t ChunkPlan::heapBytes() const {
+  return descs_.size() * sizeof(ChunkDesc) +
+         voxel_begin_.size() * sizeof(std::uint32_t) +
+         fdata_.size() * sizeof(float) + qdata_.size() +
+         scale_.size() * sizeof(float) + bands_.size() * sizeof(RowBand);
+}
+
 double ChunkPlan::paddingRatio() const {
   if (true_nnz_ == 0) return 1.0;
   return double(total_elements_) / double(true_nnz_);
@@ -166,6 +173,26 @@ double ChunkPlan::alignedFraction() const {
   for (const ChunkDesc& d : descs_)
     if (d.aligned) ++aligned;
   return double(aligned) / double(descs_.size());
+}
+
+std::string chunkPlanKey(const SvbPlan& svb_plan, ChunkPlanOptions options) {
+  const SuperVoxel& sv = svb_plan.sv();
+  return "chunk_plan/" + std::to_string(sv.row0) + ',' + std::to_string(sv.row1) +
+         ',' + std::to_string(sv.col0) + ',' + std::to_string(sv.col1) + "/a" +
+         std::to_string(svb_plan.padAlign()) + "/w" +
+         std::to_string(options.chunk_width) + (options.quantize ? "/q" : "/f");
+}
+
+SharedChunkPlan sharedChunkPlan(const SystemMatrix& A, const SvbPlan& svb_plan,
+                                ChunkPlanOptions options) {
+  PlanStore::Lookup l =
+      A.planStore().getOrBuild(chunkPlanKey(svb_plan, options), [&] {
+        auto plan = std::make_shared<const ChunkPlan>(A, svb_plan, options);
+        const std::size_t bytes = plan->heapBytes();
+        return PlanStore::Built{std::move(plan), bytes};
+      });
+  return {std::static_pointer_cast<const ChunkPlan>(std::move(l.value)),
+          l.built};
 }
 
 }  // namespace mbir

@@ -21,10 +21,18 @@
 // The same table can be built with uint8-quantized A entries (§4.3.1):
 // q = round(A / voxelMax * 255), dequantized on the fly by q * scale with
 // scale = voxelMax / 255 stored once per voxel.
+//
+// A plan depends only on the matrix, the SV's band and (W, quantize), so
+// like the paper's device-resident A-chunks it is built once and shared:
+// sharedChunkPlan() looks it up in the matrix's plan store
+// (core/plan_store.h), and every job, device and shard slab on that matrix
+// reads the same immutable plan.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/aligned.h"
@@ -52,11 +60,12 @@ struct ChunkPlanOptions {
   bool quantize = true;
 };
 
-/// Per-SV chunk table + re-packed A data. Construction may grow the plan's
-/// padded width so every chunk's window is readable.
+/// Per-SV chunk table + re-packed A data. Immutable once built; reads
+/// only the band of `svb_plan`, never its padded width.
 class ChunkPlan {
  public:
-  ChunkPlan(const SystemMatrix& A, SvbPlan& svb_plan, ChunkPlanOptions options);
+  ChunkPlan(const SystemMatrix& A, const SvbPlan& svb_plan,
+            ChunkPlanOptions options);
 
   int chunkWidth() const { return options_.chunk_width; }
   bool quantized() const { return options_.quantize; }
@@ -92,6 +101,13 @@ class ChunkPlan {
   /// Bytes of A data per element (1 when quantized, 4 otherwise).
   int bytesPerElement() const { return options_.quantize ? 1 : 4; }
 
+  /// Padded SVB row pitch every chunk window fits in (the largest
+  /// base + W): grow the SvbPlan to this before an SVB is read through the
+  /// plan (SvbPlan::growPaddedWidth).
+  int requiredPaddedWidth() const { return required_padded_width_; }
+  /// Heap bytes the plan holds (its plan-store charge).
+  std::size_t heapBytes() const;
+
  private:
   ChunkPlanOptions options_;
   SuperVoxel sv_;
@@ -103,6 +119,23 @@ class ChunkPlan {
   std::vector<RowBand> bands_;  // one per chunk row, in data order
   std::size_t total_elements_ = 0;
   std::size_t true_nnz_ = 0;
+  int required_padded_width_ = 0;
 };
+
+/// Plan-store key of the plan for `svb_plan`'s SV: the SV rect, the band's
+/// pad alignment, W and quantize. Not the SV id, so grids of different SV
+/// sides never share a plan.
+std::string chunkPlanKey(const SvbPlan& svb_plan, ChunkPlanOptions options);
+
+struct SharedChunkPlan {
+  std::shared_ptr<const ChunkPlan> plan;
+  bool built = false;  ///< this lookup built the plan (a store miss)
+};
+
+/// The plan for `svb_plan`'s SV from A's plan store, built when the store
+/// holds none for its key. The returned shared_ptr keeps the plan alive
+/// across eviction.
+SharedChunkPlan sharedChunkPlan(const SystemMatrix& A, const SvbPlan& svb_plan,
+                                ChunkPlanOptions options);
 
 }  // namespace mbir

@@ -2,11 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <latch>
+#include <set>
+#include <string>
+#include <thread>
 
+#include "gpuicd/gpu_icd.h"
+#include "shard/shard_job.h"
 #include "sv/chunks.h"
 #include "sv/supervoxel.h"
 #include "sv/svb.h"
-#include "test_util.h"
+#include "test_support.h"
 
 namespace mbir {
 namespace {
@@ -155,7 +161,9 @@ TEST_P(ChunkWidthParam, PaddingRatioAtLeastOne) {
   EXPECT_GE(cp.paddingRatio(), 1.0);
   EXPECT_GT(cp.numChunks(), 0u);
   EXPECT_EQ(cp.totalDataElements() % std::size_t(GetParam()), 0u);
-  // The SVB must be readable across every chunk window.
+  // The SVB must be readable across every chunk window once grown.
+  EXPECT_GE(cp.requiredPaddedWidth(), GetParam());
+  plan.growPaddedWidth(cp.requiredPaddedWidth());
   EXPECT_GE(plan.paddedWidth(), GetParam());
 }
 
@@ -230,6 +238,204 @@ TEST_F(ChunkFixture, AlignedFractionHighForWarpWidth) {
   SvbPlan plan(g_, grid_->sv(5));
   const ChunkPlan cp(*A_, plan, {.chunk_width = 32, .quantize = true});
   EXPECT_GT(cp.alignedFraction(), 0.9);
+}
+
+// The engine grows its own SvbPlan with requiredPaddedWidth() where the
+// constructor used to grow its argument: the resulting pitch must be what
+// that growth gave (the largest chunk window end), and constructing a plan
+// must leave the SvbPlan alone.
+TEST_F(ChunkFixture, RequiredPaddedWidthMatchesGrownPlan) {
+  for (int sv_id : {0, 5, grid_->count() - 1}) {
+    for (int width : {16, 29, 32, 64}) {
+      SvbPlan plan(g_, grid_->sv(sv_id));
+      const int before = plan.paddedWidth();
+      const ChunkPlan cp(*A_, plan, {.chunk_width = width, .quantize = true});
+      EXPECT_EQ(plan.paddedWidth(), before);
+
+      int max_window_end = 0;
+      for (int k = 0; k < grid_->sv(sv_id).numVoxels(); ++k)
+        for (const ChunkDesc& d : cp.chunksOf(k))
+          max_window_end = std::max(max_window_end, d.base + width);
+      SvbPlan old_growth(g_, grid_->sv(sv_id));
+      old_growth.growPaddedWidth(max_window_end);
+
+      EXPECT_EQ(cp.requiredPaddedWidth(), max_window_end);
+      plan.growPaddedWidth(cp.requiredPaddedWidth());
+      EXPECT_EQ(plan.paddedWidth(), old_growth.paddedWidth())
+          << "sv " << sv_id << " W " << width;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Shared plans: the matrix's plan store
+// ---------------------------------------------------------------------------
+
+/// tinyProblem()'s case on a fresh copy of its matrix (empty plan store).
+OwnedProblem freshTinyProblem() {
+  const OwnedProblem& tiny = test::tinyProblem();
+  return OwnedProblem(std::make_shared<const SystemMatrix>(tiny.matrix()),
+                      tiny.scan(), SuiteConfig{}.prior);
+}
+
+struct EngineRun {
+  Image2D x;
+  GpuRunStats stats;
+};
+
+EngineRun runEngine(const OwnedProblem& problem, GpuIcdOptions opt) {
+  EngineRun r{problem.fbpInitialImage(), {}};
+  Sinogram e = problem.initialError(r.x);
+  GpuIcd icd(problem.view(), opt);
+  r.stats = test::stepGpu(icd, r.x, e);
+  return r;
+}
+
+GpuIcdOptions tinyEngineOptions(int sv_side = 8) {
+  GpuIcdOptions opt = test::tinyGpuOptions();
+  opt.tunables.sv.sv_side = sv_side;
+  opt.max_iterations = 3;
+  return opt;
+}
+
+TEST(PlanStore, FloatAndQuantizedNeverSharePlans) {
+  const SystemMatrix A = test::tinyProblem().matrix();
+  const ParallelBeamGeometry& g = A.geometry();
+  const SvGrid grid(g.image_size, {.sv_side = 8, .boundary_overlap = 1});
+  const SvbPlan plan(g, grid.sv(5));
+  const SharedChunkPlan q = sharedChunkPlan(A, plan, {.chunk_width = 32, .quantize = true});
+  const SharedChunkPlan f = sharedChunkPlan(A, plan, {.chunk_width = 32, .quantize = false});
+  EXPECT_TRUE(q.built);
+  EXPECT_TRUE(f.built);
+  EXPECT_NE(q.plan, f.plan);
+  EXPECT_TRUE(q.plan->quantized());
+  EXPECT_FALSE(f.plan->quantized());
+  // Same key again: the stored plan, not a rebuild.
+  const SharedChunkPlan q2 = sharedChunkPlan(A, plan, {.chunk_width = 32, .quantize = true});
+  EXPECT_FALSE(q2.built);
+  EXPECT_EQ(q2.plan, q.plan);
+  EXPECT_EQ(A.planStore().residentEntries(), 2u);
+  EXPECT_EQ(A.planStore().residentBytes(),
+            q.plan->heapBytes() + f.plan->heapBytes());
+}
+
+TEST(PlanStore, SvSidesNeverSharePlans) {
+  // No SV rect of the side-8 grid equals one of the side-6 grid, so a
+  // side-6 engine after a side-8 engine on one matrix must find none of
+  // its plans stored: it builds exactly what it builds on a matrix of its
+  // own, and computes the same bits.
+  const int n = test::tinyGeometry().image_size;
+  const SvGrid g8(n, {.sv_side = 8, .boundary_overlap = 1});
+  const SvGrid g6(n, {.sv_side = 6, .boundary_overlap = 1});
+  std::set<std::string> keys8;
+  for (int i = 0; i < g8.count(); ++i)
+    keys8.insert(chunkPlanKey(SvbPlan(test::tinyGeometry(), g8.sv(i)), {}));
+  for (int i = 0; i < g6.count(); ++i)
+    ASSERT_EQ(keys8.count(chunkPlanKey(SvbPlan(test::tinyGeometry(), g6.sv(i)), {})), 0u);
+
+  const OwnedProblem shared = freshTinyProblem();
+  const OwnedProblem alone = freshTinyProblem();
+  const EngineRun r8 = runEngine(shared, tinyEngineOptions(8));
+  const EngineRun r6 = runEngine(shared, tinyEngineOptions(6));
+  const EngineRun r6_alone = runEngine(alone, tinyEngineOptions(6));
+  EXPECT_GT(r8.stats.chunk_cache_misses, 0u);
+  EXPECT_EQ(r6.stats.chunk_cache_misses, r6_alone.stats.chunk_cache_misses);
+  EXPECT_EQ(r6.stats.chunk_cache_hits, r6_alone.stats.chunk_cache_hits);
+  test::expectGpuRunsBitIdentical(r6.stats, r6.x, r6_alone.stats, r6_alone.x);
+  EXPECT_EQ(shared.matrix().planStore().residentEntries(),
+            r8.stats.chunk_cache_misses + r6.stats.chunk_cache_misses);
+}
+
+TEST(PlanStore, EngineGrowsSvbPitchBeforeFirstRead) {
+  // W=64 overhangs the 32-aligned band pitch, so each SV's padded SVB must
+  // grow to the plan's requiredPaddedWidth() before its first batch
+  // gathers it: the gather counter of a one-iteration run (every SV once)
+  // is 3 SVBs x views x grown pitch per SV.
+  const OwnedProblem p = freshTinyProblem();
+  GpuIcdOptions opt = tinyEngineOptions();
+  opt.tunables.chunk_width = 64;
+  opt.max_iterations = 1;
+  const EngineRun r = runEngine(p, opt);
+  const ParallelBeamGeometry& g = p.geometry();
+  const SvGrid grid(g.image_size, opt.tunables.sv);
+  ASSERT_EQ(r.stats.work.svs_processed, std::size_t(grid.count()));
+  std::size_t expected = 0;
+  int grown = 0;
+  for (int i = 0; i < grid.count(); ++i) {
+    SvbPlan plan(g, grid.sv(i));
+    const int before = plan.paddedWidth();
+    const SharedChunkPlan cp = sharedChunkPlan(
+        p.matrix(), plan,
+        {.chunk_width = 64, .quantize = opt.flags.quantize_amatrix});
+    EXPECT_FALSE(cp.built);  // the run stored it
+    plan.growPaddedWidth(cp.plan->requiredPaddedWidth());
+    grown += plan.paddedWidth() > before ? 1 : 0;
+    expected += 3 * plan.paddedSize();
+  }
+  EXPECT_GT(grown, 0);
+  EXPECT_EQ(r.stats.work.svb_gather_elements, expected);
+}
+
+TEST(PlanStore, ConcurrentEnginesShareOneStore) {
+  // Four engines on four threads plus a 2-slab sharded run, all on one
+  // fresh matrix, so first lookups of the same keys overlap and a key may
+  // be built more than once: every result is bit-identical to the same run
+  // made alone, and every key ends up stored.
+  const GpuIcdOptions opt = tinyEngineOptions();
+  shard::ShardConfig sc;
+  sc.plan = shard::makeShardPlan(test::tinyGeometry().image_size, 2,
+                                 /*halo=*/1, opt.seed);
+  sc.devices = 2;
+  sc.base = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
+  sc.base.stop_rmse_hu = -1.0;
+
+  // The same runs made one after another on a fresh matrix of their own.
+  const OwnedProblem serial_problem = freshTinyProblem();
+  const EngineRun serial = runEngine(serial_problem, opt);
+  const shard::ShardRunResult serial_shard =
+      shard::reconstructSharded(serial_problem, test::tinyGolden(), sc);
+
+  const OwnedProblem shared = freshTinyProblem();
+  obs::ObsConfig ocfg;
+  ocfg.metrics = true;
+  obs::Recorder shard_rec(ocfg);
+  shard::ShardConfig shared_sc = sc;
+  shared_sc.base.external_recorder = &shard_rec;
+
+  std::vector<EngineRun> runs(4);
+  shard::ShardRunResult shard_run;
+  {
+    // Released together, so first lookups of the same keys overlap.
+    std::latch start(std::ptrdiff_t(runs.size()) + 1);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < runs.size(); ++i)
+      threads.emplace_back([&, i] {
+        start.arrive_and_wait();
+        runs[i] = runEngine(shared, opt);
+      });
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      shard_run = shard::reconstructSharded(shared, test::tinyGolden(), shared_sc);
+    });
+    for (std::thread& t : threads) t.join();
+  }
+
+  std::size_t misses = shard_rec.metrics().counterValue("gpuicd.chunk_cache.misses");
+  EXPECT_GT(shard_rec.metrics().counterValue("gpuicd.chunk_cache.hits") + misses, 0u);
+  for (const EngineRun& r : runs) {
+    test::expectGpuRunsBitIdentical(serial.stats, serial.x, r.stats, r.x);
+    EXPECT_EQ(r.stats.chunk_cache_hits + r.stats.chunk_cache_misses,
+              serial.stats.chunk_cache_hits + serial.stats.chunk_cache_misses);
+    misses += r.stats.chunk_cache_misses;
+  }
+  test::expectRunResultsBitIdentical(serial_shard.run, shard_run.run);
+  EXPECT_EQ(serial_shard.shard.modeled_seconds, shard_run.shard.modeled_seconds);
+  // Every key is resident (the default budget holds the tiny set) and was
+  // built by at least one lookup across all engines and slabs.
+  const std::size_t keys = shared.matrix().planStore().residentEntries();
+  EXPECT_EQ(keys, serial_problem.matrix().planStore().residentEntries());
+  EXPECT_GT(keys, 0u);
+  EXPECT_GE(misses, keys);
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
 // Unit tests for the core module: RNG, statistics, thread pool, aligned
-// buffers, 2D views, tables, CLI parsing.
+// buffers, 2D views, tables, CLI parsing, the plan store.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <thread>
 
 #include "core/aligned.h"
 #include "core/cli.h"
 #include "core/error.h"
 #include "core/hounsfield.h"
+#include "core/plan_store.h"
 #include "core/rng.h"
 #include "core/stats.h"
 #include "core/table.h"
@@ -336,6 +338,109 @@ TEST(Check, MacroThrowsWithMessage) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("value=42"), std::string::npos);
   }
+}
+
+// ---------- plan store ----------
+
+/// A store value of `bytes` bytes holding `tag`.
+PlanStore::Built storeValue(int tag, std::size_t bytes) {
+  return {std::make_shared<const int>(tag), bytes};
+}
+
+int storedTag(const PlanStore::Lookup& l) {
+  return *std::static_pointer_cast<const int>(l.value);
+}
+
+TEST(PlanStoreCore, BuildsOncePerKey) {
+  PlanStore store(1000);
+  int builds = 0;
+  const auto build = [&] { ++builds; return storeValue(7, 10); };
+  const PlanStore::Lookup a = store.getOrBuild("k", build);
+  const PlanStore::Lookup b = store.getOrBuild("k", build);
+  EXPECT_TRUE(a.built);
+  EXPECT_FALSE(b.built);
+  EXPECT_EQ(a.value, b.value);
+  EXPECT_EQ(storedTag(b), 7);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(store.residentBytes(), 10u);
+  EXPECT_EQ(store.residentEntries(), 1u);
+}
+
+TEST(PlanStoreCore, EvictsLeastRecentlyUsedByBytes) {
+  PlanStore store(30);
+  store.getOrBuild("a", [] { return storeValue(1, 10); });
+  store.getOrBuild("b", [] { return storeValue(2, 10); });
+  store.getOrBuild("c", [] { return storeValue(3, 10); });
+  store.getOrBuild("a", [] { return storeValue(-1, 10); });  // hit: a is newest
+  store.getOrBuild("d", [] { return storeValue(4, 10); });   // evicts b
+  EXPECT_EQ(store.residentBytes(), 30u);
+  EXPECT_EQ(store.evictions(), 1u);
+  EXPECT_FALSE(store.getOrBuild("a", [] { return storeValue(-1, 10); }).built);
+  EXPECT_TRUE(store.getOrBuild("b", [] { return storeValue(2, 10); }).built);
+  EXPECT_EQ(store.evictions(), 2u);  // b came back in place of c
+  EXPECT_TRUE(store.getOrBuild("c", [] { return storeValue(3, 10); }).built);
+}
+
+TEST(PlanStoreCore, BudgetBelowValueRetainsNothingButHandsItOut) {
+  PlanStore store(0);
+  const PlanStore::Lookup a = store.getOrBuild("k", [] { return storeValue(5, 8); });
+  EXPECT_TRUE(a.built);
+  EXPECT_EQ(storedTag(a), 5);  // evicted, still alive through the caller
+  EXPECT_EQ(store.residentEntries(), 0u);
+  EXPECT_EQ(store.residentBytes(), 0u);
+  EXPECT_TRUE(store.getOrBuild("k", [] { return storeValue(5, 8); }).built);
+}
+
+TEST(PlanStoreCore, FailedBuildLeavesNoEntry) {
+  PlanStore store;
+  EXPECT_THROW(store.getOrBuild("k", []() -> PlanStore::Built {
+                 throw Error("build failed");
+               }),
+               Error);
+  EXPECT_EQ(store.residentEntries(), 0u);
+  const PlanStore::Lookup l = store.getOrBuild("k", [] { return storeValue(3, 1); });
+  EXPECT_TRUE(l.built);
+  EXPECT_EQ(storedTag(l), 3);
+}
+
+TEST(PlanStoreCore, OverlappingBuildsShareTheFirstInsert) {
+  // Requesters that all miss before any of them inserts each build; the
+  // first insert wins and every requester gets that one value.
+  PlanStore store;
+  constexpr int kThreads = 4;
+  std::atomic<int> builds{0};
+  std::vector<PlanStore::Lookup> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      got[std::size_t(i)] = store.getOrBuild("k", [&, i] {
+        ++builds;
+        while (builds.load() < kThreads) std::this_thread::yield();
+        return storeValue(i, 4);
+      });
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(builds.load(), kThreads);
+  for (const PlanStore::Lookup& l : got) {
+    EXPECT_TRUE(l.built);
+    EXPECT_EQ(l.value, got[0].value);
+  }
+  EXPECT_EQ(store.residentEntries(), 1u);
+  EXPECT_EQ(store.residentBytes(), 4u);
+  EXPECT_FALSE(store.getOrBuild("k", [] { return storeValue(-1, 4); }).built);
+}
+
+TEST(PlanStoreCore, OwnedStoreCopiesEmptyAndMovesAlong) {
+  OwnedPlanStore a(100);
+  a.get().getOrBuild("k", [] { return storeValue(1, 4); });
+  const OwnedPlanStore copy = a;
+  EXPECT_NE(&copy.get(), &a.get());
+  EXPECT_EQ(copy.get().budgetBytes(), 100u);
+  EXPECT_EQ(copy.get().residentEntries(), 0u);
+  const PlanStore* store = &a.get();
+  const OwnedPlanStore moved = std::move(a);
+  EXPECT_EQ(&moved.get(), store);
+  EXPECT_THROW(a.get(), Error);  // NOLINT(bugprone-use-after-move)
 }
 
 }  // namespace

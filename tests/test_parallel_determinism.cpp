@@ -90,17 +90,20 @@ TEST(SvbStriped, StripeUnionEqualsFullApply) {
 
 // ---------- GPU-ICD ----------
 
-GpuRunStats runGpuWith(ThreadPool* pool, int chunk_cache_capacity, Image2D& x,
-                       int iterations = 3, obs::Recorder* recorder = nullptr) {
+/// A GPU-ICD run on tinyProblem()'s inputs. `A` picks the matrix, and so
+/// the plan store the run shares (nullptr = tinyProblem()'s own, which
+/// earlier runs in the process may have warmed).
+GpuRunStats runGpuWith(ThreadPool* pool, Image2D& x, int iterations = 3,
+                       obs::Recorder* recorder = nullptr,
+                       const SystemMatrix* A = nullptr) {
   const OwnedProblem& problem = test::tinyProblem();
   GpuIcdOptions opt = test::tinyGpuOptions();
   opt.max_iterations = iterations;
   opt.host_pool = pool;
-  opt.chunk_cache_capacity = chunk_cache_capacity;
   opt.recorder = recorder;
   x = problem.fbpInitialImage();
   Sinogram e = problem.initialError(x);
-  GpuIcd icd(problem.view(), opt);
+  GpuIcd icd(test::tinyProblemOn(A ? *A : problem.matrix()), opt);
   return test::stepGpu(icd, x, e);
 }
 
@@ -109,9 +112,9 @@ using test::expectGpuRunsBitIdentical;
 TEST(GpuIcdDeterminism, BitIdenticalAcrossThreadCounts) {
   ThreadPool p1(1), p2(2), p4(4);
   Image2D x1, x2, x4;
-  const auto s1 = runGpuWith(&p1, 128, x1);
-  const auto s2 = runGpuWith(&p2, 128, x2);
-  const auto s4 = runGpuWith(&p4, 128, x4);
+  const auto s1 = runGpuWith(&p1, x1);
+  const auto s2 = runGpuWith(&p2, x2);
+  const auto s4 = runGpuWith(&p4, x4);
   ASSERT_GT(s1.work.voxel_updates, 0u);
   expectGpuRunsBitIdentical(s1, x1, s2, x2);
   expectGpuRunsBitIdentical(s1, x1, s4, x4);
@@ -120,32 +123,62 @@ TEST(GpuIcdDeterminism, BitIdenticalAcrossThreadCounts) {
 TEST(GpuIcdDeterminism, SerialPoolMatchesGlobalPool) {
   ThreadPool p1(1);
   Image2D xs, xg;
-  const auto ss = runGpuWith(&p1, 128, xs);
-  const auto sg = runGpuWith(nullptr, 128, xg);  // process-wide pool
+  const auto ss = runGpuWith(&p1, xs);
+  const auto sg = runGpuWith(nullptr, xg);  // process-wide pool
   expectGpuRunsBitIdentical(ss, xs, sg, xg);
 }
 
 TEST(GpuIcdDeterminism, ChunkCacheIsPureOptimization) {
+  // Cold store, warm store (the same matrix again) and a store that
+  // retains nothing: three different plan-build histories, one result.
   ThreadPool p2(2);
-  Image2D xc, xn;
-  const auto cached = runGpuWith(&p2, 128, xc);
-  const auto uncached = runGpuWith(&p2, 0, xn);
-  expectGpuRunsBitIdentical(cached, xc, uncached, xn);
+  const SystemMatrix shared = test::tinyProblem().matrix();  // empty store
+  const SystemMatrix none =
+      SystemMatrix::compute(test::tinyGeometry(), /*plan_budget_bytes=*/0);
+  Image2D xc, xw, xn;
+  const auto cold = runGpuWith(&p2, xc, 3, nullptr, &shared);
+  const auto warm = runGpuWith(&p2, xw, 3, nullptr, &shared);
+  const auto uncached = runGpuWith(&p2, xn, 3, nullptr, &none);
+  expectGpuRunsBitIdentical(cold, xc, warm, xw);
+  expectGpuRunsBitIdentical(cold, xc, uncached, xn);
   // Iteration 1 visits every SV, so by iteration 2 the top-fraction
-  // selection must re-use cached plans.
-  EXPECT_GT(cached.chunk_cache_hits, 0u);
+  // selection must re-use stored plans; the second run builds nothing.
+  EXPECT_GT(cold.chunk_cache_misses, 0u);
+  EXPECT_GT(cold.chunk_cache_hits, 0u);
+  EXPECT_GT(warm.chunk_cache_hits, 0u);
+  EXPECT_EQ(warm.chunk_cache_misses, 0u);
+  EXPECT_EQ(warm.chunk_cache_hits,
+            cold.chunk_cache_hits + cold.chunk_cache_misses);
+  // Nothing retained: every lookup builds.
   EXPECT_EQ(uncached.chunk_cache_hits, 0u);
-  EXPECT_GT(uncached.chunk_cache_misses, cached.chunk_cache_misses);
+  EXPECT_EQ(uncached.chunk_cache_misses,
+            cold.chunk_cache_hits + cold.chunk_cache_misses);
+  EXPECT_EQ(none.planStore().residentEntries(), 0u);
+  EXPECT_EQ(shared.planStore().residentEntries(), cold.chunk_cache_misses);
 }
 
 TEST(GpuIcdDeterminism, TinyCacheCapacityStillCorrect) {
-  // Capacity below the batch size: the cache must pin the live batch and
-  // still produce identical results.
+  // A budget of half the mean plan: most plans are evicted the moment they
+  // are built, while the batch that asked for them still reads them (ASan
+  // pins that a borrowed plan outlives its eviction). Results stay
+  // identical.
   ThreadPool p2(2);
-  Image2D xa, xb;
-  const auto a = runGpuWith(&p2, 1, xa);
-  const auto b = runGpuWith(&p2, 128, xb);
-  expectGpuRunsBitIdentical(a, xa, b, xb);
+  const SystemMatrix reference = test::tinyProblem().matrix();
+  Image2D xr;
+  const auto ref = runGpuWith(&p2, xr, 3, nullptr, &reference);
+  ASSERT_GT(reference.planStore().residentEntries(), 0u);
+  const std::size_t budget = reference.planStore().residentBytes() /
+                             reference.planStore().residentEntries() / 2;
+
+  const SystemMatrix tiny = SystemMatrix::compute(test::tinyGeometry(), budget);
+  Image2D xt;
+  const auto t = runGpuWith(&p2, xt, 3, nullptr, &tiny);
+  expectGpuRunsBitIdentical(ref, xr, t, xt);
+  EXPECT_GT(tiny.planStore().evictions(), 0u);
+  EXPECT_LE(tiny.planStore().residentBytes(), budget);
+  EXPECT_GT(t.chunk_cache_misses, ref.chunk_cache_misses);
+  EXPECT_EQ(t.chunk_cache_hits + t.chunk_cache_misses,
+            ref.chunk_cache_hits + ref.chunk_cache_misses);
 }
 
 // ---------- observability is purely observational ----------
@@ -153,7 +186,8 @@ TEST(GpuIcdDeterminism, TinyCacheCapacityStillCorrect) {
 TEST(GpuIcdDeterminism, ObservabilityDoesNotPerturbResults) {
   // Full tracing + metrics (including per-block spans, the most invasive
   // option) must leave images, stats, and modeled seconds bit-identical to
-  // an uninstrumented run, for any host thread count.
+  // an uninstrumented run, for any host thread count. Each run gets its
+  // own matrix copy, so both start from an empty plan store.
   obs::ObsConfig ocfg;
   ocfg.metrics = true;
   ocfg.trace = true;
@@ -161,16 +195,19 @@ TEST(GpuIcdDeterminism, ObservabilityDoesNotPerturbResults) {
 
   for (int threads : {1, 2, 4}) {
     ThreadPool pool(threads);
+    const SystemMatrix a_plain = test::tinyProblem().matrix();
+    const SystemMatrix a_obs = test::tinyProblem().matrix();
     Image2D x_plain, x_obs;
-    const auto plain = runGpuWith(&pool, 128, x_plain);
+    const auto plain = runGpuWith(&pool, x_plain, 3, nullptr, &a_plain);
     obs::Recorder rec(ocfg);
-    const auto observed = runGpuWith(&pool, 128, x_obs, 3, &rec);
+    const auto observed = runGpuWith(&pool, x_obs, 3, &rec, &a_obs);
     expectGpuRunsBitIdentical(plain, x_plain, observed, x_obs);
     EXPECT_EQ(plain.chunk_cache_hits, observed.chunk_cache_hits);
     EXPECT_EQ(plain.chunk_cache_misses, observed.chunk_cache_misses);
     // ...and the recorder did actually observe the run.
     EXPECT_GT(rec.metrics().counterValue("gsim.launch.count"), 0u);
     EXPECT_GT(rec.metrics().counterValue("gpuicd.chunk_cache.hits"), 0u);
+    EXPECT_GT(rec.metrics().counterValue("gpuicd.chunk_cache.misses"), 0u);
     EXPECT_GT(rec.trace().size(), 0u);
   }
 }
@@ -181,8 +218,10 @@ TEST(GpuIcdDeterminism, RecorderSeesSameCountsForAnyThreadCount) {
   Image2D x1, x4;
   ThreadPool p1(1), p4(4);
   obs::Recorder r1(ocfg), r4(ocfg);
-  runGpuWith(&p1, 128, x1, 3, &r1);
-  runGpuWith(&p4, 128, x4, 3, &r4);
+  const SystemMatrix a1 = test::tinyProblem().matrix();
+  const SystemMatrix a4 = test::tinyProblem().matrix();
+  runGpuWith(&p1, x1, 3, &r1, &a1);
+  runGpuWith(&p4, x4, 3, &r4, &a4);
   for (const char* name :
        {"gsim.launch.count", "gsim.launch.blocks", "gsim.launch.flops",
         "gsim.launch.svb_access_bytes", "gpuicd.chunk_cache.hits",

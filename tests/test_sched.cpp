@@ -19,56 +19,62 @@ using svc::Dispatcher;
 using svc::JobResult;
 using svc::SvcReport;
 
+/// One job of a batch: its config and the problem it runs on.
+struct BatchJob {
+  RunConfig cfg;
+  const OwnedProblem* problem = &test::tinyProblem();
+};
+
 // Heterogeneous job mix: all three engines (PSV pinned to one thread — the
 // only deterministic PSV mode, DESIGN.md §7), convergence and fixed-budget
-// stops, and GPU variants that exercise different kernels and cache paths.
-std::vector<RunConfig> heterogeneousJobs() {
-  std::vector<RunConfig> jobs;
+// stops, and GPU variants that exercise different kernels and plan-store
+// paths (one job runs on a matrix whose store retains nothing).
+std::vector<BatchJob> heterogeneousJobs() {
+  std::vector<BatchJob> jobs;
 
   RunConfig seq_budget = test::tinyRunConfig(Algorithm::kSequentialIcd, 2.0);
   seq_budget.stop_rmse_hu = -1.0;  // run the fixed budget
-  jobs.push_back(seq_budget);
+  jobs.push_back({seq_budget});
 
-  jobs.push_back(test::tinyRunConfig(Algorithm::kSequentialIcd, 20.0));
+  jobs.push_back({test::tinyRunConfig(Algorithm::kSequentialIcd, 20.0)});
 
   RunConfig gpu_budget = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
   gpu_budget.stop_rmse_hu = -1.0;
-  jobs.push_back(gpu_budget);
+  jobs.push_back({gpu_budget});
 
-  jobs.push_back(test::tinyRunConfig(Algorithm::kGpuIcd, 16.0));
+  jobs.push_back({test::tinyRunConfig(Algorithm::kGpuIcd, 16.0)});
 
   RunConfig gpu_exact = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
   gpu_exact.stop_rmse_hu = -1.0;
   gpu_exact.gpu.flags.quantize_amatrix = false;
-  jobs.push_back(gpu_exact);
+  jobs.push_back({gpu_exact});
 
   RunConfig gpu_nocache = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
   gpu_nocache.stop_rmse_hu = -1.0;
-  gpu_nocache.gpu.chunk_cache_capacity = 0;
-  jobs.push_back(gpu_nocache);
+  jobs.push_back({gpu_nocache, &test::tinyProblemNoPlanRetention()});
 
   RunConfig gpu_intra = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
   gpu_intra.stop_rmse_hu = -1.0;
   gpu_intra.gpu.tunables.threadblocks_per_sv = 8;
-  jobs.push_back(gpu_intra);
+  jobs.push_back({gpu_intra});
 
   RunConfig psv_budget = test::tinyRunConfig(Algorithm::kPsvIcd, 3.0);
   psv_budget.stop_rmse_hu = -1.0;
   psv_budget.psv.num_threads = 1;
-  jobs.push_back(psv_budget);
+  jobs.push_back({psv_budget});
 
   RunConfig psv_conv = test::tinyRunConfig(Algorithm::kPsvIcd, 16.0);
   psv_conv.psv.num_threads = 1;
-  jobs.push_back(psv_conv);
+  jobs.push_back({psv_conv});
 
   return jobs;
 }
 
-std::vector<RunResult> serialBaseline(const std::vector<RunConfig>& jobs) {
+std::vector<RunResult> serialBaseline(const std::vector<BatchJob>& jobs) {
   std::vector<RunResult> out;
   out.reserve(jobs.size());
-  for (const RunConfig& cfg : jobs)
-    out.push_back(reconstruct(test::tinyProblem(), test::tinyGolden(), cfg));
+  for (const BatchJob& job : jobs)
+    out.push_back(reconstruct(*job.problem, test::tinyGolden(), job.cfg));
   return out;
 }
 
@@ -87,6 +93,14 @@ int submitDet(Dispatcher& d, const RunConfig& cfg, const std::string& name = {})
   return out.job_id;
 }
 
+int submitDet(Dispatcher& d, const BatchJob& job) {
+  svc::JobSpec spec = test::tinyJob(job.cfg, {}, /*deterministic=*/true);
+  spec.problem = job.problem;
+  const svc::SubmitOutcome out = d.submit(std::move(spec));
+  EXPECT_TRUE(out.accepted) << out.reason;
+  return out.job_id;
+}
+
 /// A job that runs until cancelled (RMSE stop off, huge budget).
 RunConfig blockerConfig() {
   RunConfig cfg = test::tinyRunConfig(Algorithm::kSequentialIcd, 1e6);
@@ -95,7 +109,7 @@ RunConfig blockerConfig() {
 }
 
 TEST(SchedDeterminism, BitIdenticalToSerialForAnyDeviceAndThreadCount) {
-  const std::vector<RunConfig> jobs = heterogeneousJobs();
+  const std::vector<BatchJob> jobs = heterogeneousJobs();
   ASSERT_GE(jobs.size(), 8u);
   const std::vector<RunResult> serial = serialBaseline(jobs);
 
@@ -107,22 +121,28 @@ TEST(SchedDeterminism, BitIdenticalToSerialForAnyDeviceAndThreadCount) {
       svc::DispatcherOptions opt = batchOptions(devices, int(jobs.size()));
       opt.host_pool = &pool;
       Dispatcher d(opt);
-      for (const RunConfig& cfg : jobs) submitDet(d, cfg);
+      for (const BatchJob& job : jobs) submitDet(d, job);
       d.drain();
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         SCOPED_TRACE("job " + std::to_string(i));
         const JobResult& r = d.result(int(i));
         EXPECT_FALSE(r.failed) << r.error;
         test::expectRunResultsBitIdentical(serial[i], r.run);
+        if (jobs[i].problem == &test::tinyProblemNoPlanRetention()) {
+          // Nothing retained: every chunk-plan lookup built its plan.
+          ASSERT_TRUE(r.run.gpu_stats);
+          EXPECT_EQ(r.run.gpu_stats->chunk_cache_hits, 0u);
+          EXPECT_GT(r.run.gpu_stats->chunk_cache_misses, 0u);
+        }
       }
     }
   }
 }
 
 TEST(Sched, RoundRobinDeviceAssignment) {
-  const std::vector<RunConfig> jobs = heterogeneousJobs();
+  const std::vector<BatchJob> jobs = heterogeneousJobs();
   Dispatcher d(batchOptions(4, int(jobs.size())));
-  for (const RunConfig& cfg : jobs) submitDet(d, cfg);
+  for (const BatchJob& job : jobs) submitDet(d, job);
   const SvcReport& rep = d.drain();
   for (int i = 0; i < int(jobs.size()); ++i) {
     EXPECT_EQ(d.result(i).device, i % 4);
@@ -216,9 +236,9 @@ TEST(Sched, FailedJobIsIsolated) {
 }
 
 TEST(Sched, ReportAggregatesAreConsistent) {
-  const std::vector<RunConfig> jobs = heterogeneousJobs();
+  const std::vector<BatchJob> jobs = heterogeneousJobs();
   Dispatcher d(batchOptions(2, int(jobs.size())));
-  for (const RunConfig& cfg : jobs) submitDet(d, cfg);
+  for (const BatchJob& job : jobs) submitDet(d, job);
   const SvcReport& rep = d.drain();
 
   EXPECT_EQ(rep.jobs_submitted, jobs.size());
@@ -356,7 +376,7 @@ TEST(Sched, RaceCheckedBatchIsCleanAndBitIdentical) {
   unchecked.gpu.race_check = {};
 
   const std::vector<RunResult> serial =
-      serialBaseline(std::vector<RunConfig>(4, unchecked));
+      serialBaseline(std::vector<BatchJob>(4, BatchJob{unchecked}));
 
   Dispatcher d(batchOptions(2, 4));
   for (int i = 0; i < 4; ++i) submitDet(d, checked);

@@ -47,6 +47,14 @@ inline RunConfig tinyRunConfig(Algorithm algorithm,
   return cfg;
 }
 
+/// tinyProblem()'s scan and prior on another matrix of the tiny geometry.
+/// A copy of tinyProblem().matrix() has its own, empty plan store, so a run
+/// on it starts cold whatever earlier tests built.
+inline Problem tinyProblemOn(const SystemMatrix& A) {
+  const OwnedProblem& p = tinyProblem();
+  return Problem{A, p.scan().y, p.scan().weights, p.view().prior};
+}
+
 /// Step a GPU-ICD engine on x and e until it has run max_iterations or its
 /// equits reach `max_equits` (reconstruct()'s loop with only the equit cap);
 /// returns the final stats.
@@ -91,6 +99,10 @@ inline void expectGpuRunsBitIdentical(const GpuRunStats& sa, const Image2D& xa,
   EXPECT_EQ(sa.work.voxel_updates, sb.work.voxel_updates);
   EXPECT_EQ(sa.work.theta_elements, sb.work.theta_elements);
   EXPECT_EQ(sa.work.error_update_elements, sb.work.error_update_elements);
+  // Padded SVB sizes: these move if a run read an SVB before growing it
+  // over its chunk windows.
+  EXPECT_EQ(sa.work.svb_gather_elements, sb.work.svb_gather_elements);
+  EXPECT_EQ(sa.work.svb_writeback_elements, sb.work.svb_writeback_elements);
   expectStatsBitIdentical(sa.kernel_stats, sb.kernel_stats);
 }
 

@@ -2,6 +2,7 @@
 // substrate every algorithm relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/rng.h"
@@ -25,6 +26,30 @@ class SystemMatrixTest : public ::testing::Test {
   ParallelBeamGeometry g_;
   std::shared_ptr<const SystemMatrix> A_;
 };
+
+TEST_F(SystemMatrixTest, CopyHasSameEntriesAndAnEmptyPlanStore) {
+  SystemMatrix original = SystemMatrix::compute(g_, /*plan_budget_bytes=*/1000);
+  original.planStore().getOrBuild("k", [] {
+    return PlanStore::Built{std::make_shared<const int>(1), 4};
+  });
+  const SystemMatrix copy = original;
+  EXPECT_EQ(copy.nnz(), original.nnz());
+  EXPECT_EQ(copy.maxFootprintWidth(), original.maxFootprintWidth());
+  for (std::size_t j = 0; j < copy.numVoxels(); j += 17) {
+    EXPECT_EQ(copy.voxelMax(j), original.voxelMax(j));
+    const auto a = copy.columnWeights(j), b = original.columnWeights(j);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
+  }
+  EXPECT_NE(&copy.planStore(), &original.planStore());
+  EXPECT_EQ(copy.planStore().residentEntries(), 0u);
+  EXPECT_EQ(copy.planStore().budgetBytes(), 1000u);
+  EXPECT_EQ(original.planStore().residentEntries(), 1u);
+  // A move carries the store along.
+  const PlanStore* store = &original.planStore();
+  const SystemMatrix moved = std::move(original);
+  EXPECT_EQ(&moved.planStore(), store);
+}
 
 TEST_F(SystemMatrixTest, RowSumEqualsPixelAreaOverSpacing) {
   // sum_j A[v][j] * spacing = integral of the footprint = pixel_area,

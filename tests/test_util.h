@@ -63,6 +63,17 @@ inline const OwnedProblem& tinyProblem() {
   return problem;
 }
 
+/// tinyProblem()'s case on its own matrix whose plan store retains
+/// nothing (budget 0): every chunk-plan lookup builds its plan. Results
+/// are bit-identical to tinyProblem()'s.
+inline const OwnedProblem& tinyProblemNoPlanRetention() {
+  static const OwnedProblem problem(
+      std::make_shared<const SystemMatrix>(
+          SystemMatrix::compute(tinyGeometry(), /*plan_budget_bytes=*/0)),
+      tinyProblem().scan(), SuiteConfig{}.prior);
+  return problem;
+}
+
 /// A cached golden image for tinyProblem().
 inline const Image2D& tinyGolden() {
   static const Image2D golden = computeGolden(tinyProblem(), 30.0);
