@@ -19,9 +19,9 @@ then applies the regression gate to the *named* metrics:
 Exit status: 0 when no gated metric regressed by more than the threshold,
 1 when at least one did, 2 on usage/schema errors. Typical CI use:
 
-  python3 bench/bench_compare.py results/BENCH_throughput_service.baseline.json \
-      results/BENCH_throughput_service.json \
-      --metric d4_jobs_per_host_second --metric d4_e2e_p99_s
+  python3 bench/bench_compare.py results/BENCH_throughput_shard.json \
+      "$OUTDIR/BENCH_throughput_shard.json" \
+      --metric d4_speedup:higher --metric d4_comm_overhead:lower
 """
 
 import argparse

@@ -73,7 +73,6 @@ struct GpuIcd::Impl {
   // Run state: one engine object is one run.
   Rng run_rng;
   GpuRunStats run_stats;
-  int run_iter = 0;
 
   Impl(const Problem& p, GpuIcdOptions o)
       : problem(p),
@@ -83,7 +82,6 @@ struct GpuIcd::Impl {
         run_rng(opt.seed) {
     problem.validate();
     opt.tunables.validate();
-    MBIR_CHECK(opt.max_iterations >= 1);
     sim.setHostPool(opt.host_pool);
     sim.setRecorder(opt.recorder);
     sim.setTracePid(opt.trace_pid);
@@ -630,15 +628,13 @@ GpuIcd::GpuIcd(const Problem& problem, GpuIcdOptions options)
 
 GpuIcd::~GpuIcd() = default;
 
-const SvGrid& GpuIcd::grid() const { return impl_->grid; }
 gsim::GpuSimulator& GpuIcd::simulator() { return impl_->sim; }
 
 bool GpuIcd::stepIteration(Image2D& x, Sinogram& e) {
   Impl& im = *impl_;
   MBIR_CHECK(x.size() == im.problem.A.geometry().image_size);
-  if (im.run_iter >= im.opt.max_iterations) return false;
-  const int iter = ++im.run_iter;
   GpuRunStats& stats = im.run_stats;
+  const int iter = stats.iterations + 1;
   Rng& rng = im.run_rng;
   const double voxels_per_equit = double(x.numVoxels());
   const GpuTunables& tn = im.opt.tunables;

@@ -61,7 +61,6 @@ struct SlabWindow {
 struct GpuIcdOptions {
   GpuTunables tunables;
   OptimFlags flags;
-  int max_iterations = 1000;
   bool zero_skip = true;
   std::uint64_t seed = 17;
   /// Simulated device; scale caches with gsim::scaleCachesToProblem when
@@ -126,12 +125,11 @@ struct GpuRunStats {
   std::uint64_t race_reports = 0;
 };
 
-/// One engine object is one run. The caller owns the iteration loop
-/// (reconstruct() tests convergence between steps; the shard runner
+/// One engine object is one run. The caller owns the iteration loop and
+/// its cap (reconstruct() tests convergence between steps; the shard runner
 /// interleaves one step per slab with a halo exchange): stepIteration
-/// performs one full outer iteration on x and e in place and returns false
-/// once max_iterations have run; runStats() is kept in sync after every
-/// step.
+/// performs one full outer iteration on x and e in place and always
+/// returns true; runStats() is kept in sync after every step.
 class GpuIcd {
  public:
   GpuIcd(const Problem& problem, GpuIcdOptions options = {});
@@ -140,7 +138,6 @@ class GpuIcd {
   bool stepIteration(Image2D& x, Sinogram& e);
   const GpuRunStats& runStats() const;
 
-  const SvGrid& grid() const;
   gsim::GpuSimulator& simulator();
 
  private:

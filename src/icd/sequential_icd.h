@@ -4,24 +4,23 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <vector>
 
+#include "core/rng.h"
 #include "geom/image.h"
 #include "geom/sinogram.h"
 #include "gsim/race_check.h"
-#include "icd/convergence.h"
 #include "icd/problem.h"
 #include "icd/work.h"
 
 namespace mbir::obs {
+class Counter;
 class Recorder;
 }  // namespace mbir::obs
 
 namespace mbir {
 
 struct SequentialIcdOptions {
-  /// Hard cap on work (equits).
-  double max_equits = 40.0;
   /// Randomize voxel visit order each sweep (faster convergence, §2.1).
   bool randomize_order = true;
   /// Apply the zero-skipping rule.
@@ -50,23 +49,37 @@ struct IcdRunStats {
   std::uint64_t race_reports = 0;
 };
 
-/// Called after each full sweep with cumulative progress; return false to
-/// stop.
-using SweepCallback =
-    std::function<bool(const Image2D& x, const IcdRunStats& progress)>;
-
+/// One engine object is one run, stepped by the caller's loop like every
+/// engine (reconstruct() tests convergence between steps): stepIteration
+/// performs one full sweep over the image on x and the matching error
+/// sinogram e = y - A x in place; runStats() is kept in sync after every
+/// step. The engine's one stop of its own: once a sweep updated no voxel,
+/// stepIteration returns false without sweeping. That sweep zero-skipped
+/// every voxel, so the image is all zero and every later sweep would too.
 class SequentialIcd {
  public:
   SequentialIcd(const Problem& problem, SequentialIcdOptions options = {});
 
-  /// Run sweeps over the image until max_equits or the callback stops it.
-  /// `x` is the starting image (updated in place); `e` must be the matching
-  /// error sinogram y - A x (updated in place).
-  IcdRunStats run(Image2D& x, Sinogram& e, const SweepCallback& on_sweep = {});
+  bool stepIteration(Image2D& x, Sinogram& e);
+  const IcdRunStats& runStats() const { return stats_; }
 
  private:
   const Problem problem_;  // by value: Problem is a non-owning view struct
   SequentialIcdOptions options_;
+  Rng rng_;
+  std::vector<int> order_;
+  /// Per-voxel nonzero counts, for the work counters the CPU timing model
+  /// consumes.
+  std::vector<std::uint32_t> nnz_;
+  // Single-threaded baseline: each sweep is one "block" touching the whole
+  // image and error sinogram — trivially race-free, but declared so all
+  // three engines exercise the same checking channel.
+  gsim::RaceDetector race_;
+  int rb_image_ = -1, rb_sino_e_ = -1;
+  obs::Counter* m_sweeps_ = nullptr;
+  obs::Counter* m_updates_ = nullptr;
+  IcdRunStats stats_;
+  bool stalled_ = false;  ///< the last sweep updated no voxel
 };
 
 }  // namespace mbir

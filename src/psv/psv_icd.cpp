@@ -104,60 +104,83 @@ void applyErrorUpdateSvb(const SystemMatrix& A, Svb& e_svb, std::size_t voxel,
 
 }  // namespace
 
-PsvIcd::PsvIcd(const Problem& problem, PsvIcdOptions options)
-    : problem_(problem),
-      options_(options),
-      grid_(problem.A.geometry().image_size, options.sv) {
-  problem_.validate();
-  MBIR_CHECK(options_.sv_fraction > 0.0 && options_.sv_fraction <= 1.0);
-  MBIR_CHECK(options_.max_iterations >= 1);
-}
-
-PsvRunStats PsvIcd::run(Image2D& x, Sinogram& e,
-                        const PsvIterationCallback& on_iteration) {
-  MBIR_CHECK(x.size() == problem_.A.geometry().image_size);
-  const SystemMatrix& A = problem_.A;
-  const int image_size = x.size();
-  const SimdOps& simd_ops = resolveSimdOps(options_.simd);
-
-  // One SVB plan per SV, reused across iterations (band depends only on
-  // geometry).
-  std::vector<SvbPlan> plans;
-  plans.reserve(std::size_t(grid_.count()));
-  for (int i = 0; i < grid_.count(); ++i)
-    plans.emplace_back(A.geometry(), grid_.sv(i));
-
-  std::optional<ThreadPool> local_pool;
-  if (options_.num_threads > 0) local_pool.emplace(options_.num_threads);
-  ThreadPool& pool = local_pool ? *local_pool : globalThreadPool();
-  const std::size_t wave_width = std::max<std::size_t>(1, pool.size());
-
-  Rng rng(options_.seed);
-  std::vector<double> magnitude(std::size_t(grid_.count()), 0.0);
-
-  // One in-flight SV of the current wave: its private SVBs stay alive until
-  // the wave's ordered writeback.
+struct PsvIcd::Impl {
+  /// One in-flight SV of the current wave: its private SVBs stay alive
+  /// until the wave's ordered writeback.
   struct SvSweep {
     std::optional<Svb> e_svb, e_orig;
     WorkCounters wc;
     double magnitude = 0.0;
   };
-  std::vector<SvSweep> wave(wave_width);
 
-  // Independent per-SV RNG streams, drawn up front each iteration (in
-  // selection order) for determinism under dynamic scheduling.
-  std::vector<std::uint64_t> seeds(std::size_t(grid_.count()));
+  const Problem problem;  // by value: Problem is a non-owning view struct
+  const PsvIcdOptions opt;
+  const SvGrid grid;
+  const SimdOps& simd_ops;
+  /// One SVB plan per SV, reused across iterations (band depends only on
+  /// geometry).
+  std::vector<SvbPlan> plans;
+  Rng rng;
+  std::vector<double> magnitude;
+  std::vector<SvSweep> wave;  ///< one slot per pool thread: the wave width
+  /// Independent per-SV RNG streams, drawn up front each iteration (in
+  /// selection order) for determinism under dynamic scheduling.
+  std::vector<std::uint64_t> seeds;
+  // Standalone race detector (PSV does not run through GpuSimulator): each
+  // iteration's concurrent SV sweeps form one logical launch.
+  gsim::RaceDetector race;
+  int rb_image = -1, rb_sino_e = -1;
+  obs::Counter* m_iterations = nullptr;
+  obs::Counter* m_svs = nullptr;
+  obs::Counter* m_locks = nullptr;
+  PsvRunStats stats;
+  // Last, so its workers are joined before the state they sweep goes.
+  std::optional<ThreadPool> local_pool;
+  ThreadPool* pool = nullptr;
+
+  Impl(const Problem& p, PsvIcdOptions o)
+      : problem(p),
+        opt(o),
+        grid(p.A.geometry().image_size, o.sv),
+        simd_ops(resolveSimdOps(o.simd)),
+        rng(o.seed),
+        magnitude(std::size_t(grid.count()), 0.0),
+        seeds(std::size_t(grid.count())),
+        race(o.race_check) {
+    problem.validate();
+    MBIR_CHECK(opt.sv_fraction > 0.0 && opt.sv_fraction <= 1.0);
+    plans.reserve(std::size_t(grid.count()));
+    for (int i = 0; i < grid.count(); ++i)
+      plans.emplace_back(p.A.geometry(), grid.sv(i));
+    if (opt.num_threads > 0) local_pool.emplace(opt.num_threads);
+    pool = local_pool ? &*local_pool : &globalThreadPool();
+    wave.resize(std::max<std::size_t>(1, pool->size()));
+    obs::Recorder* rec = opt.recorder;
+    if (rec && rec->metricsOn()) {
+      obs::MetricsRegistry& m = rec->metrics();
+      m_iterations = &m.counter("psv.iteration.count");
+      m_svs = &m.counter("psv.sv.processed");
+      m_locks = &m.counter("psv.lock.acquisitions");
+    }
+    stats.race_check_enabled = race.config().enabled;
+    if (stats.race_check_enabled) {
+      rb_image = race.bufferId("image");
+      rb_sino_e = race.bufferId("sino.e");
+    }
+  }
 
   // Alg. 2's per-SV body: gather the SVBs, sweep the SV's voxels serially
   // against them. The writeback happens once the whole wave is done.
-  const auto sweepSv = [&](int sv_id, SvSweep& sweep) {
-    const SuperVoxel& sv = grid_.sv(sv_id);
+  void sweepSv(int sv_id, SvSweep& sweep, Image2D& x, const Sinogram& e) {
+    const SystemMatrix& A = problem.A;
+    const int image_size = x.size();
+    const SuperVoxel& sv = grid.sv(sv_id);
     const SvbPlan& plan = plans[std::size_t(sv_id)];
     WorkCounters& wc = sweep.wc;
     wc = WorkCounters{};
 
     Svb w_svb(plan, SvbLayout::kPacked);
-    w_svb.gather(problem_.weights);
+    w_svb.gather(problem.weights);
     // No writer touches e until the wave's writeback; the counted lock
     // stands for Alg. 2's locked gather in the CPU timing model.
     Svb& e_svb = sweep.e_svb.emplace(plan, SvbLayout::kPacked);
@@ -172,19 +195,19 @@ PsvRunStats PsvIcd::run(Image2D& x, Sinogram& e,
     Rng sv_rng(seeds[std::size_t(sv_id)]);
     std::vector<int> order(std::size_t(sv.numVoxels()));
     for (std::size_t k = 0; k < order.size(); ++k) order[k] = int(k);
-    if (options_.randomize_voxel_order) sv_rng.shuffle(order);
+    if (opt.randomize_voxel_order) sv_rng.shuffle(order);
 
     double mag_acc = 0.0;
     for (int k : order) {
       const int row = sv.row0 + k / sv.numCols();
       const int col = sv.col0 + k % sv.numCols();
       ++wc.voxels_visited;
-      if (options_.zero_skip && zeroSkipRelaxed(x, row, col)) continue;
+      if (opt.zero_skip && zeroSkipRelaxed(x, row, col)) continue;
       const std::size_t voxel =
           std::size_t(row) * std::size_t(image_size) + std::size_t(col);
       const ThetaPair theta = computeThetaSvb(A, e_svb, w_svb, voxel,
                                               wc.theta_elements, simd_ops);
-      const float delta = solveDeltaRelaxed(problem_.prior, x, row, col, theta);
+      const float delta = solveDeltaRelaxed(problem.prior, x, row, col, theta);
       addX(x, row, col, delta);
       applyErrorUpdateSvb(A, e_svb, voxel, delta, wc.error_update_elements,
                           simd_ops);
@@ -192,147 +215,133 @@ PsvRunStats PsvIcd::run(Image2D& x, Sinogram& e,
       ++wc.voxel_updates;
     }
     sweep.magnitude = mag_acc;
-  };
+  }
 
-  PsvRunStats stats;
-  std::size_t total_updates = 0;
-  const double voxels_per_equit = double(x.numVoxels());
+  void checkRaces(const std::vector<int>& selected, int image_size) {
+    // Declarations derive from static geometry, so they are built
+    // host-side after the sweep rather than inside the workers. Per SV
+    // "block": image rect + clamped read ring, all atomic (every image
+    // access above goes through std::atomic_ref — adjacent SVs of one
+    // iteration share boundary voxels); the wave-ordered global-sinogram
+    // gather/writeback as atomic over the SV's band; the private SVBs as
+    // plain writes. A write/anything diagnosis therefore means an SVB
+    // stopped being private or an image access bypassed the atomics.
+    const int channels = problem.A.numChannels();
+    std::vector<gsim::BlockAccessLog> logs(selected.size());
+    for (std::size_t si = 0; si < selected.size(); ++si) {
+      const int sv_id = selected[si];
+      const SuperVoxel& sv = grid.sv(sv_id);
+      const SvbPlan& plan = plans[std::size_t(sv_id)];
+      const int rr0 = std::max(0, sv.row0 - 1);
+      const int rr1 = std::min(image_size, sv.row1 + 1);
+      const int rc0 = std::max(0, sv.col0 - 1);
+      const int rc1 = std::min(image_size, sv.col1 + 1);
+      for (int r = rr0; r < rr1; ++r)
+        logs[si].atomic(rb_image, std::int64_t(r) * image_size + rc0,
+                        std::int64_t(r) * image_size + rc1);
+      for (int v = 0; v < plan.numViews(); ++v) {
+        const int w = plan.width(v);
+        if (w == 0) continue;
+        const std::int64_t glo = std::int64_t(v) * channels + plan.lo(v);
+        logs[si].atomic(rb_sino_e, glo, glo + w);
+      }
+      logs[si].write(race.bufferId("svb/" + std::to_string(sv_id)), 0,
+                     plan.numViews());
+    }
+    const int found = race.checkLaunch("psv_sweep", logs);
+    if (found > 0 && race.config().throw_on_race)
+      MBIR_CHECK_MSG(false, gsim::RaceDetector::describe(race.races().back()));
+  }
+};
 
-  obs::Recorder* rec = options_.recorder;
+PsvIcd::PsvIcd(const Problem& problem, PsvIcdOptions options)
+    : impl_(std::make_unique<Impl>(problem, std::move(options))) {}
+
+PsvIcd::~PsvIcd() = default;
+
+const PsvRunStats& PsvIcd::runStats() const { return impl_->stats; }
+
+bool PsvIcd::stepIteration(Image2D& x, Sinogram& e) {
+  Impl& im = *impl_;
+  MBIR_CHECK(x.size() == im.problem.A.geometry().image_size);
+  PsvRunStats& stats = im.stats;
+  const int iter = stats.iterations + 1;
+  obs::Recorder* rec = im.opt.recorder;
   const bool tracing = rec && rec->traceOn();
-  obs::Counter* m_iterations = nullptr;
-  obs::Counter* m_svs = nullptr;
-  obs::Counter* m_locks = nullptr;
-  if (rec && rec->metricsOn()) {
-    obs::MetricsRegistry& m = rec->metrics();
-    m_iterations = &m.counter("psv.iteration.count");
-    m_svs = &m.counter("psv.sv.processed");
-    m_locks = &m.counter("psv.lock.acquisitions");
+
+  const double iter_host_us = tracing ? rec->trace().nowHostUs() : 0.0;
+  const std::size_t iter_locks0 = stats.work.lock_acquisitions;
+  const std::vector<int> selected =
+      selectSuperVoxels(iter, std::size_t(im.grid.count()), im.magnitude,
+                        im.opt.sv_fraction, im.rng);
+
+  for (int sv_id : selected) im.seeds[std::size_t(sv_id)] = im.rng.next();
+
+  // The selected SVs run in waves of up to one SV per thread. Every SV of
+  // a wave gathers the error sinogram as the previous wave left it, and
+  // the wave writes its SVB deltas back in order once all of its sweeps
+  // are done; a wave's SVs come from one checkerboard group, so they
+  // share no voxels. ICD diverges when adjacent, coupled SVs correct the
+  // same residual from one stale snapshot, and without waves how many
+  // did so would depend on how the OS happened to schedule the threads.
+  // One thread keeps the selection order.
+  const std::size_t wave_width = im.wave.size();
+  std::vector<std::vector<int>> lanes;
+  if (wave_width == 1) {
+    lanes.push_back(selected);
+  } else {
+    for (std::vector<int>& group : im.grid.checkerboardGroups(selected))
+      lanes.push_back(std::move(group));
   }
-
-  // Standalone race detector (PSV does not run through GpuSimulator): each
-  // iteration's concurrent SV sweeps form one logical launch.
-  gsim::RaceDetector race(options_.race_check);
-  const bool race_on = race.config().enabled;
-  int rb_image = -1, rb_sino_e = -1;
-  if (race_on) {
-    rb_image = race.bufferId("image");
-    rb_sino_e = race.bufferId("sino.e");
-  }
-
-  for (int iter = 1; iter <= options_.max_iterations; ++iter) {
-    const double iter_host_us = tracing ? rec->trace().nowHostUs() : 0.0;
-    const std::size_t iter_locks0 = stats.work.lock_acquisitions;
-    const std::vector<int> selected = selectSuperVoxels(
-        iter, std::size_t(grid_.count()), magnitude, options_.sv_fraction, rng);
-
-    for (int sv_id : selected) seeds[std::size_t(sv_id)] = rng.next();
-
-    // The selected SVs run in waves of up to one SV per thread. Every SV of
-    // a wave gathers the error sinogram as the previous wave left it, and
-    // the wave writes its SVB deltas back in order once all of its sweeps
-    // are done; a wave's SVs come from one checkerboard group, so they
-    // share no voxels. ICD diverges when adjacent, coupled SVs correct the
-    // same residual from one stale snapshot, and without waves how many
-    // did so would depend on how the OS happened to schedule the threads.
-    // One thread keeps the selection order.
-    std::vector<std::vector<int>> lanes;
-    if (wave_width == 1) {
-      lanes.push_back(selected);
-    } else {
-      for (std::vector<int>& group : grid_.checkerboardGroups(selected))
-        lanes.push_back(std::move(group));
-    }
-    for (const std::vector<int>& lane : lanes) {
-      for (std::size_t w0 = 0; w0 < lane.size(); w0 += wave_width) {
-        const std::size_t w1 = std::min(lane.size(), w0 + wave_width);
-        pool.parallelFor(int(w0), int(w1), [&](int si) {
-          sweepSv(lane[std::size_t(si)], wave[std::size_t(si) - w0]);
-        });
-        // Alg. 2's locked writeback, applied in lane order so the global
-        // error sinogram's rounding does not depend on thread timing.
-        for (std::size_t si = w0; si < w1; ++si) {
-          SvSweep& sweep = wave[si - w0];
-          WorkCounters& wc = sweep.wc;
-          sweep.e_svb->applyDeltaTo(e, *sweep.e_orig, &simd_ops);
-          ++wc.lock_acquisitions;
-          wc.svb_writeback_elements += sweep.e_svb->raw().size();
-          ++wc.svs_processed;
-          magnitude[std::size_t(lane[si])] = sweep.magnitude;
-          total_updates += wc.voxel_updates;
-          stats.work += wc;
-          sweep.e_svb.reset();
-          sweep.e_orig.reset();
-        }
+  for (const std::vector<int>& lane : lanes) {
+    for (std::size_t w0 = 0; w0 < lane.size(); w0 += wave_width) {
+      const std::size_t w1 = std::min(lane.size(), w0 + wave_width);
+      im.pool->parallelFor(int(w0), int(w1), [&](int si) {
+        im.sweepSv(lane[std::size_t(si)], im.wave[std::size_t(si) - w0], x, e);
+      });
+      // Alg. 2's locked writeback, applied in lane order so the global
+      // error sinogram's rounding does not depend on thread timing.
+      for (std::size_t si = w0; si < w1; ++si) {
+        Impl::SvSweep& sweep = im.wave[si - w0];
+        WorkCounters& wc = sweep.wc;
+        sweep.e_svb->applyDeltaTo(e, *sweep.e_orig, &im.simd_ops);
+        ++wc.lock_acquisitions;
+        wc.svb_writeback_elements += sweep.e_svb->raw().size();
+        ++wc.svs_processed;
+        im.magnitude[std::size_t(lane[si])] = sweep.magnitude;
+        stats.work += wc;
+        sweep.e_svb.reset();
+        sweep.e_orig.reset();
       }
     }
-
-    if (race_on) {
-      // Declarations derive from static geometry, so they are built
-      // host-side after the sweep rather than inside the workers. Per SV
-      // "block": image rect + clamped read ring, all atomic (every image
-      // access above goes through std::atomic_ref — adjacent SVs of one
-      // iteration share boundary voxels); the wave-ordered global-sinogram
-      // gather/writeback as atomic over the SV's band; the private SVBs as
-      // plain writes. A write/anything diagnosis therefore means an SVB
-      // stopped being private or an image access bypassed the atomics.
-      const int channels = A.numChannels();
-      std::vector<gsim::BlockAccessLog> logs(selected.size());
-      for (std::size_t si = 0; si < selected.size(); ++si) {
-        const int sv_id = selected[si];
-        const SuperVoxel& sv = grid_.sv(sv_id);
-        const SvbPlan& plan = plans[std::size_t(sv_id)];
-        const int rr0 = std::max(0, sv.row0 - 1);
-        const int rr1 = std::min(image_size, sv.row1 + 1);
-        const int rc0 = std::max(0, sv.col0 - 1);
-        const int rc1 = std::min(image_size, sv.col1 + 1);
-        for (int r = rr0; r < rr1; ++r)
-          logs[si].atomic(rb_image, std::int64_t(r) * image_size + rc0,
-                          std::int64_t(r) * image_size + rc1);
-        for (int v = 0; v < plan.numViews(); ++v) {
-          const int w = plan.width(v);
-          if (w == 0) continue;
-          const std::int64_t glo = std::int64_t(v) * channels + plan.lo(v);
-          logs[si].atomic(rb_sino_e, glo, glo + w);
-        }
-        logs[si].write(race.bufferId("svb/" + std::to_string(sv_id)), 0,
-                       plan.numViews());
-      }
-      const int found = race.checkLaunch("psv_sweep", logs);
-      if (found > 0 && race.config().throw_on_race)
-        MBIR_CHECK_MSG(false, gsim::RaceDetector::describe(race.races().back()));
-    }
-
-    stats.iterations = iter;
-    stats.equits = double(total_updates) / voxels_per_equit;
-    if (m_iterations) {
-      m_iterations->add();
-      m_svs->add(std::uint64_t(selected.size()));
-      m_locks->add(
-          std::uint64_t(stats.work.lock_acquisitions - iter_locks0));
-    }
-    if (tracing) {
-      obs::TraceEvent ev;
-      ev.name = "psv.iteration";
-      ev.cat = "psv";
-      ev.clock = obs::Clock::kHost;
-      ev.ts_us = iter_host_us;
-      ev.dur_us = rec->trace().nowHostUs() - iter_host_us;
-      ev.num_args = {{"iteration", double(iter)},
-                     {"selected_svs", double(selected.size())},
-                     {"equits", stats.equits}};
-      rec->trace().record(std::move(ev));
-    }
-    if (on_iteration &&
-        !on_iteration(PsvIterationInfo{iter, stats.equits, stats.work, x}))
-      break;
   }
-  stats.race_check_enabled = race_on;
-  const gsim::RaceCheckTotals race_totals = race.totals();
+  if (stats.race_check_enabled) im.checkRaces(selected, x.size());
+
+  stats.iterations = iter;
+  stats.equits = double(stats.work.voxel_updates) / double(x.numVoxels());
+  const gsim::RaceCheckTotals race_totals = im.race.totals();
   stats.race_launches_checked = race_totals.launches_checked;
   stats.race_ranges_checked = race_totals.ranges_checked;
   stats.race_reports = race_totals.races_found;
-  return stats;
+  if (im.m_iterations) {
+    im.m_iterations->add();
+    im.m_svs->add(std::uint64_t(selected.size()));
+    im.m_locks->add(
+        std::uint64_t(stats.work.lock_acquisitions - iter_locks0));
+  }
+  if (tracing) {
+    obs::TraceEvent ev;
+    ev.name = "psv.iteration";
+    ev.cat = "psv";
+    ev.clock = obs::Clock::kHost;
+    ev.ts_us = iter_host_us;
+    ev.dur_us = rec->trace().nowHostUs() - iter_host_us;
+    ev.num_args = {{"iteration", double(iter)},
+                   {"selected_svs", double(selected.size())},
+                   {"equits", stats.equits}};
+    rec->trace().record(std::move(ev));
+  }
+  return true;
 }
 
 }  // namespace mbir

@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 
 #include "core/simd.h"
 #include "geom/image.h"
@@ -39,7 +39,6 @@ struct PsvIcdOptions {
   SvGridOptions sv{.sv_side = 13, .boundary_overlap = 1};  // paper Table 1
   /// Fraction of SVs updated per iteration after the first (paper: 20%).
   double sv_fraction = 0.20;
-  int max_iterations = 1000;
   bool zero_skip = true;
   bool randomize_voxel_order = true;
   std::uint64_t seed = 11;
@@ -63,16 +62,6 @@ struct PsvIcdOptions {
   SimdMode simd = SimdMode::kDefault;
 };
 
-struct PsvIterationInfo {
-  int iteration = 0;      ///< 1-based
-  double equits = 0.0;
-  WorkCounters work;      ///< cumulative counters (for timing models)
-  const Image2D& x;
-};
-
-/// Return false to stop iterating.
-using PsvIterationCallback = std::function<bool(const PsvIterationInfo&)>;
-
 struct PsvRunStats {
   double equits = 0.0;
   int iterations = 0;
@@ -84,21 +73,24 @@ struct PsvRunStats {
   std::uint64_t race_reports = 0;
 };
 
+/// One engine object is one run, stepped by the caller's loop like every
+/// engine (reconstruct() tests convergence between steps): stepIteration
+/// performs one outer iteration (SV selection, the waves, the ordered
+/// writebacks) on x and the matching error sinogram e in place and always
+/// returns true; runStats() is kept in sync after every step. The SVB
+/// plans, RNG streams, magnitudes, wave buffers, pool and race detector
+/// live across steps, built once at construction.
 class PsvIcd {
  public:
   PsvIcd(const Problem& problem, PsvIcdOptions options = {});
+  ~PsvIcd();
 
-  /// Run iterations until the callback stops or max_iterations. `x` and the
-  /// matching error sinogram `e` are updated in place.
-  PsvRunStats run(Image2D& x, Sinogram& e,
-                  const PsvIterationCallback& on_iteration = {});
-
-  const SvGrid& grid() const { return grid_; }
+  bool stepIteration(Image2D& x, Sinogram& e);
+  const PsvRunStats& runStats() const;
 
  private:
-  const Problem problem_;  // by value: Problem is a non-owning view struct
-  PsvIcdOptions options_;
-  SvGrid grid_;
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace mbir

@@ -21,34 +21,50 @@ const char* algorithmName(Algorithm a) {
 }
 
 Image2D computeGolden(const OwnedProblem& problem, double equits) {
+  MBIR_CHECK(equits > 0.0);
   Image2D x = problem.fbpInitialImage();
   Sinogram e = problem.initialError(x);
-  const Problem p = problem.view();
-  SequentialIcdOptions opt;
-  opt.max_equits = equits;
-  SequentialIcd icd(p, opt);
-  icd.run(x, e);
+  SequentialIcd icd(problem.view());
+  while (icd.runStats().equits < equits && icd.stepIteration(x, e)) {
+  }
   return x;
 }
 
 GpuIcdOptions gpuEngineOptions(const OwnedProblem& problem,
                                const RunConfig& config, obs::Recorder* rec) {
   GpuIcdOptions opt = config.gpu;
-  opt.max_iterations = 2000;  // callback-driven; cap is a safety net
   opt.recorder = rec;
   opt.simd = config.simd;
   opt.span = config.span;
   opt.fault_hook = config.fault_hook;
   if (config.trace_pid != 0) opt.trace_pid = config.trace_pid;
-  if (config.scale_gpu_caches) {
-    // SVB size scales with views (see gsim::scaleCachesToProblem docs).
-    const double ratio = double(problem.geometry().num_views) / 720.0;
-    opt.device = gsim::scaleCachesToProblem(opt.device, ratio);
-  }
+  // SVB size scales with views (see gsim::scaleCachesToProblem docs).
+  const double ratio = double(problem.geometry().num_views) / 720.0;
+  opt.device = gsim::scaleCachesToProblem(opt.device, ratio);
   return opt;
 }
 
 namespace {
+
+/// The protocol's iteration cap, for every engine: track stops the run
+/// after recording this many curve points.
+constexpr int kMaxIterations = 2000;
+
+/// The one loop every engine runs under reconstruct(): step, then let
+/// track decide. `modeled` maps the engine's stats to cumulative modeled
+/// seconds. Fills the engine-owned result fields and returns the stats.
+template <class Icd, class Modeled>
+auto stepUntilStopped(Icd& icd, const Modeled& modeled, Sinogram& e,
+                      const IterationTrack& track, RunResult& result) {
+  const auto& stats = icd.runStats();
+  while (icd.stepIteration(result.image, e) &&
+         track(result.image, stats.equits, modeled(stats))) {
+  }
+  result.equits = stats.equits;
+  result.work = stats.work;
+  result.modeled_seconds = modeled(stats);
+  return stats;
+}
 
 /// The three in-tree engines behind reconstruct()'s Engine slot.
 void runBuiltinEngine(const OwnedProblem& problem, const RunConfig& config,
@@ -58,50 +74,35 @@ void runBuiltinEngine(const OwnedProblem& problem, const RunConfig& config,
   switch (config.algorithm) {
     case Algorithm::kSequentialIcd: {
       SequentialIcdOptions opt = config.seq;
-      opt.max_equits = config.max_equits;
       opt.recorder = rec;
       SequentialIcd icd(p, opt);
-      IcdRunStats stats = icd.run(
-          result.image, e, [&](const Image2D& x, const IcdRunStats& progress) {
-            return track(x, progress.equits,
-                         gsim::modelSequentialCpuSeconds(
-                             progress.work, gsim::sequentialReference()));
-          });
-      result.equits = stats.equits;
-      result.work = stats.work;
-      result.modeled_seconds =
-          gsim::modelSequentialCpuSeconds(stats.work, gsim::sequentialReference());
-      result.seq_stats = stats;
+      result.seq_stats = stepUntilStopped(
+          icd,
+          [](const IcdRunStats& s) {
+            return gsim::modelSequentialCpuSeconds(
+                s.work, gsim::sequentialReference());
+          },
+          e, track, result);
       break;
     }
     case Algorithm::kPsvIcd: {
       PsvIcdOptions opt = config.psv;
-      opt.max_iterations = 2000;  // callback-driven; cap is a safety net
       opt.recorder = rec;
       opt.simd = config.simd;
       PsvIcd icd(p, opt);
-      PsvRunStats run_stats = icd.run(
-          result.image, e, [&](const PsvIterationInfo& info) {
-            return track(info.x, info.equits,
-                         gsim::modelPsvCpuSeconds(info.work, gsim::xeon16Core()));
-          });
-      result.equits = run_stats.equits;
-      result.work = run_stats.work;
-      result.modeled_seconds =
-          gsim::modelPsvCpuSeconds(run_stats.work, gsim::xeon16Core());
-      result.psv_stats = run_stats;
+      result.psv_stats = stepUntilStopped(
+          icd,
+          [](const PsvRunStats& s) {
+            return gsim::modelPsvCpuSeconds(s.work, gsim::xeon16Core());
+          },
+          e, track, result);
       break;
     }
     case Algorithm::kGpuIcd: {
       GpuIcd icd(p, gpuEngineOptions(problem, config, rec));
-      const GpuRunStats& stats = icd.runStats();
-      while (icd.stepIteration(result.image, e) &&
-             track(result.image, stats.equits, stats.modeled_seconds)) {
-      }
-      result.equits = stats.equits;
-      result.work = stats.work;
-      result.modeled_seconds = stats.modeled_seconds;
-      result.gpu_stats = stats;
+      result.gpu_stats = stepUntilStopped(
+          icd, [](const GpuRunStats& s) { return s.modeled_seconds; }, e,
+          track, result);
       break;
     }
   }
@@ -120,6 +121,7 @@ RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
 
 RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
                       const RunConfig& config, const Engine& engine) {
+  MBIR_CHECK(config.max_equits > 0.0);
   const WallTimer host_wall;
   RunResult result;
   obs::Recorder* rec = config.external_recorder;
@@ -232,7 +234,7 @@ RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
       result.converged = true;
       return false;  // stop
     }
-    return equits < config.max_equits;
+    return track_iter < kMaxIterations && equits < config.max_equits;
   };
 
   engine(rec, e, track, result);

@@ -32,14 +32,12 @@ struct RunConfig {
   Algorithm algorithm = Algorithm::kGpuIcd;
   /// Stop when RMSE vs golden falls below this (HU); <= 0 disables.
   double stop_rmse_hu = 10.0;
-  /// Safety cap on work.
+  /// Cap on work; must be > 0. Every engine also stops after
+  /// reconstruct()'s fixed cap of 2000 iterations.
   double max_equits = 60.0;
   SequentialIcdOptions seq;
   PsvIcdOptions psv;
   GpuIcdOptions gpu;
-  /// Scale the simulated GPU's caches to this problem's sinogram size
-  /// (DESIGN.md §1); on by default for reduced geometries.
-  bool scale_gpu_caches = true;
   /// Observability: when enabled, reconstruct() creates an obs::Recorder,
   /// threads it through the selected engine (and the GPU simulator),
   /// records reconstructor-phase and per-iteration spans on both clocks,
@@ -123,7 +121,8 @@ struct RunResult {
   std::shared_ptr<obs::Recorder> recorder;
 };
 
-/// Compute the golden reference (sequential ICD for `equits` from FBP init).
+/// Compute the golden reference: sequential ICD from the FBP start, swept
+/// until it has done `equits` (> 0) of work.
 Image2D computeGolden(const OwnedProblem& problem, double equits = 40.0);
 
 /// Run one reconstruction to the configured convergence criterion with the
@@ -137,10 +136,11 @@ RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
 using IterationTrack = std::function<bool(const Image2D& x, double equits,
                                           double modeled_seconds)>;
 
-/// An engine plugged into reconstruct()'s protocol. It iterates in place on
-/// result.image and `e` (already set up: FBP or warm start, e = y - Ax),
-/// calls `track` at every iteration boundary, stops when `track` returns
-/// false, and fills the engine-owned fields of `result`: equits, work,
+/// An engine plugged into reconstruct()'s protocol. It steps a stepper
+/// engine in place on result.image and `e` (already set up: FBP or warm
+/// start, e = y - Ax) in the one loop shape,
+/// `while (icd.stepIteration(x, e) && track(x, equits, modeled)) {}`, and
+/// then fills the engine-owned fields of `result`: equits, work,
 /// modeled_seconds and its stats.
 using Engine = std::function<void(obs::Recorder* rec, Sinogram& e,
                                   const IterationTrack& track,
@@ -149,13 +149,15 @@ using Engine = std::function<void(obs::Recorder* rec, Sinogram& e,
 /// The protocol itself, the only implementation of it: setup (warm start or
 /// FBP, initial error, `recon.setup` span), the per-iteration step (fault
 /// seam, cancel, RMSE curve, `recon.iteration` spans, flight events, stop
-/// rule), and finish (metrics, report/trace export). shard::
-/// reconstructSharded() plugs its multi-device engine in here.
+/// rule and the only iteration cap), and finish (metrics, report/trace
+/// export). shard::reconstructSharded() plugs its multi-device engine in
+/// here.
 RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
                       const RunConfig& config, const Engine& engine);
 
 /// GPU-ICD engine options for one run under `config`: config.gpu plus the
-/// run's recorder, SIMD path, span, fault hook, trace pid and cache scaling.
+/// run's recorder, SIMD path, span, fault hook and trace pid, with the
+/// simulated caches scaled to this problem's sinogram size (DESIGN.md §1).
 /// Shared by the in-tree GPU engine and the sharded per-slab template.
 GpuIcdOptions gpuEngineOptions(const OwnedProblem& problem,
                                const RunConfig& config, obs::Recorder* rec);

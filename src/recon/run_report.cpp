@@ -67,7 +67,6 @@ std::string runReportJson(const RunResult& result, const RunConfig& config) {
   w.key("config").beginObject();
   w.kv("stop_rmse_hu", config.stop_rmse_hu);
   w.kv("max_equits", config.max_equits);
-  w.kv("scale_gpu_caches", config.scale_gpu_caches);
   w.kv("simd", result.simd_path);
   w.endObject();
 

@@ -1,7 +1,6 @@
 #include "shard/sharded_icd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -328,22 +327,15 @@ bool ShardedGpuIcd::stepIteration(Image2D& x, Sinogram& e) {
   // Fork: each device steps its slabs (slab s -> device s % D) in slab
   // order. Join before anything below reads the slab state.
   std::vector<double> compute_delta(std::size_t(D), 0.0);
-  std::atomic<bool> exhausted{false};
   im.driver.parallelFor(0, D, [&](int d) {
     for (int s = d; s < S; s += D) {
       GpuIcd& eng = *im.engines[std::size_t(s)];
-      if (!eng.stepIteration(im.xs[std::size_t(s)], im.es[std::size_t(s)])) {
-        // All engines share max_iterations, so every device exhausts on
-        // the same round.
-        exhausted.store(true, std::memory_order_relaxed);
-        return;
-      }
+      eng.stepIteration(im.xs[std::size_t(s)], im.es[std::size_t(s)]);
       const double m = eng.runStats().modeled_seconds;
       compute_delta[std::size_t(d)] += m - im.prev_modeled[std::size_t(s)];
       im.prev_modeled[std::size_t(s)] = m;
     }
   });
-  if (exhausted.load(std::memory_order_relaxed)) return false;
 
   ++stats.iterations;
   for (int d = 0; d < D; ++d) {

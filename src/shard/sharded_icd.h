@@ -91,9 +91,9 @@ class ShardedGpuIcd {
   ~ShardedGpuIcd();
 
   /// One BSP outer iteration: every device steps its slabs, then the
-  /// exchange assembles x and e in place. Returns false, leaving x and e at
-  /// the last exchange, once the slab engines have run max_iterations. A
-  /// slab engine's exception rethrows here after every device has joined.
+  /// exchange assembles x and e in place. Always returns true; the caller's
+  /// loop owns the cap. A slab engine's exception rethrows here after every
+  /// device has joined.
   bool stepIteration(Image2D& x, Sinogram& e);
   /// Kept in sync after every step; modeled_seconds is the synchronized
   /// clock after the last exchange.

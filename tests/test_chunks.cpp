@@ -283,18 +283,18 @@ struct EngineRun {
   GpuRunStats stats;
 };
 
-EngineRun runEngine(const OwnedProblem& problem, GpuIcdOptions opt) {
+EngineRun runEngine(const OwnedProblem& problem, GpuIcdOptions opt,
+                    int iterations = 3) {
   EngineRun r{problem.fbpInitialImage(), {}};
   Sinogram e = problem.initialError(r.x);
   GpuIcd icd(problem.view(), opt);
-  r.stats = test::stepGpu(icd, r.x, e);
+  r.stats = test::stepEngine(icd, r.x, e, iterations);
   return r;
 }
 
 GpuIcdOptions tinyEngineOptions(int sv_side = 8) {
   GpuIcdOptions opt = test::tinyGpuOptions();
   opt.tunables.sv.sv_side = sv_side;
-  opt.max_iterations = 3;
   return opt;
 }
 
@@ -354,8 +354,7 @@ TEST(PlanStore, EngineGrowsSvbPitchBeforeFirstRead) {
   const OwnedProblem p = freshTinyProblem();
   GpuIcdOptions opt = tinyEngineOptions();
   opt.tunables.chunk_width = 64;
-  opt.max_iterations = 1;
-  const EngineRun r = runEngine(p, opt);
+  const EngineRun r = runEngine(p, opt, /*iterations=*/1);
   const ParallelBeamGeometry& g = p.geometry();
   const SvGrid grid(g.image_size, opt.tunables.sv);
   ASSERT_EQ(r.stats.work.svs_processed, std::size_t(grid.count()));

@@ -14,7 +14,7 @@
 #include "icd/sequential_icd.h"
 #include "icd/update_order.h"
 #include "icd/voxel_update.h"
-#include "test_util.h"
+#include "test_support.h"
 
 namespace mbir {
 namespace {
@@ -81,26 +81,24 @@ TEST_F(IcdTest, SingleUpdateDecreasesCost) {
 
 TEST_F(IcdTest, SweepDecreasesCostMonotonically) {
   const Problem p = problem_->view();
-  SequentialIcdOptions opt;
-  opt.max_equits = 4;
-  SequentialIcd icd(p, opt);
+  SequentialIcd icd(p);
   double prev = computeCost(p, x_, e_).total();
   int violations = 0;
-  icd.run(x_, e_, [&](const Image2D& img, const IcdRunStats&) {
-    const double cost = computeCostFromScratch(p, img).total();
+  for (int i = 0; i < test::kIterationBound && icd.runStats().equits < 4 &&
+                  icd.stepIteration(x_, e_);
+       ++i) {
+    const double cost = computeCostFromScratch(p, x_).total();
     if (cost > prev * (1.0 + 1e-9)) ++violations;
     prev = cost;
-    return true;
-  });
+  }
+  EXPECT_GE(icd.runStats().equits, 4.0);
   EXPECT_EQ(violations, 0);
 }
 
 TEST_F(IcdTest, PositivityConstraintHolds) {
   const Problem p = problem_->view();
-  SequentialIcdOptions opt;
-  opt.max_equits = 2;
-  SequentialIcd icd(p, opt);
-  icd.run(x_, e_);
+  SequentialIcd icd(p);
+  test::stepEngine(icd, x_, e_, test::kIterationBound, 2);
   for (float v : x_.flat()) EXPECT_GE(v, 0.0f);
 }
 
@@ -120,20 +118,19 @@ TEST_F(IcdTest, AllZeroStartTerminates) {
   const Problem p = problem_->view();
   Image2D x(32);
   Sinogram e = problem_->initialError(x);
-  SequentialIcdOptions opt;
-  opt.max_equits = 5;
-  SequentialIcd icd(p, opt);
-  const auto stats = icd.run(x, e);  // everything zero-skipped
+  SequentialIcd icd(p);
+  EXPECT_TRUE(icd.stepIteration(x, e));  // everything zero-skipped
+  // The sweep updated no voxel, so the engine stops itself.
+  EXPECT_FALSE(icd.stepIteration(x, e));
+  const IcdRunStats& stats = icd.runStats();
   EXPECT_EQ(stats.voxel_updates, 0u);
   EXPECT_EQ(stats.sweeps, 1);
 }
 
 TEST_F(IcdTest, ConvergesToFixpoint) {
   const Problem p = problem_->view();
-  SequentialIcdOptions opt;
-  opt.max_equits = 25;
-  SequentialIcd icd(p, opt);
-  icd.run(x_, e_);
+  SequentialIcd icd(p);
+  test::stepEngine(icd, x_, e_, test::kIterationBound, 25);
   // At the fixpoint, further updates barely move any voxel. A handful of
   // high-contrast (metal-edge) voxels converge slowly under q-GGMRF's
   // halving surrogate steps, so bound the bulk (95th percentile) tightly
@@ -152,10 +149,9 @@ TEST_F(IcdTest, ConvergesToFixpoint) {
 
 TEST_F(IcdTest, WorkCountersPopulated) {
   const Problem p = problem_->view();
-  SequentialIcdOptions opt;
-  opt.max_equits = 1;
-  SequentialIcd icd(p, opt);
-  const auto stats = icd.run(x_, e_);
+  SequentialIcd icd(p);
+  const IcdRunStats stats =
+      test::stepEngine(icd, x_, e_, test::kIterationBound, 1);
   EXPECT_GT(stats.work.voxel_updates, 0u);
   EXPECT_GT(stats.work.theta_elements, stats.work.voxel_updates * 10);
   EXPECT_EQ(stats.work.theta_elements, stats.work.error_update_elements);

@@ -98,13 +98,12 @@ GpuRunStats runGpuWith(ThreadPool* pool, Image2D& x, int iterations = 3,
                        const SystemMatrix* A = nullptr) {
   const OwnedProblem& problem = test::tinyProblem();
   GpuIcdOptions opt = test::tinyGpuOptions();
-  opt.max_iterations = iterations;
   opt.host_pool = pool;
   opt.recorder = recorder;
   x = problem.fbpInitialImage();
   Sinogram e = problem.initialError(x);
   GpuIcd icd(test::tinyProblemOn(A ? *A : problem.matrix()), opt);
-  return test::stepGpu(icd, x, e);
+  return test::stepEngine(icd, x, e, iterations);
 }
 
 using test::expectGpuRunsBitIdentical;

@@ -33,16 +33,14 @@ class EngineFixture : public ::testing::Test {
     x_out = problem_->fbpInitialImage();
     Sinogram e = problem_->initialError(x_out);
     PsvIcd icd(problem_->view(), opt);
-    return icd.run(x_out, e, [&](const PsvIterationInfo& info) {
-      return info.equits < max_equits;
-    });
+    return test::stepEngine(icd, x_out, e, test::kIterationBound, max_equits);
   }
 
   GpuRunStats runGpu(GpuIcdOptions opt, double max_equits, Image2D& x_out) {
     x_out = problem_->fbpInitialImage();
     Sinogram e = problem_->initialError(x_out);
     GpuIcd icd(problem_->view(), test::tinyGpuOptions(std::move(opt)));
-    return test::stepGpu(icd, x_out, e, max_equits);
+    return test::stepEngine(icd, x_out, e, test::kIterationBound, max_equits);
   }
 
   const OwnedProblem* problem_;
@@ -89,7 +87,7 @@ TEST_F(EngineFixture, PsvDecreasesCost) {
   PsvIcdOptions opt;
   opt.sv.sv_side = 8;
   PsvIcd icd(p, opt);
-  icd.run(x, e, [&](const PsvIterationInfo& info) { return info.equits < 5.0; });
+  test::stepEngine(icd, x, e, test::kIterationBound, 5.0);
   EXPECT_LT(computeCostFromScratch(p, x).total(), before);
 }
 
@@ -100,7 +98,7 @@ TEST_F(EngineFixture, PsvErrorSinogramIntegrity) {
   PsvIcdOptions opt;
   opt.sv.sv_side = 8;
   PsvIcd icd(p, opt);
-  icd.run(x, e, [&](const PsvIterationInfo& info) { return info.equits < 5.0; });
+  test::stepEngine(icd, x, e, test::kIterationBound, 5.0);
   const Sinogram fresh = errorSinogram(p.A, p.y, x);
   double worst = 0.0;
   for (std::size_t i = 0; i < fresh.flat().size(); ++i)
@@ -195,7 +193,7 @@ TEST_F(EngineFixture, GpuErrorSinogramIntegrity) {
   opt.tunables.sv.sv_side = 8;
   opt.flags.quantize_amatrix = false;  // exact A so e stays y - A x
   GpuIcd icd(p, opt);
-  test::stepGpu(icd, x, e, 5.0);
+  test::stepEngine(icd, x, e, test::kIterationBound, 5.0);
   const Sinogram fresh = errorSinogram(p.A, p.y, x);
   double worst = 0.0;
   for (std::size_t i = 0; i < fresh.flat().size(); ++i)
@@ -263,13 +261,14 @@ TEST_F(EngineFixture, GpuEquitsAtLeastPsvEquits) {
   Sinogram e = problem_->initialError(x);
   PsvIcd psv(problem_->view(), popt);
   double psv_equits = 1e9;
-  psv.run(x, e, [&](const PsvIterationInfo& info) {
-    if (rmseHu(info.x, *golden_) < 10.0) {
-      psv_equits = info.equits;
-      return false;
+  for (int i = 0; i < test::kIterationBound && psv.runStats().equits < 20.0;
+       ++i) {
+    psv.stepIteration(x, e);
+    if (rmseHu(x, *golden_) < 10.0) {
+      psv_equits = psv.runStats().equits;
+      break;
     }
-    return info.equits < 20.0;
-  });
+  }
 
   GpuIcdOptions gopt;
   gopt.tunables.sv.sv_side = 8;
@@ -277,7 +276,8 @@ TEST_F(EngineFixture, GpuEquitsAtLeastPsvEquits) {
   Sinogram ge = problem_->initialError(gx);
   GpuIcd gpu(problem_->view(), gopt);
   double gpu_equits = 1e9;
-  while (gpu.stepIteration(gx, ge)) {
+  for (int i = 0; i < test::kIterationBound; ++i) {
+    gpu.stepIteration(gx, ge);
     if (rmseHu(gx, *golden_) < 10.0) {
       gpu_equits = gpu.runStats().equits;
       break;

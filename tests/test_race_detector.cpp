@@ -487,7 +487,7 @@ class RaceEngineFixture : public ::testing::Test {
     x_out = problem.fbpInitialImage();
     Sinogram e = problem.initialError(x_out);
     GpuIcd icd(problem.view(), test::tinyGpuOptions(std::move(opt)));
-    return test::stepGpu(icd, x_out, e, max_equits);
+    return test::stepEngine(icd, x_out, e, test::kIterationBound, max_equits);
   }
 };
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/error.h"
 #include "core/rng.h"
@@ -12,6 +13,7 @@
 #include "recon/metrics.h"
 #include "recon/reconstructor.h"
 #include "recon/suite.h"
+#include "shard/shard_job.h"
 #include "test_support.h"
 
 namespace mbir {
@@ -172,6 +174,58 @@ TEST(ReconIntegration, GpuStatsExposed) {
   EXPECT_GT(r.gpu_stats->kernels_launched, 0);
   EXPECT_EQ(r.gpu_stats->per_kernel.count("mbir_update"), 1u);
   EXPECT_GT(r.gpu_stats->kernel_stats.svb_access_bytes, 0.0);
+}
+
+TEST(Reconstruct, AllZeroWarmStartTerminatesOnEveryEngine) {
+  // An all-zero start zero-skips every voxel on every engine, so no run
+  // ever does work and only the stops that are not the caller's end it:
+  // the sequential engine's own stop after its first empty sweep, and
+  // reconstruct()'s iteration cap (2000 curve points) for every other
+  // engine, sharded included.
+  const OwnedProblem& p = test::tinyProblem();
+  const Image2D& golden = test::tinyGolden();
+  const auto zero = std::make_shared<const Image2D>(p.geometry().image_size);
+  const auto config = [&](Algorithm algorithm) {
+    RunConfig cfg = test::tinyRunConfig(algorithm);
+    cfg.stop_rmse_hu = -1.0;
+    cfg.initial_image = zero;
+    return cfg;
+  };
+
+  const RunResult seq = reconstruct(p, golden, config(Algorithm::kSequentialIcd));
+  ASSERT_TRUE(seq.seq_stats.has_value());
+  EXPECT_EQ(seq.seq_stats->sweeps, 1);
+  EXPECT_EQ(seq.curve.size(), 1u);
+  EXPECT_EQ(seq.equits, 0.0);
+
+  const RunResult psv = reconstruct(p, golden, config(Algorithm::kPsvIcd));
+  ASSERT_TRUE(psv.psv_stats.has_value());
+  EXPECT_EQ(psv.psv_stats->iterations, 2000);
+  EXPECT_EQ(psv.curve.size(), 2000u);
+  EXPECT_EQ(psv.equits, 0.0);
+
+  const RunResult gpu = reconstruct(p, golden, config(Algorithm::kGpuIcd));
+  ASSERT_TRUE(gpu.gpu_stats.has_value());
+  EXPECT_EQ(gpu.gpu_stats->iterations, 2000);
+  EXPECT_EQ(gpu.curve.size(), 2000u);
+  EXPECT_EQ(gpu.equits, 0.0);
+
+  shard::ShardConfig sc;
+  sc.plan = shard::makeShardPlan(p.geometry().image_size, /*num_slabs=*/2,
+                                 /*halo=*/1);
+  sc.devices = 2;
+  sc.base = config(Algorithm::kGpuIcd);
+  const shard::ShardRunResult sharded = shard::reconstructSharded(p, golden, sc);
+  EXPECT_EQ(sharded.shard.iterations, 2000);
+  EXPECT_EQ(sharded.run.curve.size(), 2000u);
+  EXPECT_EQ(sharded.run.equits, 0.0);
+
+  for (const RunResult* r : {&seq, &psv, &gpu, &sharded.run}) {
+    EXPECT_FALSE(r->converged);
+    EXPECT_FALSE(r->cancelled);
+    EXPECT_TRUE(r->warm_started);
+    EXPECT_EQ(r->work.voxel_updates, 0u);
+  }
 }
 
 TEST(PriorConfig, BothKindsConstruct) {

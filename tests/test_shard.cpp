@@ -119,21 +119,20 @@ struct ShardRun {
   ShardRunStats stats;
 };
 
-ShardRun runSharded(const ShardPlan& plan, ShardedOptions opt) {
+ShardRun runSharded(const ShardPlan& plan, ShardedOptions opt,
+                    int iterations = 4) {
   const OwnedProblem& problem = tinyProblem();
   ShardRun out{problem.fbpInitialImage(), Sinogram(), {}};
   out.e = problem.initialError(out.x);
   ShardedGpuIcd runner(problem.view(), plan, std::move(opt), out.x, out.e);
-  while (runner.stepIteration(out.x, out.e)) {
-  }
+  test::stepEngine(runner, out.x, out.e, iterations);
   out.stats = runner.finish();
   return out;
 }
 
-ShardedOptions tinyShardOptions(int devices, int max_iterations = 4) {
+ShardedOptions tinyShardOptions(int devices) {
   ShardedOptions opt;
   opt.engine = tinyGpuOptions();
-  opt.engine.max_iterations = max_iterations;
   opt.devices = devices;
   return opt;
 }
@@ -175,10 +174,8 @@ TEST(ShardedGpuIcd, SingleSlabPlanMatchesUnshardedEngine) {
 
   Image2D x = problem.fbpInitialImage();
   Sinogram e = problem.initialError(x);
-  GpuIcdOptions opt = tinyGpuOptions();
-  opt.max_iterations = 4;
-  GpuIcd engine(problem.view(), opt);
-  const GpuRunStats stats = test::stepGpu(engine, x, e);
+  GpuIcd engine(problem.view(), tinyGpuOptions());
+  const GpuRunStats stats = test::stepEngine(engine, x, e, 4);
 
   expectImagesBitIdentical(sharded.x, x);
   EXPECT_EQ(sinoHash(sharded.e), sinoHash(e));
@@ -210,15 +207,14 @@ TEST(ShardedGpuIcd, HaloExchangeIsRaceClean) {
   // exchange simulator AND on every slab engine's simulator.
   const ShardPlan plan = makeShardPlan(tinyProblem().geometry().image_size,
                                        /*num_slabs=*/4, /*halo=*/1);
-  ShardedOptions opt = tinyShardOptions(2, /*max_iterations=*/3);
+  ShardedOptions opt = tinyShardOptions(2);
   opt.engine.race_check = {.enabled = true, .throw_on_race = true};
 
   const OwnedProblem& problem = tinyProblem();
   Image2D x = problem.fbpInitialImage();
   Sinogram e = problem.initialError(x);
   ShardedGpuIcd runner(problem.view(), plan, opt, x, e);
-  while (runner.stepIteration(x, e)) {  // throw_on_race: any race dies
-  }
+  test::stepEngine(runner, x, e, 3);  // throw_on_race: any race dies
   const ShardRunStats stats = runner.finish();
 
   EXPECT_TRUE(runner.exchangeSimulator().raceDetector().races().empty());
@@ -243,7 +239,7 @@ TEST(ShardedGpuIcd, PlantedUndeclaredHaloWriteIsAttributedExactly) {
   // the exact overlapping element range.
   const int n = tinyProblem().geometry().image_size;
   const ShardPlan plan = makeShardPlan(n, /*num_slabs=*/2, /*halo=*/1);
-  ShardedOptions opt = tinyShardOptions(2, /*max_iterations=*/1);
+  ShardedOptions opt = tinyShardOptions(2);
   opt.engine.race_check = {.enabled = true, .throw_on_race = false};
   opt.plant_undeclared_halo_write = true;
 
@@ -251,8 +247,7 @@ TEST(ShardedGpuIcd, PlantedUndeclaredHaloWriteIsAttributedExactly) {
   Image2D x = problem.fbpInitialImage();
   Sinogram e = problem.initialError(x);
   ShardedGpuIcd runner(problem.view(), plan, opt, x, e);
-  while (runner.stepIteration(x, e)) {
-  }
+  ASSERT_TRUE(runner.stepIteration(x, e));
   const ShardRunStats stats = runner.finish();
 
   const auto& races = runner.exchangeSimulator().raceDetector().races();
@@ -277,7 +272,7 @@ TEST(ShardedGpuIcd, HaloZeroPlansCountNoHaloTransfers) {
   const int n = tinyProblem().geometry().image_size;
   for (const int halo : {0, 1}) {
     const ShardRun r = runSharded(makeShardPlan(n, 2, halo),
-                                  tinyShardOptions(2, /*max_iterations=*/1));
+                                  tinyShardOptions(2), /*iterations=*/1);
     EXPECT_EQ(r.stats.exchanges, 1);
     EXPECT_EQ(r.stats.comm_transfers, halo == 0 ? 4u : 6u) << "halo=" << halo;
   }

@@ -566,7 +566,7 @@ class SimdEngineIdentity : public ::testing::Test {
     Sinogram e = problem_->initialError(x_out);
     opt.race_check.enabled = true;
     GpuIcd icd(problem_->view(), test::tinyGpuOptions(std::move(opt)));
-    return test::stepGpu(icd, x_out, e, 3.0);
+    return test::stepEngine(icd, x_out, e, test::kIterationBound, 3.0);
   }
 
   void expectGpuBothWaysIdentical(OptimFlags flags) {
@@ -622,9 +622,7 @@ TEST_F(SimdEngineIdentity, PsvIcdBothWaysIdentical) {
     x_out = problem_->fbpInitialImage();
     Sinogram e = problem_->initialError(x_out);
     PsvIcd icd(problem_->view(), opt);
-    return icd.run(x_out, e, [&](const PsvIterationInfo& info) {
-      return info.equits < 3.0;
-    });
+    return test::stepEngine(icd, x_out, e, test::kIterationBound, 3.0);
   };
   Image2D xs, xv;
   const PsvRunStats ss = run(SimdMode::kOff, xs);

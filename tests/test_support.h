@@ -36,7 +36,8 @@ inline GpuIcdOptions tinyGpuOptions(GpuIcdOptions opt = {}) {
 }
 
 /// reconstruct() config sized for the tiny test problem (any engine).
-/// reconstruct() itself scales the simulated caches (scale_gpu_caches).
+/// reconstruct() always scales the simulated caches itself
+/// (gpuEngineOptions).
 inline RunConfig tinyRunConfig(Algorithm algorithm,
                                double max_equits = 25.0) {
   RunConfig cfg;
@@ -55,13 +56,20 @@ inline Problem tinyProblemOn(const SystemMatrix& A) {
   return Problem{A, p.scan().y, p.scan().weights, p.view().prior};
 }
 
-/// Step a GPU-ICD engine on x and e until it has run max_iterations or its
-/// equits reach `max_equits` (reconstruct()'s loop with only the equit cap);
-/// returns the final stats.
-inline GpuRunStats stepGpu(
-    GpuIcd& icd, Image2D& x, Sinogram& e,
-    double max_equits = std::numeric_limits<double>::infinity()) {
-  while (icd.stepIteration(x, e) && icd.runStats().equits < max_equits) {
+/// Bound on test loops that stop on equits or RMSE: far more iterations
+/// than any of them needs on the tiny problem, so none runs unbounded.
+inline constexpr int kIterationBound = 1000;
+
+/// Step any engine (GpuIcd, PsvIcd, SequentialIcd, ShardedGpuIcd) on x and
+/// e for `iterations` steps, fewer if its equits reach `max_equits` first
+/// or the engine stops itself (reconstruct()'s loop with an iteration count
+/// and only the equit cap); returns a copy of the final stats.
+template <class Icd>
+auto stepEngine(Icd& icd, Image2D& x, Sinogram& e, int iterations,
+                double max_equits = std::numeric_limits<double>::infinity()) {
+  for (int i = 0; i < iterations && icd.runStats().equits < max_equits &&
+                  icd.stepIteration(x, e);
+       ++i) {
   }
   return icd.runStats();
 }
