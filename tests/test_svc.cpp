@@ -806,6 +806,79 @@ TEST(SvcServer, TracingDoesNotPerturbDeterministicLaneResults) {
   EXPECT_NE(std::string::npos, trace.find("\"job_id\""));
 }
 
+TEST(SvcServer, EngineSpansLandOnTheJobsDeviceLane) {
+  // DESIGN §11: every engine span of a service job is tagged with the job
+  // and sits on its device's lanes — a host-clock event on tid device + 1,
+  // a modeled-clock event on the device's trace process — whichever engine
+  // ran it, and for a gang on its leader's lanes.
+  obs::ObsConfig obs_cfg;
+  obs_cfg.trace = true;
+  obs::Recorder recorder(obs_cfg);
+  std::map<int, int> device_of;  // job id -> device (a gang's leader)
+  {
+    TestService service(/*devices=*/2, /*queue_cap=*/8, &recorder);
+    Client client = service.connect();
+    std::vector<SubmitParams> specs;
+    for (const char* algorithm : {"gpu", "psv", "seq"}) {
+      SubmitParams p;
+      p.deterministic = true;
+      p.algorithm = algorithm;
+      p.name = std::string("lane_") + algorithm;
+      specs.push_back(p);
+    }
+    SubmitParams gang;
+    gang.shards = 2;
+    gang.name = "lane_gang";
+    specs.push_back(gang);
+    std::vector<int> ids;
+    for (const SubmitParams& p : specs) {
+      const auto out = client.submit(p);
+      ASSERT_TRUE(out.accepted) << out.error;
+      ids.push_back(out.job_id);
+    }
+    for (int id : ids) {
+      const Client::JobInfo info = client.result(id);
+      ASSERT_EQ("done", info.state) << "job " << id;
+      device_of[id] = info.device;
+    }
+    client.drain();
+  }
+
+  const int base_pid = svc::DispatcherOptions{}.base_trace_pid;
+  const int host_pid = int(obs::Clock::kHost);
+  const std::vector<std::string> engine_spans = {
+      "gpuicd.iteration", "psv.iteration",   "seq.sweep",
+      "recon.setup",      "recon.iteration", "shard.transfer"};
+  std::map<std::string, int> seen;
+  const obs::JsonValue doc = obs::parseJson(recorder.trace().toJson());
+  for (const obs::JsonValue& ev : doc.find("traceEvents")->array_v) {
+    if (ev.find("ph")->asString() != "X") continue;
+    const std::string& name = ev.find("name")->asString();
+    const bool launch = name.rfind("gsim.launch.", 0) == 0;
+    if (!launch && std::find(engine_spans.begin(), engine_spans.end(),
+                             name) == engine_spans.end())
+      continue;
+    ++seen[launch ? "gsim.launch.*" : name];
+    const int pid = int(ev.find("pid")->asNumber());
+    const int tid = int(ev.find("tid")->asNumber());
+    const obs::JsonValue* job = ev.find("args")->find("job_id");
+    if (job == nullptr || device_of.count(int(job->asNumber())) == 0) {
+      ADD_FAILURE() << name << " (pid " << pid << ", tid " << tid
+                    << ") carries no submitted job_id";
+      continue;
+    }
+    const int device = device_of[int(job->asNumber())];
+    if (pid == host_pid)
+      EXPECT_EQ(device + 1, tid) << name << " host event off its job's lane";
+    else
+      EXPECT_EQ(base_pid + device, pid)
+          << name << " modeled event off its job's device process";
+  }
+  EXPECT_GT(seen["gsim.launch.*"], 0);
+  for (const std::string& name : engine_spans)
+    EXPECT_GT(seen[name], 0) << name << " never recorded";
+}
+
 TEST(SvcServer, TenantsFlowThroughReportAndLabeledMetrics) {
   obs::ObsConfig obs_cfg;
   obs_cfg.metrics = true;
