@@ -9,7 +9,6 @@
 #include "core/thread_pool.h"
 #include "gpuicd/conflicts.h"
 #include "obs/obs.h"
-#include "obs/span.h"
 #include "gsim/occupancy.h"
 #include "icd/update_order.h"
 #include "icd/voxel_update.h"
@@ -46,6 +45,7 @@ constexpr int kAuxBlocksPerSv = 8;
 struct GpuIcd::Impl {
   const Problem problem;  // by value: Problem is a non-owning view struct
   GpuIcdOptions opt;
+  const gsim::RunContext run_ctx;
   SvGrid grid;
   gsim::GpuSimulator sim;
   std::vector<SvbPlan> plans;
@@ -74,29 +74,25 @@ struct GpuIcd::Impl {
   Rng run_rng;
   GpuRunStats run_stats;
 
-  Impl(const Problem& p, GpuIcdOptions o)
+  Impl(const Problem& p, GpuIcdOptions o, const gsim::RunContext& c)
       : problem(p),
         opt(std::move(o)),
+        run_ctx(c),
         grid(p.A.geometry().image_size, opt.tunables.sv),
-        sim(opt.device),
+        sim(opt.device, run_ctx),
         run_rng(opt.seed) {
     problem.validate();
     opt.tunables.validate();
     sim.setHostPool(opt.host_pool);
-    sim.setRecorder(opt.recorder);
-    sim.setTracePid(opt.trace_pid);
-    sim.setSpanContext(opt.span);
     sim.setRaceCheck(opt.race_check);
-    sim.setSimdMode(opt.simd);
-    sim.setFaultHook(opt.fault_hook);
     if (sim.raceCheckOn()) {
       gsim::RaceDetector& rd = sim.raceDetector();
       rb_image = rd.bufferId("image");
       rb_sino_e = rd.bufferId("sino.e");
       rb_sino_w = rd.bufferId("sino.w");
     }
-    if (opt.recorder && opt.recorder->metricsOn()) {
-      obs::MetricsRegistry& m = opt.recorder->metrics();
+    if (run_ctx.recorder && run_ctx.recorder->metricsOn()) {
+      obs::MetricsRegistry& m = run_ctx.recorder->metrics();
       m_cache_hits = &m.counter("gpuicd.chunk_cache.hits");
       m_cache_misses = &m.counter("gpuicd.chunk_cache.misses");
       m_batches = &m.counter("gpuicd.batch.count");
@@ -623,12 +619,15 @@ struct GpuIcd::Impl {
   }
 };
 
-GpuIcd::GpuIcd(const Problem& problem, GpuIcdOptions options)
-    : impl_(std::make_unique<Impl>(problem, std::move(options))) {}
+GpuIcd::GpuIcd(const Problem& problem, GpuIcdOptions options,
+               const gsim::RunContext& ctx)
+    : impl_(std::make_unique<Impl>(problem, std::move(options), ctx)) {}
 
 GpuIcd::~GpuIcd() = default;
 
-gsim::GpuSimulator& GpuIcd::simulator() { return impl_->sim; }
+const gsim::RaceDetector& GpuIcd::raceDetector() const {
+  return impl_->sim.raceDetector();
+}
 
 bool GpuIcd::stepIteration(Image2D& x, Sinogram& e) {
   Impl& im = *impl_;
@@ -639,7 +638,7 @@ bool GpuIcd::stepIteration(Image2D& x, Sinogram& e) {
   const double voxels_per_equit = double(x.numVoxels());
   const GpuTunables& tn = im.opt.tunables;
 
-  obs::Recorder* rec = im.opt.recorder;
+  obs::Recorder* rec = im.run_ctx.recorder;
   const bool tracing = rec && rec->traceOn();
 
   const double iter_host_us = tracing ? rec->trace().nowHostUs() : 0.0;
@@ -714,17 +713,11 @@ bool GpuIcd::stepIteration(Image2D& x, Sinogram& e) {
     dev_ev.name = "gpuicd.iteration";
     dev_ev.cat = "gpuicd";
     dev_ev.clock = obs::Clock::kModeled;
-    dev_ev.pid = im.opt.trace_pid;
     dev_ev.ts_us = iter_modeled_s * 1e6;
     dev_ev.dur_us = (stats.modeled_seconds - iter_modeled_s) * 1e6;
     dev_ev.num_args = args;
-    if (im.opt.span) {
-      host_ev.tid = im.opt.span->host_tid;
-      obs::tagSpan(host_ev, *im.opt.span);
-      obs::tagSpan(dev_ev, *im.opt.span);
-    }
-    rec->trace().record(std::move(host_ev));
-    rec->trace().record(std::move(dev_ev));
+    im.run_ctx.record(std::move(host_ev));
+    im.run_ctx.record(std::move(dev_ev));
   }
 
   // Keep the public stats fully synced after every step — callers read

@@ -29,14 +29,10 @@
 #include "geom/sinogram.h"
 #include "gpuicd/tunables.h"
 #include "gsim/executor.h"
+#include "gsim/run_context.h"
 #include "icd/problem.h"
 #include "icd/work.h"
 #include "sv/supervoxel.h"
-
-namespace mbir::obs {
-class Recorder;
-struct JobSpanContext;
-}  // namespace mbir::obs
 
 namespace mbir {
 
@@ -70,33 +66,11 @@ struct GpuIcdOptions {
   /// process-wide pool). Results are bit-identical for any pool size; only
   /// host wall-clock changes.
   ThreadPool* host_pool = nullptr;
-  /// Observability sink (nullptr = off): per-iteration spans on both
-  /// clocks, `gpuicd.*` metrics (chunk-cache hits/misses, batches), and —
-  /// forwarded to the simulator — per-launch `gsim.launch.*` telemetry.
-  /// Purely observational; results are bit-identical either way.
-  obs::Recorder* recorder = nullptr;
-  /// Trace process for modeled-clock spans (0 = the shared modeled-clock
-  /// process). The service dispatcher sets this to the assigned device's
-  /// pid so each simulated device renders as its own trace process.
-  int trace_pid = 0;
-  /// Per-job span context (nullptr = none, obs/span.h): iteration and
-  /// launch spans carry the job's id/tenant and land on its host-clock
-  /// lane. Borrowed; must outlive the run. Purely observational.
-  const obs::JobSpanContext* span = nullptr;
   /// Device-semantics race checking (gsim/race_check.h): every launch's
   /// per-block access declarations are intersected, independent of host
   /// interleaving. Defaults from GPUMBIR_RACE_CHECK; off costs one branch
   /// per declaration site and results are bit-identical either way.
   gsim::RaceCheckConfig race_check = gsim::RaceCheckConfig::fromEnv();
-  /// Lane-group execution path kernels run their row math on (gsim/simd.h).
-  /// kDefault = the GPUMBIR_SIMD environment knob. Scalar and AVX2 are
-  /// bit-identical, so this is purely a wall-clock knob; forcing kAvx2 on a
-  /// host that cannot run it throws at construction.
-  gsim::SimdMode simd = gsim::SimdMode::kDefault;
-  /// Fault-injection hook (nullptr = none, gsim/fault.h): forwarded to the
-  /// simulator so chaos testing can corrupt, stall, or kill this run at a
-  /// deterministic launch boundary. Borrowed; scoped to the run.
-  gsim::FaultHook* fault_hook = nullptr;
   /// Row-slab ownership window (disabled = whole image, the default).
   SlabWindow slab;
 };
@@ -118,7 +92,7 @@ struct GpuRunStats {
   /// Per-kernel-name time/stats breakdown.
   std::map<std::string, gsim::NamedTotals> per_kernel;
   /// Device-semantics race checking (zeros when disabled). Diagnoses are
-  /// readable via GpuIcd::simulator().raceDetector().
+  /// readable via GpuIcd::raceDetector().
   bool race_check_enabled = false;
   std::uint64_t race_launches_checked = 0;
   std::uint64_t race_ranges_checked = 0;
@@ -130,15 +104,23 @@ struct GpuRunStats {
 /// interleaves one step per slab with a halo exchange): stepIteration
 /// performs one full outer iteration on x and e in place and always
 /// returns true; runStats() is kept in sync after every step.
+///
+/// `ctx` is the run's plumbing (gsim/run_context.h), handed to the engine's
+/// simulator as well: the recorder gets per-iteration spans on both clocks,
+/// `gpuicd.*` metrics (chunk-cache hits/misses, batches) and per-launch
+/// `gsim.launch.*` telemetry; the lane-group table runs the kernels' row
+/// math; the fault hook fires before every launch. None of it changes
+/// results.
 class GpuIcd {
  public:
-  GpuIcd(const Problem& problem, GpuIcdOptions options = {});
+  GpuIcd(const Problem& problem, GpuIcdOptions options = {},
+         const gsim::RunContext& ctx = {});
   ~GpuIcd();
 
   bool stepIteration(Image2D& x, Sinogram& e);
   const GpuRunStats& runStats() const;
-
-  gsim::GpuSimulator& simulator();
+  /// The race diagnoses of this engine's launches (gsim/race_check.h).
+  const gsim::RaceDetector& raceDetector() const;
 
  private:
   struct Impl;

@@ -7,7 +7,6 @@
 #include "core/thread_pool.h"
 #include "gsim/fault.h"
 #include "obs/obs.h"
-#include "obs/span.h"
 
 namespace mbir::gsim {
 
@@ -54,11 +53,14 @@ void fillLaunchArgs(obs::TraceEvent& ev, const LaunchReport& report) {
 
 }  // namespace
 
-void GpuSimulator::setRecorder(obs::Recorder* rec) {
-  rec_ = rec;
-  inst_ = {};
-  if (rec_ && rec_->metricsOn()) {
-    obs::MetricsRegistry& m = rec_->metrics();
+GpuSimulator::GpuSimulator(DeviceSpec spec, RunContext ctx)
+    : dev_(std::move(spec)),
+      race_(RaceCheckConfig::fromEnv()),
+      ctx_(ctx) {
+  ctx_.simd = &ctx.simdTable();
+  obs::Recorder* rec = ctx_.recorder;
+  if (rec && rec->metricsOn()) {
+    obs::MetricsRegistry& m = rec->metrics();
     inst_.launches = &m.counter("gsim.launch.count");
     inst_.blocks = &m.counter("gsim.launch.blocks");
     inst_.svb_access_bytes = &m.counter("gsim.launch.svb_access_bytes");
@@ -81,16 +83,17 @@ LaunchReport GpuSimulator::launch(const LaunchConfig& cfg,
   // so a thrown LaunchFault leaves the simulator's totals untouched. The
   // sequence number advances even when the hook throws — "the 4th launch"
   // means the 4th attempted launch on every replay.
-  if (fault_hook_ != nullptr) {
+  if (ctx_.fault_hook != nullptr) {
     const std::uint64_t seq = launch_seq_++;
-    fault_hook_->onEvent(("launch:" + cfg.name).c_str(), seq);
+    ctx_.fault_hook->onEvent(("launch:" + cfg.name).c_str(), seq);
   }
   LaunchReport report;
   report.occupancy = computeOccupancy(dev_, cfg.resources);
 
-  const bool tracing = rec_ && rec_->traceOn();
-  const bool block_spans = rec_ && rec_->blockSpansOn();
-  const double host_t0_us = tracing ? rec_->trace().nowHostUs() : 0.0;
+  obs::Recorder* rec = ctx_.recorder;
+  const bool tracing = ctx_.tracing();
+  const bool block_spans = rec && rec->blockSpansOn();
+  const double host_t0_us = tracing ? rec->trace().nowHostUs() : 0.0;
   const double modeled_t0_s = total_seconds_;
   std::vector<BlockSpan> bspans;
   if (block_spans) bspans.resize(std::size_t(cfg.num_blocks));
@@ -101,9 +104,9 @@ LaunchReport GpuSimulator::launch(const LaunchConfig& cfg,
     if (block_spans) {
       BlockSpan& bs = bspans[std::size_t(ctx.block_idx)];
       bs.tid = hostThreadTid();
-      bs.t0_us = rec_->trace().nowHostUs();
+      bs.t0_us = rec->trace().nowHostUs();
       kernel(ctx);
-      bs.t1_us = rec_->trace().nowHostUs();
+      bs.t1_us = rec->trace().nowHostUs();
     } else {
       kernel(ctx);
     }
@@ -116,7 +119,7 @@ LaunchReport GpuSimulator::launch(const LaunchConfig& cfg,
   std::vector<BlockAccessLog> race_logs;
   if (race_on) race_logs.resize(std::size_t(cfg.num_blocks));
 
-  const WarpCtx warp{*simd_ops_, kSimdLanes};
+  const WarpCtx warp{*ctx_.simd, kSimdLanes};
   if (cfg.num_blocks == 1) {
     KernelProfiler prof(dev_);
     if (race_on) prof.setRaceLog(&race_logs[0]);
@@ -182,23 +185,17 @@ LaunchReport GpuSimulator::launch(const LaunchConfig& cfg,
     host_ev.cat = "gsim";
     host_ev.clock = obs::Clock::kHost;
     host_ev.ts_us = host_t0_us;
-    host_ev.dur_us = rec_->trace().nowHostUs() - host_t0_us;
+    host_ev.dur_us = rec->trace().nowHostUs() - host_t0_us;
     fillLaunchArgs(host_ev, report);
     obs::TraceEvent dev_ev;
     dev_ev.name = span_name;
     dev_ev.cat = "gsim";
     dev_ev.clock = obs::Clock::kModeled;
-    dev_ev.pid = trace_pid_;
     dev_ev.ts_us = modeled_t0_s * 1e6;
     dev_ev.dur_us = report.time.total * 1e6;
     fillLaunchArgs(dev_ev, report);
-    if (span_) {
-      host_ev.tid = span_->host_tid;
-      obs::tagSpan(host_ev, *span_);
-      obs::tagSpan(dev_ev, *span_);
-    }
-    rec_->trace().record(std::move(host_ev));
-    rec_->trace().record(std::move(dev_ev));
+    ctx_.record(std::move(host_ev));
+    ctx_.record(std::move(dev_ev));
     for (std::size_t b = 0; b < bspans.size(); ++b) {
       obs::TraceEvent bev;
       bev.name = "gsim.block." + cfg.name;
@@ -208,7 +205,7 @@ LaunchReport GpuSimulator::launch(const LaunchConfig& cfg,
       bev.dur_us = bspans[b].t1_us - bspans[b].t0_us;
       bev.tid = bspans[b].tid;
       bev.num_args = {{"block_idx", double(b)}};
-      rec_->trace().record(std::move(bev));
+      rec->trace().record(std::move(bev));
     }
   }
   // Diagnose after totals/metrics/trace so the launch stays observable even

@@ -24,6 +24,7 @@
 #include "gsim/kernel_stats.h"
 #include "gsim/occupancy.h"
 #include "gsim/race_check.h"
+#include "gsim/run_context.h"
 #include "gsim/simd.h"
 #include "gsim/timing.h"
 
@@ -35,8 +36,6 @@ namespace mbir::obs {
 class Counter;
 class Gauge;
 class Histogram;
-class Recorder;
-struct JobSpanContext;
 }  // namespace mbir::obs
 
 namespace mbir::gsim {
@@ -232,8 +231,8 @@ class KernelProfiler {
 };
 
 /// Lane-group execution context: how this launch's warps execute their
-/// functional math. `ops` is the lane-group implementation resolved for the
-/// owning GpuSimulator (scalar or AVX2 — bit-identical either way, see
+/// functional math. `ops` is the lane-group table of the owning
+/// GpuSimulator's run context (scalar or AVX2 — bit-identical either way, see
 /// gsim/simd.h); kernels route their hot row loops through it, processing
 /// `lanes` simulated warp lanes per step. Profiler and race declarations
 /// stay at warp granularity and do not depend on which path runs.
@@ -262,8 +261,6 @@ struct LaunchReport {
   KernelTime time;
 };
 
-class FaultHook;  // gsim/fault.h
-
 /// Aggregated per-kernel-name totals.
 struct NamedTotals {
   KernelStats stats;
@@ -273,11 +270,23 @@ struct NamedTotals {
 
 class GpuSimulator {
  public:
+  /// `ctx` is the run's plumbing (gsim/run_context.h), borrowed for the
+  /// simulator's lifetime:
+  ///   - recorder: every launch records one span per clock (host wall time
+  ///     + modeled device time) with its KernelStats and time breakdown as
+  ///     args, on the job's lanes via ctx.record(); optional per-block
+  ///     host-clock spans; and `gsim.launch.*` metrics. Observational only.
+  ///   - simd: the lane-group table launches hand to kernels through
+  ///     BlockCtx::warp. Scalar and AVX2 are bit-identical.
+  ///   - fault_hook: called at the top of every launch with
+  ///     "launch:<kernel>" and this simulator's launch sequence number,
+  ///     *before* any block runs. It may throw (LaunchFault — the launch is
+  ///     accounted as never having happened) or block (a stalled device).
+  ///     See gsim/fault.h.
   /// Race checking auto-enables from GPUMBIR_RACE_CHECK=1 so any existing
   /// binary can be run checked without a code change; setRaceCheck()
   /// overrides either way.
-  explicit GpuSimulator(DeviceSpec spec = titanXMaxwell())
-      : dev_(std::move(spec)), race_(RaceCheckConfig::fromEnv()) {}
+  explicit GpuSimulator(DeviceSpec spec = titanXMaxwell(), RunContext ctx = {});
 
   const DeviceSpec& device() const { return dev_; }
 
@@ -295,45 +304,6 @@ class GpuSimulator {
   /// Purely a wall-clock knob: results are identical for any pool.
   void setHostPool(ThreadPool* pool) { host_pool_ = pool; }
 
-  /// Lane-group implementation subsequent launches hand to kernels through
-  /// BlockCtx::warp (gsim/simd.h). Defaults to the GPUMBIR_SIMD environment
-  /// knob (unset = auto). Purely a wall-clock knob too: the scalar and AVX2
-  /// paths are bit-identical, so this never changes results — but forcing
-  /// kAvx2 on a host that cannot run it throws.
-  void setSimdMode(SimdMode m) { simd_ops_ = &resolveSimdOps(m); }
-  const SimdOps& simdOps() const { return *simd_ops_; }
-  /// The concrete path kernels will execute on: "scalar" | "avx2".
-  const char* simdPath() const { return simd_ops_->name; }
-
-  /// Observability sink (nullptr = off, the default): every launch records
-  /// one span per clock (host wall time + modeled device time) with its
-  /// KernelStats and time breakdown as args, optional per-block host-clock
-  /// spans, and `gsim.launch.*` metrics. Purely observational — launch
-  /// results are bit-identical with or without a recorder.
-  void setRecorder(obs::Recorder* rec);
-
-  /// Trace process this instance's modeled-clock spans belong to (0 = the
-  /// shared "modeled device clock" process). A multi-device scheduler gives
-  /// every device instance its own pid (named via
-  /// obs::TraceRecorder::nameProcess) so per-device timelines stay apart.
-  /// Purely observational.
-  void setTracePid(int pid) { trace_pid_ = pid; }
-  int tracePid() const { return trace_pid_; }
-
-  /// Per-job span context (nullptr = none): launch spans carry the job's
-  /// id/tenant args and land on the job's host-clock lane, so a service
-  /// trace nests every launch under its job. Borrowed; must outlive the
-  /// launches it covers. Purely observational.
-  void setSpanContext(const obs::JobSpanContext* span) { span_ = span; }
-
-  /// Fault-injection hook (nullptr = none, the default): called at the top
-  /// of every launch with "launch:<kernel>" and this simulator's launch
-  /// sequence number, *before* any block runs. The hook may throw
-  /// (LaunchFault — the launch is accounted as never having happened) or
-  /// block (a stalled device). Borrowed; scoped to one job run by the
-  /// scheduler layers. See gsim/fault.h.
-  void setFaultHook(FaultHook* hook) { fault_hook_ = hook; }
-
   /// Run every block of the kernel functionally (concurrently across host
   /// threads); model and accumulate time. The report is invariant to the
   /// host thread count: each block profiles into its own KernelProfiler and
@@ -350,8 +320,8 @@ class GpuSimulator {
   void resetTotals();
 
  private:
-  /// gsim.launch.* instruments, resolved once in setRecorder so the launch
-  /// path never does registry lookups.
+  /// gsim.launch.* instruments, resolved once at construction so the
+  /// launch path never does registry lookups.
   struct Instruments {
     obs::Counter* launches = nullptr;
     obs::Counter* blocks = nullptr;
@@ -370,11 +340,7 @@ class GpuSimulator {
   DeviceSpec dev_;
   RaceDetector race_;
   ThreadPool* host_pool_ = nullptr;
-  const SimdOps* simd_ops_ = &resolveSimdOps(SimdMode::kDefault);
-  obs::Recorder* rec_ = nullptr;
-  int trace_pid_ = 0;
-  const obs::JobSpanContext* span_ = nullptr;
-  FaultHook* fault_hook_ = nullptr;
+  RunContext ctx_;  ///< ctx_.simd always set
   std::uint64_t launch_seq_ = 0;
   Instruments inst_;
   KernelStats total_stats_;

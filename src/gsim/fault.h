@@ -19,11 +19,12 @@
 //   - block (a stalled device: heartbeats stop, the run freezes until the
 //     service-level watchdog declares the device failed).
 //
-// The hook pointer is plumbed RunConfig -> GpuIcdOptions -> GpuSimulator and
-// RunConfig -> the engine-agnostic per-iteration tracker, so all three
-// engines (seq/psv/gpu) share the iteration-boundary injection point and the
-// gpu engine additionally gets per-launch granularity. nullptr everywhere
-// means zero overhead and byte-for-byte the pre-chaos behavior.
+// The hook pointer travels RunConfig -> the run's RunContext
+// (gsim/run_context.h), which reconstruct()'s per-iteration tracker calls
+// and every GpuSimulator takes at construction, so all three engines
+// (seq/psv/gpu) share the iteration-boundary injection point and the gpu
+// engine additionally gets per-launch granularity. nullptr everywhere means
+// zero overhead and byte-for-byte the pre-chaos behavior.
 #pragma once
 
 #include <cstdint>

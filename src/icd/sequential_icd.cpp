@@ -5,9 +5,11 @@
 
 namespace mbir {
 
-SequentialIcd::SequentialIcd(const Problem& problem, SequentialIcdOptions options)
+SequentialIcd::SequentialIcd(const Problem& problem, SequentialIcdOptions options,
+                             const gsim::RunContext& ctx)
     : problem_(problem),
       options_(options),
+      ctx_(ctx),
       rng_(options.seed),
       race_(options.race_check) {
   problem_.validate();
@@ -21,7 +23,7 @@ SequentialIcd::SequentialIcd(const Problem& problem, SequentialIcdOptions option
       acc += problem_.A.run(voxel, v).count;
     nnz_[voxel] = acc;
   }
-  obs::Recorder* rec = options_.recorder;
+  obs::Recorder* rec = ctx_.recorder;
   if (rec && rec->metricsOn()) {
     m_sweeps_ = &rec->metrics().counter("seq.sweep.count");
     m_updates_ = &rec->metrics().counter("seq.voxel.updates");
@@ -38,7 +40,7 @@ bool SequentialIcd::stepIteration(Image2D& x, Sinogram& e) {
   MBIR_CHECK(std::size_t(x.size()) * std::size_t(x.size()) == num_voxels);
   if (stalled_) return false;
   const int n = x.size();
-  obs::Recorder* rec = options_.recorder;
+  obs::Recorder* rec = ctx_.recorder;
   const bool tracing = rec && rec->traceOn();
   IcdRunStats& stats = stats_;
 
@@ -89,7 +91,7 @@ bool SequentialIcd::stepIteration(Image2D& x, Sinogram& e) {
     ev.num_args = {{"sweep", double(stats.sweeps)},
                    {"equits", stats.equits},
                    {"voxel_updates", double(sweep_updates)}};
-    rec->trace().record(std::move(ev));
+    ctx_.record(std::move(ev));
   }
   return true;
 }

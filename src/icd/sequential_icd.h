@@ -10,12 +10,12 @@
 #include "geom/image.h"
 #include "geom/sinogram.h"
 #include "gsim/race_check.h"
+#include "gsim/run_context.h"
 #include "icd/problem.h"
 #include "icd/work.h"
 
 namespace mbir::obs {
 class Counter;
-class Recorder;
 }  // namespace mbir::obs
 
 namespace mbir {
@@ -26,9 +26,6 @@ struct SequentialIcdOptions {
   /// Apply the zero-skipping rule.
   bool zero_skip = true;
   std::uint64_t seed = 7;
-  /// Observability sink (nullptr = off): per-sweep host-clock spans and
-  /// `seq.*` counters. Purely observational.
-  obs::Recorder* recorder = nullptr;
   /// Device-semantics race checking. Sequential ICD is single-threaded, so
   /// each sweep is declared as a trivial one-block launch — always clean;
   /// wired so all three engines report through the same channel and the
@@ -56,9 +53,12 @@ struct IcdRunStats {
 /// step. The engine's one stop of its own: once a sweep updated no voxel,
 /// stepIteration returns false without sweeping. That sweep zero-skipped
 /// every voxel, so the image is all zero and every later sweep would too.
+/// The run's recorder (gsim/run_context.h) gets per-sweep host-clock spans
+/// on the job's lane and `seq.*` counters; purely observational.
 class SequentialIcd {
  public:
-  SequentialIcd(const Problem& problem, SequentialIcdOptions options = {});
+  SequentialIcd(const Problem& problem, SequentialIcdOptions options = {},
+                const gsim::RunContext& ctx = {});
 
   bool stepIteration(Image2D& x, Sinogram& e);
   const IcdRunStats& runStats() const { return stats_; }
@@ -66,6 +66,7 @@ class SequentialIcd {
  private:
   const Problem problem_;  // by value: Problem is a non-owning view struct
   SequentialIcdOptions options_;
+  gsim::RunContext ctx_;
   Rng rng_;
   std::vector<int> order_;
   /// Per-voxel nonzero counts, for the work counters the CPU timing model

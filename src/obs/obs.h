@@ -2,12 +2,13 @@
 // Recorder (one MetricsRegistry + one TraceRecorder sharing an epoch).
 //
 // Everything is opt-in and zero-overhead when disabled: instrumented code
-// holds an `obs::Recorder*` that defaults to nullptr, so the disabled path
-// costs one pointer test and records nothing — outputs are bit-identical
-// to a build without observability (asserted by
-// tests/test_parallel_determinism.cpp). When enabled, recording is
-// observational only: nothing read back from the recorder influences the
-// reconstruction, so determinism (for any host thread count) is preserved.
+// takes the run's gsim::RunContext (gsim/run_context.h), whose recorder
+// defaults to nullptr, so the disabled path costs one pointer test and
+// records nothing — outputs are bit-identical to a build without
+// observability (asserted by tests/test_parallel_determinism.cpp). When
+// enabled, recording is observational only: nothing read back from the
+// recorder influences the reconstruction, so determinism (for any host
+// thread count) is preserved.
 #pragma once
 
 #include <string>
@@ -50,36 +51,6 @@ class Recorder {
   ObsConfig cfg_;
   MetricsRegistry metrics_;
   TraceRecorder trace_;
-};
-
-/// RAII host-clock span: measures wall time from construction to
-/// destruction and records it (no-op when rec is null or tracing is off).
-class HostSpan {
- public:
-  HostSpan(Recorder* rec, std::string name, std::string cat)
-      : rec_(rec && rec->traceOn() ? rec : nullptr) {
-    if (!rec_) return;
-    ev_.name = std::move(name);
-    ev_.cat = std::move(cat);
-    ev_.ts_us = rec_->trace().nowHostUs();
-  }
-
-  HostSpan(const HostSpan&) = delete;
-  HostSpan& operator=(const HostSpan&) = delete;
-
-  void addArg(std::string key, double v) {
-    if (rec_) ev_.num_args.emplace_back(std::move(key), v);
-  }
-
-  ~HostSpan() {
-    if (!rec_) return;
-    ev_.dur_us = rec_->trace().nowHostUs() - ev_.ts_us;
-    rec_->trace().record(std::move(ev_));
-  }
-
- private:
-  Recorder* rec_;
-  TraceEvent ev_;
 };
 
 }  // namespace mbir::obs

@@ -2,10 +2,11 @@
 // trace spans and flight-recorder events from svc admission down to
 // individual gsim launches attribute to the same job.
 //
-// Created at admission (svc) and threaded by const pointer through
-// RunConfig → engines. Purely observational: nothing reads it back into
-// the reconstruction, so a run with a span context is bit-identical to one
-// without.
+// Created at admission (svc) and borrowed by const pointer through
+// RunConfig::span into the run's gsim::RunContext, whose record() is the one
+// place that puts a span on the job's lanes and tags it. Purely
+// observational: nothing reads it back into the reconstruction, so a run
+// with a span context is bit-identical to one without.
 #pragma once
 
 #include <string>
@@ -25,7 +26,9 @@ struct JobSpanContext {
   /// explicit span starting at admission.
   double submit_host_us = 0.0;
   int device = -1;    ///< assigned at dispatch; -1 while queued
-  int trace_pid = 0;  ///< modeled-clock trace process for the device
+  /// Modeled-clock trace process for the device (0 = the shared modeled
+  /// clock process).
+  int trace_pid = 0;
   /// Host-clock thread lane for the device (tid within pid kHost); 0 keeps
   /// the legacy single-lane layout.
   int host_tid = 0;

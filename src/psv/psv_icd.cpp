@@ -115,6 +115,7 @@ struct PsvIcd::Impl {
 
   const Problem problem;  // by value: Problem is a non-owning view struct
   const PsvIcdOptions opt;
+  const gsim::RunContext run_ctx;
   const SvGrid grid;
   const SimdOps& simd_ops;
   /// One SVB plan per SV, reused across iterations (band depends only on
@@ -138,11 +139,12 @@ struct PsvIcd::Impl {
   std::optional<ThreadPool> local_pool;
   ThreadPool* pool = nullptr;
 
-  Impl(const Problem& p, PsvIcdOptions o)
+  Impl(const Problem& p, PsvIcdOptions o, const gsim::RunContext& c)
       : problem(p),
         opt(o),
+        run_ctx(c),
         grid(p.A.geometry().image_size, o.sv),
-        simd_ops(resolveSimdOps(o.simd)),
+        simd_ops(c.simdTable()),
         rng(o.seed),
         magnitude(std::size_t(grid.count()), 0.0),
         seeds(std::size_t(grid.count())),
@@ -155,7 +157,7 @@ struct PsvIcd::Impl {
     if (opt.num_threads > 0) local_pool.emplace(opt.num_threads);
     pool = local_pool ? &*local_pool : &globalThreadPool();
     wave.resize(std::max<std::size_t>(1, pool->size()));
-    obs::Recorder* rec = opt.recorder;
+    obs::Recorder* rec = run_ctx.recorder;
     if (rec && rec->metricsOn()) {
       obs::MetricsRegistry& m = rec->metrics();
       m_iterations = &m.counter("psv.iteration.count");
@@ -254,8 +256,9 @@ struct PsvIcd::Impl {
   }
 };
 
-PsvIcd::PsvIcd(const Problem& problem, PsvIcdOptions options)
-    : impl_(std::make_unique<Impl>(problem, std::move(options))) {}
+PsvIcd::PsvIcd(const Problem& problem, PsvIcdOptions options,
+               const gsim::RunContext& ctx)
+    : impl_(std::make_unique<Impl>(problem, std::move(options), ctx)) {}
 
 PsvIcd::~PsvIcd() = default;
 
@@ -266,7 +269,7 @@ bool PsvIcd::stepIteration(Image2D& x, Sinogram& e) {
   MBIR_CHECK(x.size() == im.problem.A.geometry().image_size);
   PsvRunStats& stats = im.stats;
   const int iter = stats.iterations + 1;
-  obs::Recorder* rec = im.opt.recorder;
+  obs::Recorder* rec = im.run_ctx.recorder;
   const bool tracing = rec && rec->traceOn();
 
   const double iter_host_us = tracing ? rec->trace().nowHostUs() : 0.0;
@@ -339,7 +342,7 @@ bool PsvIcd::stepIteration(Image2D& x, Sinogram& e) {
     ev.num_args = {{"iteration", double(iter)},
                    {"selected_svs", double(selected.size())},
                    {"equits", stats.equits}};
-    rec->trace().record(std::move(ev));
+    im.run_ctx.record(std::move(ev));
   }
   return true;
 }

@@ -21,17 +21,13 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/simd.h"
 #include "geom/image.h"
 #include "geom/sinogram.h"
 #include "gsim/race_check.h"
+#include "gsim/run_context.h"
 #include "icd/problem.h"
 #include "icd/work.h"
 #include "sv/supervoxel.h"
-
-namespace mbir::obs {
-class Recorder;
-}  // namespace mbir::obs
 
 namespace mbir {
 
@@ -45,9 +41,6 @@ struct PsvIcdOptions {
   /// 0 = use the global pool's size. Also the wave width, so the result
   /// depends on it.
   unsigned num_threads = 0;
-  /// Observability sink (nullptr = off): per-iteration host-clock spans and
-  /// `psv.*` counters. Purely observational.
-  obs::Recorder* recorder = nullptr;
   /// Device-semantics race checking: each iteration's concurrent SV sweeps
   /// are declared to a gsim::RaceDetector as one launch (one block per SV).
   /// Image and global-sinogram accesses are declared atomic — adjacent SVs
@@ -56,10 +49,6 @@ struct PsvIcdOptions {
   /// SVB-privacy claim and will flag any future scheme that drops the
   /// atomics. Defaults from GPUMBIR_RACE_CHECK.
   gsim::RaceCheckConfig race_check = gsim::RaceCheckConfig::fromEnv();
-  /// Lane-group execution path for the SVB row loops (core/simd.h).
-  /// kDefault = the GPUMBIR_SIMD environment knob. Scalar and AVX2 are
-  /// bit-identical, so this is purely a wall-clock knob.
-  SimdMode simd = SimdMode::kDefault;
 };
 
 struct PsvRunStats {
@@ -80,9 +69,15 @@ struct PsvRunStats {
 /// returns true; runStats() is kept in sync after every step. The SVB
 /// plans, RNG streams, magnitudes, wave buffers, pool and race detector
 /// live across steps, built once at construction.
+///
+/// From the run's context (gsim/run_context.h) the engine takes the
+/// recorder (per-iteration host-clock spans on the job's lane and `psv.*`
+/// counters) and the lane-group table its SVB row loops run on; neither
+/// changes results.
 class PsvIcd {
  public:
-  PsvIcd(const Problem& problem, PsvIcdOptions options = {});
+  PsvIcd(const Problem& problem, PsvIcdOptions options = {},
+         const gsim::RunContext& ctx = {});
   ~PsvIcd();
 
   bool stepIteration(Image2D& x, Sinogram& e);

@@ -31,13 +31,8 @@ Image2D computeGolden(const OwnedProblem& problem, double equits) {
 }
 
 GpuIcdOptions gpuEngineOptions(const OwnedProblem& problem,
-                               const RunConfig& config, obs::Recorder* rec) {
+                               const RunConfig& config) {
   GpuIcdOptions opt = config.gpu;
-  opt.recorder = rec;
-  opt.simd = config.simd;
-  opt.span = config.span;
-  opt.fault_hook = config.fault_hook;
-  if (config.trace_pid != 0) opt.trace_pid = config.trace_pid;
   // SVB size scales with views (see gsim::scaleCachesToProblem docs).
   const double ratio = double(problem.geometry().num_views) / 720.0;
   opt.device = gsim::scaleCachesToProblem(opt.device, ratio);
@@ -68,14 +63,12 @@ auto stepUntilStopped(Icd& icd, const Modeled& modeled, Sinogram& e,
 
 /// The three in-tree engines behind reconstruct()'s Engine slot.
 void runBuiltinEngine(const OwnedProblem& problem, const RunConfig& config,
-                      obs::Recorder* rec, Sinogram& e,
+                      const gsim::RunContext& ctx, Sinogram& e,
                       const IterationTrack& track, RunResult& result) {
   const Problem p = problem.view();
   switch (config.algorithm) {
     case Algorithm::kSequentialIcd: {
-      SequentialIcdOptions opt = config.seq;
-      opt.recorder = rec;
-      SequentialIcd icd(p, opt);
+      SequentialIcd icd(p, config.seq, ctx);
       result.seq_stats = stepUntilStopped(
           icd,
           [](const IcdRunStats& s) {
@@ -86,10 +79,7 @@ void runBuiltinEngine(const OwnedProblem& problem, const RunConfig& config,
       break;
     }
     case Algorithm::kPsvIcd: {
-      PsvIcdOptions opt = config.psv;
-      opt.recorder = rec;
-      opt.simd = config.simd;
-      PsvIcd icd(p, opt);
+      PsvIcd icd(p, config.psv, ctx);
       result.psv_stats = stepUntilStopped(
           icd,
           [](const PsvRunStats& s) {
@@ -99,7 +89,7 @@ void runBuiltinEngine(const OwnedProblem& problem, const RunConfig& config,
       break;
     }
     case Algorithm::kGpuIcd: {
-      GpuIcd icd(p, gpuEngineOptions(problem, config, rec));
+      GpuIcd icd(p, gpuEngineOptions(problem, config), ctx);
       result.gpu_stats = stepUntilStopped(
           icd, [](const GpuRunStats& s) { return s.modeled_seconds; }, e,
           track, result);
@@ -113,9 +103,9 @@ void runBuiltinEngine(const OwnedProblem& problem, const RunConfig& config,
 RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
                       const RunConfig& config) {
   return reconstruct(problem, golden, config,
-                     [&](obs::Recorder* rec, Sinogram& e,
+                     [&](const gsim::RunContext& ctx, Sinogram& e,
                          const IterationTrack& track, RunResult& result) {
-                       runBuiltinEngine(problem, config, rec, e, track, result);
+                       runBuiltinEngine(problem, config, ctx, e, track, result);
                      });
 }
 
@@ -129,17 +119,22 @@ RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
     result.recorder = std::make_shared<obs::Recorder>(config.obs);
     rec = result.recorder.get();
   }
-  const bool tracing = rec && rec->traceOn();
+  // The run's plumbing, built once: every engine and simulator below takes
+  // it at construction. The lane-group path is resolved here, so the result
+  // names the table the engines ran (and a forced-but-unavailable path
+  // fails loudly up front).
+  const gsim::RunContext ctx{.recorder = rec,
+                             .span = config.span,
+                             .simd = &resolveSimdOps(config.simd),
+                             .fault_hook = config.fault_hook};
+  result.simd_path = ctx.simd->name;
+  const bool tracing = ctx.tracing();
   obs::Counter* m_iterations = nullptr;
   obs::Gauge* m_rmse = nullptr;
   if (rec && rec->metricsOn()) {
     m_iterations = &rec->metrics().counter("recon.iteration.count");
     m_rmse = &rec->metrics().gauge("recon.rmse_hu");
   }
-
-  // Resolve the lane-group path once so the result records what actually
-  // ran (and a forced-but-unavailable path fails loudly up front).
-  result.simd_path = resolveSimdOps(config.simd).name;
 
   const double setup_t0_us = tracing ? rec->trace().nowHostUs() : 0.0;
   if (config.initial_image) {
@@ -162,11 +157,7 @@ RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
     ev.ts_us = setup_t0_us;
     ev.dur_us = rec->trace().nowHostUs() - setup_t0_us;
     ev.num_args = {{"image_size", double(result.image.size())}};
-    if (config.span) {
-      ev.tid = config.span->host_tid;
-      obs::tagSpan(ev, *config.span);
-    }
-    rec->trace().record(std::move(ev));
+    ctx.record(std::move(ev));
   }
 
   // Per-iteration spans on both clocks, engine-agnostic: host time between
@@ -180,8 +171,8 @@ RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
     // only on the iteration count, never on cancel timing. Every engine
     // (sharded included) passes through here, so iteration boundaries are
     // the engine-agnostic heartbeat the chaos watchdog listens to.
-    if (config.fault_hook != nullptr)
-      config.fault_hook->onEvent("iteration", std::uint64_t(track_iter));
+    if (ctx.fault_hook != nullptr)
+      ctx.fault_hook->onEvent("iteration", std::uint64_t(track_iter));
     if (config.cancel && config.cancel->load(std::memory_order_acquire)) {
       result.cancelled = true;
       return false;  // stop; partial image/curve up to here is kept
@@ -217,16 +208,10 @@ RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
       host_ev.ts_us = prev_host_us;
       host_ev.dur_us = now_us - prev_host_us;
       dev_ev.clock = obs::Clock::kModeled;
-      dev_ev.pid = config.trace_pid;
       dev_ev.ts_us = prev_modeled_s * 1e6;
       dev_ev.dur_us = (modeled_seconds - prev_modeled_s) * 1e6;
-      if (config.span) {
-        host_ev.tid = config.span->host_tid;
-        obs::tagSpan(host_ev, *config.span);
-        obs::tagSpan(dev_ev, *config.span);
-      }
-      rec->trace().record(std::move(host_ev));
-      rec->trace().record(std::move(dev_ev));
+      ctx.record(std::move(host_ev));
+      ctx.record(std::move(dev_ev));
       prev_host_us = now_us;
       prev_modeled_s = modeled_seconds;
     }
@@ -237,7 +222,7 @@ RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
     return track_iter < kMaxIterations && equits < config.max_equits;
   };
 
-  engine(rec, e, track, result);
+  engine(ctx, e, track, result);
 
   if (result.curve.empty())
     result.final_rmse_hu = rmseHu(result.image, golden);

@@ -5,7 +5,9 @@
 //   * work measured in equits, time via the per-machine models.
 //
 // Also records the (equits, modeled seconds, RMSE) convergence curve —
-// that's Fig. 5's data.
+// that's Fig. 5's data. Each run builds one gsim::RunContext from its
+// RunConfig (recorder, job span, resolved SIMD table, fault hook) and hands
+// it to the engine it builds; no engine option carries that plumbing.
 #pragma once
 
 #include <atomic>
@@ -39,10 +41,10 @@ struct RunConfig {
   PsvIcdOptions psv;
   GpuIcdOptions gpu;
   /// Observability: when enabled, reconstruct() creates an obs::Recorder,
-  /// threads it through the selected engine (and the GPU simulator),
-  /// records reconstructor-phase and per-iteration spans on both clocks,
-  /// and exports the trace / run report to the configured paths
-  /// (DESIGN.md §observability). Disabled by default: outputs are
+  /// hands it to the selected engine (and the GPU simulator) in the run's
+  /// gsim::RunContext, records reconstructor-phase and per-iteration spans
+  /// on both clocks, and exports the trace / run report to the configured
+  /// paths (DESIGN.md §observability). Disabled by default: outputs are
   /// bit-identical to a config without observability.
   obs::ObsConfig obs;
   /// Record into this caller-owned session instead of creating one
@@ -55,18 +57,17 @@ struct RunConfig {
   /// partial image/curve up to that iteration are still returned. nullptr
   /// (default) = not cancellable.
   const std::atomic<bool>* cancel = nullptr;
-  /// Trace process modeled-clock spans are attributed to (0 = the shared
-  /// "modeled device clock" process). The service dispatcher gives each
-  /// simulated device its own pid so per-device timelines render apart.
-  int trace_pid = 0;
-  /// Per-job span context (nullptr = none, obs/span.h): iteration and
-  /// launch spans carry the job's id/tenant and land on its host-clock
-  /// device lane, and coarse per-iteration events feed the job's flight
-  /// recorder. Borrowed; must outlive the run. Purely observational.
+  /// Per-job span context (nullptr = none, obs/span.h): every engine,
+  /// launch and protocol span carries the job's id/tenant and lands on its
+  /// lanes (host clock: span->host_tid; modeled clock: span->trace_pid, the
+  /// device's trace process), and coarse per-iteration events feed the
+  /// job's flight recorder. Borrowed; must outlive the run. Purely
+  /// observational.
   const obs::JobSpanContext* span = nullptr;
-  /// Lane-group execution path for engine row math (core/simd.h). Applied
-  /// to whichever engine runs; kDefault defers to the GPUMBIR_SIMD env
-  /// knob. Scalar and AVX2 are bit-identical, so this only changes host
+  /// Lane-group execution path for engine row math (core/simd.h).
+  /// reconstruct() resolves it once into the run context, so it applies to
+  /// whichever engine runs; kDefault defers to the GPUMBIR_SIMD env knob.
+  /// Scalar and AVX2 are bit-identical, so this only changes host
   /// wall-clock — never results. The resolved path lands in
   /// RunResult::simd_path and every report that embeds a config.
   SimdMode simd = SimdMode::kDefault;
@@ -136,13 +137,15 @@ RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
 using IterationTrack = std::function<bool(const Image2D& x, double equits,
                                           double modeled_seconds)>;
 
-/// An engine plugged into reconstruct()'s protocol. It steps a stepper
-/// engine in place on result.image and `e` (already set up: FBP or warm
-/// start, e = y - Ax) in the one loop shape,
+/// An engine plugged into reconstruct()'s protocol. It builds a stepper
+/// engine with the run's context `ctx` (recorder, span, lane-group table
+/// and fault hook, built once from RunConfig), steps it in place on
+/// result.image and `e` (already set up: FBP or warm start, e = y - Ax) in
+/// the one loop shape,
 /// `while (icd.stepIteration(x, e) && track(x, equits, modeled)) {}`, and
 /// then fills the engine-owned fields of `result`: equits, work,
 /// modeled_seconds and its stats.
-using Engine = std::function<void(obs::Recorder* rec, Sinogram& e,
+using Engine = std::function<void(const gsim::RunContext& ctx, Sinogram& e,
                                   const IterationTrack& track,
                                   RunResult& result)>;
 
@@ -155,11 +158,10 @@ using Engine = std::function<void(obs::Recorder* rec, Sinogram& e,
 RunResult reconstruct(const OwnedProblem& problem, const Image2D& golden,
                       const RunConfig& config, const Engine& engine);
 
-/// GPU-ICD engine options for one run under `config`: config.gpu plus the
-/// run's recorder, SIMD path, span, fault hook and trace pid, with the
+/// GPU-ICD engine options for one run under `config`: config.gpu with the
 /// simulated caches scaled to this problem's sinogram size (DESIGN.md §1).
 /// Shared by the in-tree GPU engine and the sharded per-slab template.
 GpuIcdOptions gpuEngineOptions(const OwnedProblem& problem,
-                               const RunConfig& config, obs::Recorder* rec);
+                               const RunConfig& config);
 
 }  // namespace mbir

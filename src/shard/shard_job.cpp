@@ -18,14 +18,14 @@ ShardRunResult reconstructSharded(const OwnedProblem& problem,
   // engine's.
   out.run = reconstruct(
       problem, golden, config.base,
-      [&](obs::Recorder* rec, Sinogram& e, const IterationTrack& track,
-          RunResult& result) {
+      [&](const gsim::RunContext& ctx, Sinogram& e,
+          const IterationTrack& track, RunResult& result) {
         ShardedOptions opt;
-        opt.engine = gpuEngineOptions(problem, config.base, rec);
+        opt.engine = gpuEngineOptions(problem, config.base);
         opt.devices = config.devices;
         opt.link = config.link;
         ShardedGpuIcd icd(problem.view(), config.plan, std::move(opt),
-                          result.image, e);
+                          result.image, e, ctx);
         const ShardRunStats& stats = icd.runStats();
         while (icd.stepIteration(result.image, e) &&
                track(result.image, stats.equits, stats.modeled_seconds)) {

@@ -6,7 +6,6 @@
 
 #include "core/thread_pool.h"
 #include "obs/obs.h"
-#include "obs/span.h"
 
 namespace mbir::shard {
 
@@ -19,6 +18,7 @@ struct ShardedGpuIcd::Impl {
   const Problem problem;  // by value: Problem is a non-owning view struct
   const ShardPlan plan;
   const ShardedOptions opt;
+  const gsim::RunContext run_ctx;
   gsim::GpuSimulator exchange_sim;
   std::vector<std::unique_ptr<GpuIcd>> engines;
   // Steps each device's slabs, one task per simulated device. Slab
@@ -52,11 +52,12 @@ struct ShardedGpuIcd::Impl {
   obs::Gauge* m_comm_seconds = nullptr;
 
   Impl(const Problem& p, ShardPlan pl, ShardedOptions o, const Image2D& x,
-       const Sinogram& e)
+       const Sinogram& e, const gsim::RunContext& c)
       : problem(p),
         plan(std::move(pl)),
         opt(std::move(o)),
-        exchange_sim(opt.engine.device),
+        run_ctx(c),
+        exchange_sim(opt.engine.device, run_ctx),
         driver(unsigned(std::max(1, opt.devices))),  // checked below
         xs(std::size_t(plan.numSlabs()), x),
         es(std::size_t(plan.numSlabs()), e),
@@ -74,12 +75,7 @@ struct ShardedGpuIcd::Impl {
                               << " slabs");
 
     exchange_sim.setHostPool(opt.engine.host_pool);
-    exchange_sim.setRecorder(opt.engine.recorder);
-    exchange_sim.setTracePid(opt.engine.trace_pid);
-    exchange_sim.setSpanContext(opt.engine.span);
     exchange_sim.setRaceCheck(opt.engine.race_check);
-    exchange_sim.setSimdMode(opt.engine.simd);
-    exchange_sim.setFaultHook(opt.engine.fault_hook);
     if (exchange_sim.raceCheckOn()) {
       gsim::RaceDetector& rd = exchange_sim.raceDetector();
       rb_image = rd.bufferId("shard.image");
@@ -91,8 +87,8 @@ struct ShardedGpuIcd::Impl {
         rb_e.push_back(rd.bufferId("shard.sino.e/" + tag));
       }
     }
-    if (opt.engine.recorder && opt.engine.recorder->metricsOn()) {
-      obs::MetricsRegistry& m = opt.engine.recorder->metrics();
+    if (run_ctx.recorder && run_ctx.recorder->metricsOn()) {
+      obs::MetricsRegistry& m = run_ctx.recorder->metrics();
       m_exchanges = &m.counter("shard.exchange.count");
       m_comm_bytes = &m.counter("shard.comm.bytes");
       m_comm_transfers = &m.counter("shard.comm.transfers");
@@ -109,8 +105,10 @@ struct ShardedGpuIcd::Impl {
       // for replay-by-index; only device 0's slabs (plus the exchange
       // simulator, above) carry the hook. Device 0's task steps its slabs
       // in order, and the exchange runs only after every task has joined.
-      if (s % opt.devices != 0) eo.fault_hook = nullptr;
-      engines.push_back(std::make_unique<GpuIcd>(problem, std::move(eo)));
+      gsim::RunContext slab_ctx = run_ctx;
+      if (s % opt.devices != 0) slab_ctx.fault_hook = nullptr;
+      engines.push_back(
+          std::make_unique<GpuIcd>(problem, std::move(eo), slab_ctx));
     }
 
     // Device count > 1 pays an initial broadcast of the image + error +
@@ -302,9 +300,9 @@ struct ShardedGpuIcd::Impl {
 
 ShardedGpuIcd::ShardedGpuIcd(const Problem& problem, ShardPlan plan,
                              ShardedOptions opt, const Image2D& x,
-                             const Sinogram& e)
+                             const Sinogram& e, const gsim::RunContext& ctx)
     : impl_(std::make_unique<Impl>(problem, std::move(plan), std::move(opt),
-                                   x, e)) {}
+                                   x, e, ctx)) {}
 
 ShardedGpuIcd::~ShardedGpuIcd() = default;
 
@@ -312,8 +310,8 @@ const ShardPlan& ShardedGpuIcd::plan() const { return impl_->plan; }
 gsim::GpuSimulator& ShardedGpuIcd::exchangeSimulator() {
   return impl_->exchange_sim;
 }
-gsim::GpuSimulator& ShardedGpuIcd::slabSimulator(int s) {
-  return impl_->engines[std::size_t(s)]->simulator();
+const gsim::RaceDetector& ShardedGpuIcd::slabRaceDetector(int s) const {
+  return impl_->engines[std::size_t(s)]->raceDetector();
 }
 const ShardRunStats& ShardedGpuIcd::runStats() const { return impl_->stats; }
 
@@ -365,13 +363,11 @@ bool ShardedGpuIcd::stepIteration(Image2D& x, Sinogram& e) {
     im.m_comm_transfers->add(transfers);
     im.m_comm_seconds->set(stats.comm_seconds);
   }
-  obs::Recorder* rec = im.opt.engine.recorder;
-  if (rec && rec->traceOn() && comm > 0.0) {
+  if (im.run_ctx.tracing() && comm > 0.0) {
     obs::TraceEvent ev;
     ev.name = "shard.transfer";
     ev.cat = "shard";
     ev.clock = obs::Clock::kModeled;
-    ev.pid = im.opt.engine.trace_pid;
     ev.ts_us = (sync + ex_delta) * 1e6;
     ev.dur_us = comm * 1e6;
     ev.num_args = {{"iteration", double(stats.iterations)},
@@ -379,8 +375,7 @@ bool ShardedGpuIcd::stepIteration(Image2D& x, Sinogram& e) {
                    {"transfers", double(transfers)},
                    {"devices", double(D)}};
     ev.str_args = {{"link", im.opt.link.name}};
-    if (im.opt.engine.span) obs::tagSpan(ev, *im.opt.engine.span);
-    rec->trace().record(std::move(ev));
+    im.run_ctx.record(std::move(ev));
   }
 
   std::size_t updates = 0;
@@ -415,15 +410,15 @@ const ShardRunStats& ShardedGpuIcd::finish() {
     stats.kernels_launched += eng->runStats().kernels_launched;
   }
 
-  const auto add_race = [&](const gsim::GpuSimulator& sim) {
-    stats.race_check_enabled = stats.race_check_enabled || sim.raceCheckOn();
-    const gsim::RaceCheckTotals t = sim.raceDetector().totals();
+  const auto add_race = [&](const gsim::RaceDetector& rd) {
+    stats.race_check_enabled = stats.race_check_enabled || rd.config().enabled;
+    const gsim::RaceCheckTotals t = rd.totals();
     stats.race_launches_checked += t.launches_checked;
     stats.race_ranges_checked += t.ranges_checked;
     stats.race_reports += t.races_found;
   };
-  add_race(im.exchange_sim);
-  for (const auto& eng : im.engines) add_race(eng->simulator());
+  add_race(im.exchange_sim.raceDetector());
+  for (const auto& eng : im.engines) add_race(eng->raceDetector());
   return stats;
 }
 

@@ -34,11 +34,9 @@ namespace mbir::shard {
 
 struct ShardedOptions {
   /// Per-slab engine template. The slab window and the run seed (taken
-  /// from the plan) are overridden per slab, and the fault hook is routed
-  /// only to slab engines on device 0 plus the exchange simulator so the
-  /// fault-event sequence stays single-threaded and replayable. Everything
-  /// else — tunables, flags, device spec, host pool, recorder, race
-  /// checking, SIMD — applies to every slab engine.
+  /// from the plan) are overridden per slab; everything else — tunables,
+  /// flags, device spec, host pool, race checking — applies to every slab
+  /// engine and the exchange simulator.
   GpuIcdOptions engine;
   /// Simulated devices the slabs run on, slab s -> device s % devices.
   /// Must be in [1, numSlabs]. Changes modeled time only, never bits.
@@ -86,8 +84,14 @@ class ShardedGpuIcd {
   /// Validates the plan against the problem's image size and `opt.devices`
   /// against the slab count (throws mbir::Error on mismatch), seeds every
   /// slab's private copies of x and e, and charges the initial broadcast.
+  /// `ctx` (gsim/run_context.h) goes to the exchange simulator and, as a
+  /// per-slab copy, to every slab engine; only slab engines on device 0
+  /// keep its fault hook (the copies of the others clear it), so with the
+  /// exchange simulator the fault-event sequence stays single-threaded and
+  /// replayable.
   ShardedGpuIcd(const Problem& problem, ShardPlan plan, ShardedOptions opt,
-                const Image2D& x, const Sinogram& e);
+                const Image2D& x, const Sinogram& e,
+                const gsim::RunContext& ctx = {});
   ~ShardedGpuIcd();
 
   /// One BSP outer iteration: every device steps its slabs, then the
@@ -107,8 +111,8 @@ class ShardedGpuIcd {
   /// The exchange simulator — tests read its race detector to prove the
   /// halo exchange is fully declared (and that planted trespasses trip).
   gsim::GpuSimulator& exchangeSimulator();
-  /// Slab engine `s`'s simulator (races of the slab-local update kernels).
-  gsim::GpuSimulator& slabSimulator(int s);
+  /// Slab engine `s`'s race diagnoses (the slab-local update kernels).
+  const gsim::RaceDetector& slabRaceDetector(int s) const;
 
  private:
   struct Impl;

@@ -787,7 +787,6 @@ double Dispatcher::runOnDevice(Job& job, int device, double start_clock,
   RunConfig rc = spec.config;
   rc.cancel = &job.cancel;
   rc.external_recorder = rec;
-  rc.trace_pid = tracePid(device);
   rc.span = &job.span;
   if (hook) rc.fault_hook = hook;
   if (opt_.host_pool && !rc.gpu.host_pool) rc.gpu.host_pool = opt_.host_pool;

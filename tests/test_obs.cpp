@@ -13,10 +13,12 @@
 #include <vector>
 
 #include "core/error.h"
+#include "gsim/run_context.h"
 #include "obs/flight.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "obs/span.h"
 #include "obs/trace.h"
 #include "recon/run_report.h"
 #include "test_util.h"
@@ -424,23 +426,62 @@ TEST(Trace, NamedThreadsEmitMetadataRecords) {
   EXPECT_TRUE(sorted_device);
 }
 
-TEST(Trace, HostSpanRecordsAndNullRecorderIsNoop) {
+TEST(Trace, RunContextPlacesEventsOnTheJobsLanes) {
+  // gsim::RunContext::record is the one rule for where an engine span
+  // lands: a host event on the span's host_tid, a modeled event on its
+  // trace_pid, both tagged with the job; tid/pid 0 and no tags without a
+  // span; nothing recorded unless the recorder traces.
   ObsConfig cfg;
   cfg.trace = true;
   Recorder rec(cfg);
-  {
-    HostSpan span(&rec, "unit.span", "test");
-    span.addArg("n", 1.0);
-  }
-  ASSERT_EQ(rec.trace().size(), 1u);
-  const TraceEvent ev = rec.trace().snapshot()[0];
-  EXPECT_EQ(ev.name, "unit.span");
-  EXPECT_GE(ev.dur_us, 0.0);
+  JobSpanContext span;
+  span.job_id = 7;
+  span.tenant = "acme";
+  span.job_name = "case3";
+  span.trace_pid = 12;
+  span.host_tid = 3;
+  const auto event = [](Clock clock) {
+    TraceEvent ev;
+    ev.name = "unit.span";
+    ev.clock = clock;
+    if (clock == Clock::kHost)
+      ev.tid = 99;  // overridden by the span's lane
+    else
+      ev.pid = 98;
+    return ev;
+  };
+  gsim::RunContext ctx{.recorder = &rec, .span = &span};
+  ctx.record(event(Clock::kHost));
+  ctx.record(event(Clock::kModeled));
+  ctx.span = nullptr;
+  ctx.record(event(Clock::kHost));
+  ctx.record(event(Clock::kModeled));
+  gsim::RunContext{}.record(event(Clock::kHost));  // no recorder
+  Recorder untraced;
+  gsim::RunContext{.recorder = &untraced, .span = &span}.record(
+      event(Clock::kHost));
+  EXPECT_EQ(untraced.trace().size(), 0u);
 
-  {
-    HostSpan none(nullptr, "x", "y");
-    none.addArg("n", 1.0);
-  }  // must not crash or record anywhere
+  const std::vector<TraceEvent> evs = rec.trace().snapshot();
+  ASSERT_EQ(evs.size(), 4u);
+  EXPECT_EQ(evs[0].tid, 3);
+  EXPECT_EQ(evs[0].pid, 0);
+  EXPECT_EQ(evs[1].pid, 12);
+  EXPECT_EQ(evs[1].tid, 0);
+  for (int i : {0, 1}) {
+    ASSERT_EQ(evs[i].num_args.size(), 1u);
+    EXPECT_EQ(evs[i].num_args[0].first, "job_id");
+    EXPECT_EQ(evs[i].num_args[0].second, 7.0);
+    ASSERT_EQ(evs[i].str_args.size(), 2u);
+    EXPECT_EQ(evs[i].str_args[0].second, "acme");
+    EXPECT_EQ(evs[i].str_args[1].second, "case3");
+  }
+  EXPECT_EQ(evs[2].tid, 0);
+  EXPECT_EQ(evs[3].pid, 0);
+  for (int i : {2, 3}) {
+    EXPECT_TRUE(evs[i].num_args.empty());
+    EXPECT_TRUE(evs[i].str_args.empty());
+  }
 }
 
 // ------------------------------------------- end-to-end schema validation

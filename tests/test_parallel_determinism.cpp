@@ -99,10 +99,10 @@ GpuRunStats runGpuWith(ThreadPool* pool, Image2D& x, int iterations = 3,
   const OwnedProblem& problem = test::tinyProblem();
   GpuIcdOptions opt = test::tinyGpuOptions();
   opt.host_pool = pool;
-  opt.recorder = recorder;
   x = problem.fbpInitialImage();
   Sinogram e = problem.initialError(x);
-  GpuIcd icd(test::tinyProblemOn(A ? *A : problem.matrix()), opt);
+  GpuIcd icd(test::tinyProblemOn(A ? *A : problem.matrix()), opt,
+             {.recorder = recorder});
   return test::stepEngine(icd, x, e, iterations);
 }
 

@@ -425,9 +425,8 @@ TEST(RaceReportJson, SchemaAndDiagnosisFields) {
 
 TEST(RaceMetrics, GsimRaceCountersRecorded) {
   obs::Recorder rec({.metrics = true});
-  GpuSimulator sim;
+  GpuSimulator sim(gsim::titanXMaxwell(), {.recorder = &rec});
   sim.setRaceCheck(recordOnly());
-  sim.setRecorder(&rec);
   const int buf = sim.raceDetector().bufferId("image");
   sim.launch({.name = "planted", .num_blocks = 3, .resources = {256, 32, 0}},
              [&](BlockCtx& ctx) { ctx.prof.raceWrite(buf, 0, 16); });

@@ -222,7 +222,7 @@ TEST(ShardedGpuIcd, HaloExchangeIsRaceClean) {
   EXPECT_GE(ex.launches_checked, std::uint64_t(3 * stats.exchanges));
   EXPECT_EQ(ex.races_found, 0u);
   for (int s = 0; s < plan.numSlabs(); ++s)
-    EXPECT_TRUE(runner.slabSimulator(s).raceDetector().races().empty())
+    EXPECT_TRUE(runner.slabRaceDetector(s).races().empty())
         << "slab " << s;
   EXPECT_TRUE(stats.race_check_enabled);
   EXPECT_GT(stats.race_launches_checked, 0u);
@@ -303,8 +303,7 @@ TEST(ShardedGpuIcd, CancelBetweenExchangesKeepsConsistentSnapshot) {
   const ShardRunResult cancelled = reconstructSharded(problem, tinyGolden(), cfg);
 
   ShardedOptions opt;
-  opt.engine = gpuEngineOptions(problem, cfg.base, nullptr);
-  opt.engine.fault_hook = nullptr;
+  opt.engine = gpuEngineOptions(problem, cfg.base);
   opt.devices = 2;
   Image2D x = problem.fbpInitialImage();
   Sinogram e = problem.initialError(x);
@@ -341,12 +340,11 @@ TEST(ShardedGpuIcd, SlabFaultSurfacesFromStepWithoutHanging) {
   const OwnedProblem& problem = tinyProblem();
   const ShardPlan plan = makeShardPlan(problem.geometry().image_size,
                                        /*num_slabs=*/4, /*halo=*/1);
-  ShardedOptions opt = tinyShardOptions(2);
-  opt.engine.fault_hook = &hook;
   Image2D x = problem.fbpInitialImage();
   Sinogram e = problem.initialError(x);
   {
-    ShardedGpuIcd gang(problem.view(), plan, std::move(opt), x, e);
+    ShardedGpuIcd gang(problem.view(), plan, tinyShardOptions(2), x, e,
+                       {.fault_hook = &hook});
     EXPECT_THROW(gang.stepIteration(x, e), gsim::LaunchFault);
     EXPECT_EQ(gang.runStats().exchanges, 0);
   }  // destructs here; a parked peer would hang the test

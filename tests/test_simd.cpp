@@ -561,24 +561,21 @@ class SimdEngineIdentity : public ::testing::Test {
     problem_ = &test::tinyProblem();
   }
 
-  GpuRunStats runGpu(GpuIcdOptions opt, Image2D& x_out) {
+  GpuRunStats runGpu(GpuIcdOptions opt, SimdMode mode, Image2D& x_out) {
     x_out = problem_->fbpInitialImage();
     Sinogram e = problem_->initialError(x_out);
     opt.race_check.enabled = true;
-    GpuIcd icd(problem_->view(), test::tinyGpuOptions(std::move(opt)));
+    GpuIcd icd(problem_->view(), test::tinyGpuOptions(std::move(opt)),
+               {.simd = &resolveSimdOps(mode)});
     return test::stepEngine(icd, x_out, e, test::kIterationBound, 3.0);
   }
 
   void expectGpuBothWaysIdentical(OptimFlags flags) {
-    GpuIcdOptions scalar_opt;
-    scalar_opt.flags = flags;
-    scalar_opt.simd = gsim::SimdMode::kOff;
-    GpuIcdOptions simd_opt;
-    simd_opt.flags = flags;
-    simd_opt.simd = gsim::SimdMode::kAvx2;
+    GpuIcdOptions opt;
+    opt.flags = flags;
     Image2D xs, xv;
-    const GpuRunStats ss = runGpu(scalar_opt, xs);
-    const GpuRunStats sv = runGpu(simd_opt, xv);
+    const GpuRunStats ss = runGpu(opt, SimdMode::kOff, xs);
+    const GpuRunStats sv = runGpu(opt, SimdMode::kAvx2, xv);
     test::expectGpuRunsBitIdentical(ss, xs, sv, xv);
     // Race-detector streams: same launches, same declared ranges, same
     // diagnoses on both paths.
@@ -618,10 +615,9 @@ TEST_F(SimdEngineIdentity, PsvIcdBothWaysIdentical) {
     PsvIcdOptions opt;
     opt.sv.sv_side = 8;
     opt.num_threads = 1;
-    opt.simd = mode;
     x_out = problem_->fbpInitialImage();
     Sinogram e = problem_->initialError(x_out);
-    PsvIcd icd(problem_->view(), opt);
+    PsvIcd icd(problem_->view(), opt, {.simd = &resolveSimdOps(mode)});
     return test::stepEngine(icd, x_out, e, test::kIterationBound, 3.0);
   };
   Image2D xs, xv;
