@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -917,6 +918,168 @@ TEST(SvcServer, TenantsFlowThroughReportAndLabeledMetrics) {
             m.histogramSnapshot("svc.job.e2e_host_s{tenant=default}").count);
   // The unlabeled aggregate still sees every job.
   EXPECT_EQ(2u, m.histogramSnapshot("svc.job.e2e_host_s").count);
+}
+
+/// Every key path under `v` into `out`: "a.b" for object members, "a[]"
+/// for array elements (all elements fold into one path). The registry's
+/// `metrics` subtree is its own schema, so only its key is listed.
+void collectKeyPaths(const obs::JsonValue& v, const std::string& path,
+                     std::set<std::string>& out) {
+  if (v.isArray()) {
+    for (const obs::JsonValue& e : v.array_v)
+      collectKeyPaths(e, path + "[]", out);
+    if (!v.array_v.empty() && !v.array_v.front().isObject())
+      out.insert(path + "[]");
+    return;
+  }
+  if (!v.isObject()) return;
+  for (const auto& [k, child] : v.object_v) {
+    const std::string p = path.empty() ? k : path + "." + k;
+    out.insert(p);
+    if (k != "metrics") collectKeyPaths(child, p, out);
+  }
+}
+
+TEST(SvcServer, EveryDocumentKeepsItsKeyPaths) {
+  // The wire contract reconctl, the CI smoke steps, perfbench and Client
+  // parse: the full key-path set of each of the five svc documents, whole
+  // response envelope included, from one fixed scenario that exercises
+  // every optional field (tenant, deadline, run outcome, error, image hash,
+  // a queued and a running job, a priority-lane backlog, a chaos plan).
+  obs::ObsConfig obs_cfg;
+  obs_cfg.metrics = true;
+  obs::Recorder recorder(obs_cfg);
+  TestService service(/*devices=*/1, /*queue_cap=*/8, &recorder);
+  Client client = service.connect();
+  const auto request = [&](const std::string& verb, int job = -1) {
+    std::string payload =
+        R"({"schema":"gpumbir.svc/1","verb":")" + verb + "\"";
+    if (job >= 0) payload += ",\"job\":" + std::to_string(job);
+    return client.call(payload + "}");
+  };
+  std::map<std::string, std::set<std::string>> paths;
+  const auto keep = [&](const std::string& doc, const obs::JsonValue& v) {
+    ASSERT_TRUE(v.find("ok")->bool_v) << doc;
+    collectKeyPaths(v, "", paths[doc]);
+  };
+
+  SubmitParams block = blockerParams("block");
+  block.tenant = "acme";
+  const int blocker = client.submit(block).job_id;
+  awaitState(client, blocker, "running");
+  SubmitParams waiting;
+  waiting.name = "waiting";
+  waiting.tenant = "acme";
+  waiting.priority = 3;
+  waiting.deadline_ms = 1e7;
+  const int queued = client.submit(waiting).job_id;
+  keep("status(job)", request("status", queued));
+  keep("stats", request("stats"));
+  keep("status", request("status"));
+  chaos::FaultPlan plan;
+  plan.seed = 7;
+  plan.target_devices = {0};
+  keep("chaos", client.chaos(plan, /*watchdog_ms=*/0.0));
+  SubmitParams doomed;
+  doomed.name = "doomed";
+  doomed.fault = "launch@0";
+  const int failed = client.submit(doomed).job_id;
+  ASSERT_TRUE(client.cancel(blocker));
+  EXPECT_EQ("failed", client.result(failed).state);
+  keep("result", request("result", queued));
+  keep("drain", request("drain"));
+
+  const std::set<std::string> job_base = {
+      "ok", "schema", "verb", "job_id", "name", "tenant", "state",
+      "priority", "deterministic", "deadline_ms", "device", "dispatch_seq",
+      "queue_wait_host_s", "service_host_s", "e2e_host_s", "cache_hit"};
+  std::set<std::string> job_terminal = job_base;
+  for (const char* k : {"converged", "equits", "final_rmse_hu",
+                        "modeled_seconds", "queue_wait_modeled_s",
+                        "image_hash"})
+    job_terminal.insert(k);
+  const std::set<std::string> plan_keys = {
+      "seed", "launch_fault_rate", "stall_rate", "death_rate",
+      "target_devices"};
+  const auto with_plan = [&](std::set<std::string> keys,
+                             const std::string& prefix, bool targeted) {
+    for (const std::string& k : plan_keys) keys.insert(prefix + k);
+    if (targeted) keys.insert(prefix + "target_devices[]");
+    return keys;
+  };
+
+  std::set<std::string> stats = {
+      "ok", "schema", "verb", "stats"};
+  for (const char* k :
+       {"schema", "accepting", "draining", "uptime_host_s", "num_devices",
+        "queue_capacity", "queued", "running", "submitted", "rejected",
+        "finished", "queue_depth_by_priority", "queue_depth_by_priority.3",
+        "devices", "devices[].device", "devices[].busy", "devices[].failed",
+        "devices[].running_job", "devices[].modeled_s",
+        "devices[].det_lane_depth", "in_flight", "in_flight[].job_id",
+        "in_flight[].state", "in_flight[].name", "in_flight[].tenant",
+        "in_flight[].priority", "in_flight[].deterministic",
+        "in_flight[].device", "in_flight[].age_host_s",
+        "in_flight[].deadline_remaining_ms", "flight",
+        "flight.events_recorded", "flight.dumps", "chaos", "chaos.enabled",
+        "chaos.watchdog_ms", "chaos.devices_failed", "chaos.jobs_migrated",
+        "chaos.plan", "store", "store.cache_hits", "store.warm_starts",
+        "store.jobs_recovered", "store.tenants", "store.tenants[].tenant",
+        "store.tenants[].weight", "store.tenants[].vtime",
+        "store.tenants[].served_cost", "store.tenants[].picks", "metrics"})
+    stats.insert(std::string("stats.") + k);
+  stats = with_plan(stats, "stats.chaos.plan.", /*targeted=*/false);
+
+  std::set<std::string> report = {"ok", "schema", "verb", "report"};
+  for (const char* k :
+       {"schema", "simd", "num_devices", "queue_capacity", "jobs_submitted",
+        "admission_rejected", "jobs_done", "jobs_converged",
+        "jobs_cancelled", "jobs_failed", "jobs_deadline_missed",
+        "devices_failed", "jobs_migrated", "cache_hits", "warm_starts",
+        "jobs_recovered", "failed_devices", "chaos", "chaos.enabled",
+        "chaos.watchdog_ms", "chaos.plan", "queue_depth_max",
+        "host_seconds", "jobs_per_host_second", "queue_wait_host_s",
+        "service_host_s", "e2e_host_s", "modeled_device_seconds_total",
+        "makespan_modeled_s", "device_modeled_s", "device_modeled_s[]",
+        "tenants", "tenants[].tenant", "tenants[].weight",
+        "tenants[].jobs_submitted", "tenants[].jobs_done",
+        "tenants[].cache_hits", "tenants[].warm_starts",
+        "tenants[].goodput_jobs_per_s", "tenants[].queue_wait_host_s",
+        "tenants[].e2e_host_s", "jobs", "jobs[].error", "metrics"})
+    report.insert(std::string("report.") + k);
+  for (const char* dist : {"queue_wait_host_s", "service_host_s",
+                           "e2e_host_s", "tenants[].queue_wait_host_s",
+                           "tenants[].e2e_host_s"})
+    for (const char* k : {"count", "mean", "max", "p50", "p95", "p99"})
+      report.insert(std::string("report.") + dist + "." + k);
+  for (const std::string& k : job_terminal)
+    if (k != "ok" && k != "schema" && k != "verb")
+      report.insert("report.jobs[]." + k);
+  report = with_plan(report, "report.chaos.plan.", /*targeted=*/true);
+
+  std::set<std::string> chaos_doc = {
+      "ok", "schema", "verb", "enabled", "watchdog_ms", "devices_failed",
+      "jobs_migrated", "plan"};
+  chaos_doc = with_plan(chaos_doc, "plan.", /*targeted=*/true);
+
+  const std::map<std::string, std::set<std::string>> expected = {
+      {"status(job)", job_base},
+      {"result", job_terminal},
+      {"stats", stats},
+      {"status",
+       {"ok", "schema", "verb", "accepting", "queued", "running",
+        "submitted", "rejected", "finished", "num_devices",
+        "queue_capacity"}},
+      {"chaos", chaos_doc},
+      {"drain", report},
+  };
+  for (const auto& [doc, want] : expected) {
+    const std::set<std::string>& got = paths[doc];
+    for (const std::string& k : want)
+      EXPECT_TRUE(got.count(k)) << doc << " lost key path " << k;
+    for (const std::string& k : got)
+      EXPECT_TRUE(want.count(k)) << doc << " gained key path " << k;
+  }
 }
 
 // ---------------------------------------------------------------------------
