@@ -28,6 +28,7 @@
 #include "recon/case_library.h"
 #include "svc/client.h"
 #include "svc/server.h"
+#include "svc/view.h"
 
 using namespace mbir;
 
@@ -206,10 +207,10 @@ int main(int argc, char** argv) {
   // --- 5. Graceful drain + artifacts. ------------------------------------
   std::printf("\nPhase 5: drain\n");
   client.drain();
-  server.dispatcher().writeReportJson("svc_report.json");
+  const svc::SvcReport& rep = server.dispatcher().drain();  // cached report
+  svc::writeReportJson("svc_report.json", rep, &recorder);
   recorder.trace().writeFile("svc_trace.json");
   server.stop();
-  const svc::SvcReport& rep = server.dispatcher().drain();  // cached report
   std::printf("  %llu submitted / %llu rejected; %llu done, %llu "
               "deadline-missed; makespan %.3f modeled s\n",
               (unsigned long long)rep.jobs_submitted,

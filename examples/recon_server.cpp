@@ -50,6 +50,7 @@
 #include "store/cache.h"
 #include "store/wal.h"
 #include "svc/server.h"
+#include "svc/view.h"
 
 using namespace mbir;
 
@@ -235,7 +236,7 @@ int main(int argc, char** argv) {
 
   const svc::SvcReport& rep = server.drainAndReport();
   const std::string report_path = args.getString("report", "svc_report.json");
-  if (!report_path.empty()) server.dispatcher().writeReportJson(report_path);
+  if (!report_path.empty()) svc::writeReportJson(report_path, rep, &recorder);
   const std::string trace_path = args.getString("trace", "");
   if (!trace_path.empty()) recorder.trace().writeFile(trace_path);
   server.stop();

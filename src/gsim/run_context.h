@@ -10,9 +10,10 @@
 //
 // record() is the one rule for where a span lands: a host-clock event on
 // the job's host lane (span->host_tid), a modeled-clock event on the job's
-// device process (span->trace_pid), both tagged with the job. Without a
-// span both are 0 (the shared lanes). The per-block `gsim.block.*` spans
-// and the service's `svc.*` spans place themselves.
+// device process (span->trace_pid) shifted to the job's start on that
+// device's clock (span->modeled_origin_s), both tagged with the job.
+// Without a span both are 0 (the shared lanes). The per-block
+// `gsim.block.*` spans and the service's `svc.*` spans place themselves.
 #pragma once
 
 #include "gsim/simd.h"

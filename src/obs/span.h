@@ -29,6 +29,9 @@ struct JobSpanContext {
   /// Modeled-clock trace process for the device (0 = the shared modeled
   /// clock process).
   int trace_pid = 0;
+  /// The run's start on that device's modeled clock (seconds, set at
+  /// dispatch); RunContext::record() shifts modeled events by it.
+  double modeled_origin_s = 0.0;
   /// Host-clock thread lane for the device (tid within pid kHost); 0 keeps
   /// the legacy single-lane layout.
   int host_tid = 0;

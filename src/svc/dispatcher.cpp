@@ -1,13 +1,11 @@
 #include "svc/dispatcher.h"
 
 #include <algorithm>
-#include <cmath>
-#include <fstream>
 
 #include "core/error.h"
 #include "core/hash.h"
-#include "obs/json.h"
 #include "shard/shard_job.h"
+#include "svc/view.h"
 
 namespace mbir::svc {
 
@@ -18,43 +16,11 @@ double secondsBetween(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
-DistSummary summarize(std::vector<double> v) {
-  DistSummary s;
-  s.count = v.size();
-  if (v.empty()) return s;
-  std::sort(v.begin(), v.end());
-  double sum = 0.0;
-  for (double x : v) sum += x;
-  s.mean = sum / double(v.size());
-  s.max = v.back();
-  // Nearest-rank percentiles (exact order statistics, no interpolation).
-  auto rank = [&](double p) {
-    const std::size_t r = std::size_t(std::ceil(p * double(v.size())));
-    return v[std::min(v.size() - 1, r == 0 ? 0 : r - 1)];
-  };
-  s.p50 = rank(0.50);
-  s.p95 = rank(0.95);
-  s.p99 = rank(0.99);
-  return s;
-}
+}  // namespace
 
-void writeDistSummary(obs::JsonWriter& w, const DistSummary& s) {
-  w.beginObject();
-  w.kv("count", std::int64_t(s.count));
-  w.kv("mean", s.mean);
-  w.kv("max", s.max);
-  w.kv("p50", s.p50);
-  w.kv("p95", s.p95);
-  w.kv("p99", s.p99);
-  w.endObject();
-}
-
-/// Tenant label value ("" submits land under the default tenant).
 std::string tenantLabel(const std::string& tenant) {
   return tenant.empty() ? "default" : tenant;
 }
-
-}  // namespace
 
 const char* jobStateName(JobState s) {
   switch (s) {
@@ -72,40 +38,8 @@ bool isTerminal(JobState s) {
   return s != JobState::kQueued && s != JobState::kRunning;
 }
 
-void writeJobStatus(obs::JsonWriter& w, const JobStatus& s) {
-  w.kv("job_id", s.job_id);
-  w.kv("name", s.name);
-  if (!s.tenant.empty()) w.kv("tenant", s.tenant);
-  w.kv("state", jobStateName(s.state));
-  w.kv("priority", s.priority);
-  w.kv("deterministic", s.deterministic);
-  if (s.deadline_ms >= 0.0) w.kv("deadline_ms", s.deadline_ms);
-  if (s.shards > 1) w.kv("shards", s.shards);
-  w.kv("device", s.device);
-  w.kv("dispatch_seq", s.dispatch_seq);
-  w.kv("queue_wait_host_s", s.queue_wait_host_s);
-  w.kv("service_host_s", s.service_host_s);
-  w.kv("e2e_host_s", s.e2e_host_s);
-  if (s.migrations > 0) w.kv("migrations", s.migrations);
-  if (s.recoveries > 0) w.kv("recoveries", s.recoveries);
-  w.kv("cache_hit", s.cache_hit);
-  if (s.warm_start) w.kv("warm_start", true);
-  if (isTerminal(s.state) && (s.dispatch_seq >= 0 || s.cache_hit)) {
-    w.kv("converged", s.converged);
-    w.kv("equits", s.equits);
-    w.kv("final_rmse_hu", s.final_rmse_hu);
-    w.kv("modeled_seconds", s.modeled_seconds);
-    w.kv("queue_wait_modeled_s", s.queue_wait_modeled_s);
-  }
-  if (!s.error.empty()) w.kv("error", s.error);
-  // uint64 hashes cross the wire as hex strings: a JSON number (double)
-  // only carries 53 bits exactly.
-  if (s.has_image) w.kv("image_hash", hashToHex(s.image_hash));
-}
-
 Dispatcher::Dispatcher(DispatcherOptions options)
-    : opt_(std::move(options)),
-      flight_(opt_.num_devices, opt_.flight_capacity) {
+    : opt_(std::move(options)), flight_(opt_.num_devices) {
   MBIR_CHECK_MSG(opt_.num_devices >= 1, "dispatcher needs at least one device");
   MBIR_CHECK_MSG(opt_.queue_capacity >= 1, "queue capacity must be >= 1");
   opt_.fault_plan.validate();
@@ -151,9 +85,9 @@ Dispatcher::Dispatcher(DispatcherOptions options)
     // nest in their own row next to the modeled per-device processes.
     rec->trace().nameThread(int(obs::Clock::kHost), 0, "svc control", 0);
     for (int d = 0; d < opt_.num_devices; ++d) {
-      rec->trace().nameProcess(tracePid(d),
+      rec->trace().nameProcess(kBaseTracePid + d,
                                "svc device " + std::to_string(d) + " (modeled)",
-                               /*sort_index=*/tracePid(d));
+                               /*sort_index=*/kBaseTracePid + d);
       rec->trace().nameThread(int(obs::Clock::kHost), d + 1,
                               "svc device " + std::to_string(d) + " (host)",
                               /*sort_index=*/d + 1);
@@ -206,11 +140,6 @@ void Dispatcher::setFaultPlan(const chaos::FaultPlan& plan, double watchdog_ms) 
                   ? std::make_shared<const chaos::FaultInjector>(plan_)
                   : nullptr;
   cv_watchdog_.notify_all();
-}
-
-chaos::FaultPlan Dispatcher::faultPlan() const {
-  std::lock_guard lock(mu_);
-  return plan_;
 }
 
 double Dispatcher::watchdogMs() const {
@@ -449,7 +378,7 @@ Dispatcher::Job* Dispatcher::pickJobLocked(int device) {
   // Complete the span context before the device thread (this thread)
   // reads it off-lock: which device, which trace lanes.
   job.span.device = device;
-  job.span.trace_pid = tracePid(device);
+  job.span.trace_pid = kBaseTracePid + device;
   job.span.host_tid = device + 1;
   device_running_[std::size_t(device)] = job.id;
   {
@@ -789,7 +718,6 @@ double Dispatcher::runOnDevice(Job& job, int device, double start_clock,
   rc.external_recorder = rec;
   rc.span = &job.span;
   if (hook) rc.fault_hook = hook;
-  if (opt_.host_pool && !rc.gpu.host_pool) rc.gpu.host_pool = opt_.host_pool;
   try {
     if (gang) {
       // One logical job across the gang, led by this device. The plan was
@@ -854,7 +782,7 @@ double Dispatcher::runOnDevice(Job& job, int device, double start_clock,
     host_ev.tid = job.span.host_tid;
     dev_ev.name = "svc.job." + r.name;
     dev_ev.clock = obs::Clock::kModeled;
-    dev_ev.pid = tracePid(device);
+    dev_ev.pid = kBaseTracePid + device;
     dev_ev.ts_us = r.device_start_modeled_s * 1e6;
     dev_ev.dur_us = (r.device_end_modeled_s - r.device_start_modeled_s) * 1e6;
     rec->trace().record(std::move(host_ev));
@@ -907,6 +835,7 @@ void Dispatcher::deviceLoop(int device) {
       } else {
         start_clock = device_clock_[std::size_t(device)];
       }
+      job->span.modeled_origin_s = start_clock;
     }
     // Deadline-miss finalizations inside pickJobLocked may have requested
     // dumps; write them before the (long) run, off the lock.
@@ -1036,24 +965,6 @@ int Dispatcher::runningLocked() const {
                            [](int id) { return id >= 0; }));
 }
 
-Dispatcher::Counts Dispatcher::countsLocked() const {
-  Counts c;
-  c.submitted = jobs_.size();
-  for (const Job& job : jobs_) {
-    c.finished += isTerminal(job.state);
-    // One automatic dump per badly ending job (and per failed device).
-    c.flight_dumps += isTerminal(job.state) && job.state != JobState::kDone;
-    c.cache_hits += job.cache_hit;
-    c.warm_starts += warmStarted(job);
-    c.recovered += job.spec.recoveries > 0;
-    c.migrated += std::uint64_t(job.migrations);
-  }
-  c.devices_failed = std::uint64_t(
-      std::count(device_failed_.begin(), device_failed_.end(), 1));
-  c.flight_dumps += c.devices_failed;
-  return c;
-}
-
 Dispatcher::LiveStats Dispatcher::liveStats() const {
   const auto now = std::chrono::steady_clock::now();
   std::lock_guard lock(mu_);
@@ -1065,133 +976,42 @@ Dispatcher::LiveStats Dispatcher::liveStats() const {
   s.queue_capacity = opt_.queue_capacity;
   s.queued = int(queue_.size());
   s.running = runningLocked();
-  const Counts c = countsLocked();
-  s.submitted = c.submitted;
+  s.submitted = jobs_.size();
   s.rejected = rejected_;
-  s.finished = c.finished;
-  s.chaos_enabled = injector_ != nullptr;
+  s.plan = plan_;
   s.watchdog_ms = watchdog_ms_;
-  s.devices_failed = c.devices_failed;
-  s.jobs_migrated = c.migrated;
-  s.cache_hits = c.cache_hits;
-  s.warm_starts = c.warm_starts;
-  s.jobs_recovered = c.recovered;
   s.tenant_shares = fq_.snapshot();
   s.devices.reserve(std::size_t(opt_.num_devices));
   for (int d = 0; d < opt_.num_devices; ++d) {
     LiveDevice dev;
     dev.device = d;
     dev.running_job = device_running_[std::size_t(d)];
-    dev.busy = dev.running_job >= 0;
     dev.failed = device_failed_[std::size_t(d)] != 0;
     dev.modeled_s = device_clock_[std::size_t(d)];
+    s.devices_failed += dev.failed;
     s.devices.push_back(std::move(dev));
   }
   for (const QueueEntry& e : queue_) {
     if (e.lane >= 0) ++s.devices[std::size_t(e.lane)].det_lane_depth;
     else ++s.queue_depth_by_priority[e.priority];
   }
+  // One automatic flight dump per failed device and per badly ending job.
+  s.flight_dumps = s.devices_failed;
   for (const Job& job : jobs_) {
-    if (isTerminal(job.state)) continue;
-    LiveJob lj;
-    lj.job_id = job.id;
-    lj.state = job.state;
-    lj.name = job.result.name;
-    lj.tenant = job.spec.tenant;
-    lj.priority = job.spec.priority;
-    lj.deterministic = job.spec.deterministic;
-    lj.device = job.state == JobState::kRunning ? job.device : -1;
-    lj.age_host_s = secondsBetween(job.admit_tp, now);
-    lj.has_deadline = job.spec.deadline_ms >= 0.0;
-    if (lj.has_deadline)
-      lj.deadline_remaining_ms = job.spec.deadline_ms - lj.age_host_s * 1e3;
-    s.in_flight.push_back(std::move(lj));
+    s.cache_hits += job.cache_hit;
+    s.warm_starts += warmStarted(job);
+    s.jobs_recovered += job.spec.recoveries > 0;
+    s.jobs_migrated += std::uint64_t(job.migrations);
+    if (isTerminal(job.state)) {
+      ++s.finished;
+      s.flight_dumps += job.state != JobState::kDone;
+    } else {
+      s.in_flight.push_back(
+          LiveJob{snapshotLocked(job), secondsBetween(job.admit_tp, now)});
+    }
   }
   s.flight_events = flight_.totalRecorded();
-  s.flight_dumps = c.flight_dumps;
   return s;
-}
-
-std::string Dispatcher::liveStatsJson() const {
-  const LiveStats s = liveStats();
-  obs::JsonWriter w;
-  w.beginObject();
-  w.kv("schema", kStatsSchema);
-  w.kv("accepting", s.accepting);
-  w.kv("draining", s.draining);
-  w.kv("uptime_host_s", s.uptime_host_s);
-  w.kv("num_devices", s.num_devices);
-  w.kv("queue_capacity", s.queue_capacity);
-  w.kv("queued", s.queued);
-  w.kv("running", s.running);
-  w.kv("submitted", s.submitted);
-  w.kv("rejected", s.rejected);
-  w.kv("finished", s.finished);
-  w.key("queue_depth_by_priority").beginObject();
-  for (const auto& [prio, n] : s.queue_depth_by_priority)
-    w.kv(std::to_string(prio), std::int64_t(n));
-  w.endObject();
-  w.key("devices").beginArray();
-  for (const LiveDevice& d : s.devices) {
-    w.beginObject();
-    w.kv("device", d.device);
-    w.kv("busy", d.busy);
-    w.kv("failed", d.failed);
-    w.kv("running_job", d.running_job);
-    w.kv("modeled_s", d.modeled_s);
-    w.kv("det_lane_depth", d.det_lane_depth);
-    w.endObject();
-  }
-  w.endArray();
-  w.key("in_flight").beginArray();
-  for (const LiveJob& j : s.in_flight) {
-    w.beginObject();
-    w.kv("job_id", j.job_id);
-    w.kv("state", jobStateName(j.state));
-    w.kv("name", j.name);
-    if (!j.tenant.empty()) w.kv("tenant", j.tenant);
-    w.kv("priority", j.priority);
-    w.kv("deterministic", j.deterministic);
-    w.kv("device", j.device);
-    w.kv("age_host_s", j.age_host_s);
-    if (j.has_deadline) w.kv("deadline_remaining_ms", j.deadline_remaining_ms);
-    w.endObject();
-  }
-  w.endArray();
-  w.key("flight").beginObject();
-  w.kv("events_recorded", s.flight_events);
-  w.kv("dumps", s.flight_dumps);
-  w.endObject();
-  w.key("chaos").beginObject();
-  w.kv("enabled", s.chaos_enabled);
-  w.kv("watchdog_ms", s.watchdog_ms);
-  w.kv("devices_failed", std::int64_t(s.devices_failed));
-  w.kv("jobs_migrated", std::int64_t(s.jobs_migrated));
-  w.key("plan").raw(faultPlan().toJson());
-  w.endObject();
-  w.key("store").beginObject();
-  w.kv("cache_hits", std::int64_t(s.cache_hits));
-  w.kv("warm_starts", std::int64_t(s.warm_starts));
-  w.kv("jobs_recovered", std::int64_t(s.jobs_recovered));
-  w.key("tenants").beginArray();
-  for (const store::FairQueue::Share& sh : s.tenant_shares) {
-    w.beginObject();
-    w.kv("tenant", sh.tenant);
-    w.kv("weight", sh.weight);
-    w.kv("vtime", sh.vtime);
-    w.kv("served_cost", sh.served_cost);
-    w.kv("picks", std::int64_t(sh.picks));
-    w.endObject();
-  }
-  w.endArray();
-  w.endObject();
-  const obs::Recorder* rec = opt_.recorder;
-  if (rec && rec->metricsOn()) {
-    w.key("metrics");
-    rec->metrics().writeJson(w);
-  }
-  w.endObject();
-  return w.str();
 }
 
 const SvcReport& Dispatcher::drain() {
@@ -1213,169 +1033,27 @@ const SvcReport& Dispatcher::drain() {
   flushFlightDumps();  // anything the device threads did not get to
 
   // Threads are gone; every job is terminal and fully published. The lock
-  // still guards against late (rejected) submits and stats scrapes.
+  // still guards against late (rejected) submits, stats scrapes and a
+  // `chaos` verb swapping the plan.
   std::lock_guard lock(mu_);
   SvcReport& rep = report_;
   rep.num_devices = opt_.num_devices;
   rep.queue_capacity = opt_.queue_capacity;
-  const Counts c = countsLocked();
-  rep.jobs_submitted = c.submitted;
   rep.admission_rejected = rejected_;
   rep.queue_depth_max = queue_depth_max_;
-  rep.devices_failed = c.devices_failed;
-  rep.jobs_migrated = c.migrated;
-  rep.cache_hits = c.cache_hits;
-  rep.warm_starts = c.warm_starts;
-  rep.jobs_recovered = c.recovered;
+  rep.plan = plan_;
+  rep.watchdog_ms = watchdog_ms_;
   for (int d = 0; d < opt_.num_devices; ++d)
     if (device_failed_[std::size_t(d)]) rep.failed_devices.push_back(d);
   rep.device_modeled_s = device_clock_;
-  rep.makespan_modeled_s =
-      device_clock_.empty()
-          ? 0.0
-          : *std::max_element(device_clock_.begin(), device_clock_.end());
-  std::vector<double> queue_wait, service, e2e;
-  struct TenantAgg {
-    std::uint64_t submitted = 0, done = 0, cache_hits = 0, warm_starts = 0;
-    std::vector<double> queue_wait, e2e;
-  };
-  std::map<std::string, TenantAgg> by_tenant;
+  std::vector<bool> warm_started;
   for (const Job& job : jobs_) {
     rep.jobs.push_back(snapshotLocked(job));
-    const JobStatus& s = rep.jobs.back();
-    switch (s.state) {
-      case JobState::kDone:
-        ++rep.jobs_done;
-        if (s.converged) ++rep.jobs_converged;
-        break;
-      case JobState::kCancelled: ++rep.jobs_cancelled; break;
-      case JobState::kFailed: ++rep.jobs_failed; break;
-      case JobState::kDeadlineMissed: ++rep.jobs_deadline_missed; break;
-      default: break;
-    }
-    queue_wait.push_back(s.queue_wait_host_s);
-    e2e.push_back(s.e2e_host_s);
-    if (s.dispatch_seq >= 0) {
-      service.push_back(s.service_host_s);
-      rep.modeled_device_seconds_total += s.modeled_seconds;
-    }
-    TenantAgg& agg = by_tenant[tenantLabel(s.tenant)];
-    ++agg.submitted;
-    if (s.state == JobState::kDone) ++agg.done;
-    if (s.cache_hit) ++agg.cache_hits;
-    if (warmStarted(job)) ++agg.warm_starts;
-    agg.queue_wait.push_back(s.queue_wait_host_s);
-    agg.e2e.push_back(s.e2e_host_s);
+    warm_started.push_back(warmStarted(job));
   }
-  rep.queue_wait_host_s = summarize(std::move(queue_wait));
-  rep.service_host_s = summarize(std::move(service));
-  rep.e2e_host_s = summarize(std::move(e2e));
   rep.host_seconds = lifetime_.seconds();
-  rep.jobs_per_host_second =
-      rep.host_seconds > 0.0 ? double(rep.jobs_done) / rep.host_seconds : 0.0;
-  // Per-tenant summary (sorted by label via the map): the WFQ acceptance
-  // surface — per-tenant p99s and goodput next to the configured weight.
-  for (auto& [tenant, agg] : by_tenant) {
-    SvcReport::TenantSummary t;
-    t.tenant = tenant;
-    t.weight = fq_.weight(tenant);
-    t.jobs_submitted = agg.submitted;
-    t.jobs_done = agg.done;
-    t.cache_hits = agg.cache_hits;
-    t.warm_starts = agg.warm_starts;
-    t.goodput_jobs_per_s =
-        rep.host_seconds > 0.0 ? double(agg.done) / rep.host_seconds : 0.0;
-    t.queue_wait_host_s = summarize(std::move(agg.queue_wait));
-    t.e2e_host_s = summarize(std::move(agg.e2e));
-    rep.tenants.push_back(std::move(t));
-  }
-
-  drained_.store(true, std::memory_order_release);
+  aggregateReport(rep, warm_started, fq_);
   return report_;
-}
-
-std::string Dispatcher::reportJson() const {
-  MBIR_CHECK_MSG(drained(), "reportJson() before drain()");
-  const SvcReport& rep = report_;
-  obs::JsonWriter w;
-  w.beginObject();
-  w.kv("schema", kReportSchema);
-  w.kv("simd", resolveSimdOps(SimdMode::kDefault).name);
-  w.kv("num_devices", rep.num_devices);
-  w.kv("queue_capacity", rep.queue_capacity);
-  w.kv("jobs_submitted", std::int64_t(rep.jobs_submitted));
-  w.kv("admission_rejected", std::int64_t(rep.admission_rejected));
-  w.kv("jobs_done", std::int64_t(rep.jobs_done));
-  w.kv("jobs_converged", std::int64_t(rep.jobs_converged));
-  w.kv("jobs_cancelled", std::int64_t(rep.jobs_cancelled));
-  w.kv("jobs_failed", std::int64_t(rep.jobs_failed));
-  w.kv("jobs_deadline_missed", std::int64_t(rep.jobs_deadline_missed));
-  w.kv("devices_failed", std::int64_t(rep.devices_failed));
-  w.kv("jobs_migrated", std::int64_t(rep.jobs_migrated));
-  w.kv("cache_hits", std::int64_t(rep.cache_hits));
-  w.kv("warm_starts", std::int64_t(rep.warm_starts));
-  w.kv("jobs_recovered", std::int64_t(rep.jobs_recovered));
-  w.key("failed_devices").beginArray();
-  for (int d : rep.failed_devices) w.value(d);
-  w.endArray();
-  const chaos::FaultPlan plan = faultPlan();
-  w.key("chaos").beginObject();
-  w.kv("enabled", plan.enabled());
-  w.kv("watchdog_ms", watchdogMs());
-  w.key("plan").raw(plan.toJson());
-  w.endObject();
-  w.kv("queue_depth_max", rep.queue_depth_max);
-  w.kv("host_seconds", rep.host_seconds);
-  w.kv("jobs_per_host_second", rep.jobs_per_host_second);
-  w.key("queue_wait_host_s");
-  writeDistSummary(w, rep.queue_wait_host_s);
-  w.key("service_host_s");
-  writeDistSummary(w, rep.service_host_s);
-  w.key("e2e_host_s");
-  writeDistSummary(w, rep.e2e_host_s);
-  w.kv("modeled_device_seconds_total", rep.modeled_device_seconds_total);
-  w.kv("makespan_modeled_s", rep.makespan_modeled_s);
-  w.key("device_modeled_s").beginArray();
-  for (double s : rep.device_modeled_s) w.value(s);
-  w.endArray();
-  w.key("tenants").beginArray();
-  for (const SvcReport::TenantSummary& t : rep.tenants) {
-    w.beginObject();
-    w.kv("tenant", t.tenant);
-    w.kv("weight", t.weight);
-    w.kv("jobs_submitted", std::int64_t(t.jobs_submitted));
-    w.kv("jobs_done", std::int64_t(t.jobs_done));
-    w.kv("cache_hits", std::int64_t(t.cache_hits));
-    w.kv("warm_starts", std::int64_t(t.warm_starts));
-    w.kv("goodput_jobs_per_s", t.goodput_jobs_per_s);
-    w.key("queue_wait_host_s");
-    writeDistSummary(w, t.queue_wait_host_s);
-    w.key("e2e_host_s");
-    writeDistSummary(w, t.e2e_host_s);
-    w.endObject();
-  }
-  w.endArray();
-  w.key("jobs").beginArray();
-  for (const JobStatus& s : rep.jobs) {
-    w.beginObject();
-    writeJobStatus(w, s);
-    w.endObject();
-  }
-  w.endArray();
-  const obs::Recorder* rec = opt_.recorder;
-  if (rec && rec->metricsOn()) {
-    w.key("metrics");
-    rec->metrics().writeJson(w);
-  }
-  w.endObject();
-  return w.str();
-}
-
-void Dispatcher::writeReportJson(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  MBIR_CHECK_MSG(out.good(), "cannot open svc report file: " + path);
-  out << reportJson() << '\n';
-  MBIR_CHECK_MSG(out.good(), "failed writing svc report: " + path);
 }
 
 }  // namespace mbir::svc

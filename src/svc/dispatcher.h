@@ -12,8 +12,7 @@
 //    fast every queued job whose host-clock deadline already expired —
 //    expired jobs transition to kDeadlineMissed without ever running, so a
 //    late job cannot waste device time. These pick rules, the det lane's
-//    and gang exclusivity live in svc/policy (pickNext, a pure function);
-//    this class owns the threads, locks and state transitions.
+//    and gang exclusivity live in svc/policy (pickNext, a pure function).
 //  * A deterministic lane. Jobs submitted with deterministic == true bypass
 //    priority/deadline logic entirely: they are assigned round-robin by
 //    deterministic sequence number (det job s -> device s % D) and each
@@ -24,16 +23,19 @@
 //    the offline batch path: submit every job with deterministic = true
 //    into a dispatcher whose queue_capacity is the job count, then drain().
 //
+// This class keeps mechanism only: threads, locks, queues and state
+// transitions. svc/view renders every document from its snapshots, each
+// taken in one lock acquisition (status(), liveStats(), drain()).
+//
 // Execution is one device-run step for single and gang jobs alike
 // (runOnDevice): it applies the dispatcher's plumbing (cancel flag, shared
-// obs::Recorder with per-device trace pids, span, fault hook, host pool) to
+// obs::Recorder, span with device lanes and modeled origin, fault hook) to
 // the job's RunConfig once, then runs reconstruct() or, for shards > 1,
 // shard::reconstructSharded() — both the same per-iteration protocol.
 //
 // drain() stops admission, runs the queue dry, joins the device threads and
-// builds the SvcReport (schema gpumbir.svc_report/1). The destructor hard-
-// stops instead: it cancels everything and joins without running out the
-// queue.
+// builds the SvcReport. The destructor hard-stops instead: it cancels
+// everything and joins without running out the queue.
 //
 // Chaos lane (DESIGN.md §12): with a FaultPlan installed, every dispatch is
 // wrapped in a chaos::JobFaultHook that heartbeats its device and may fire
@@ -54,6 +56,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -62,8 +65,6 @@
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include <memory>
 
 #include "chaos/fault.h"
 #include "core/timer.h"
@@ -86,6 +87,11 @@ enum class JobState {
 };
 const char* jobStateName(JobState s);
 bool isTerminal(JobState s);
+/// Tenant label value ("" submits land under the default tenant).
+std::string tenantLabel(const std::string& tenant);
+
+/// Device d's modeled-clock trace process is kBaseTracePid + d.
+inline constexpr int kBaseTracePid = 10;
 
 /// Outcome of one dispatched run: the device-run step's record of a job.
 struct JobResult {
@@ -188,21 +194,12 @@ struct JobStatus {
   bool has_image = false;
 };
 
-/// A job snapshot's JSON fields (into an open object): the `status` and
-/// `result` verbs' payload and each entry of svc_report's jobs array.
-void writeJobStatus(obs::JsonWriter& w, const JobStatus& s);
-
 struct DispatcherOptions {
   int num_devices = 1;
   /// Maximum number of queued (admitted, not yet dispatched) jobs; a
   /// submit beyond it is rejected. Running jobs do not count.
   int queue_capacity = 16;
-  ThreadPool* host_pool = nullptr;
   obs::Recorder* recorder = nullptr;
-  int base_trace_pid = 10;  ///< device d renders as pid base + d
-  /// Flight-recorder ring size per lane (control + one per device). The
-  /// flight recorder is always on — bounded memory, no recorder required.
-  std::size_t flight_capacity = 256;
   /// Directory automatic flight dumps are written to on deadline miss, job
   /// failure or cancel ("" = no files; dumps stay wire-accessible via the
   /// `flight` verb / flightJson()).
@@ -240,7 +237,7 @@ struct DistSummary {
   double mean = 0.0, max = 0.0, p50 = 0.0, p95 = 0.0, p99 = 0.0;
 };
 
-/// Drain-time summary (schema gpumbir.svc_report/1 via reportJson()).
+/// Drain-time summary (rendered as gpumbir.svc_report/1 by svc/view).
 struct SvcReport {
   int num_devices = 0;
   int queue_capacity = 0;
@@ -260,7 +257,9 @@ struct SvcReport {
   double modeled_device_seconds_total = 0.0;
   double makespan_modeled_s = 0.0;
   std::vector<double> device_modeled_s;
-  // Chaos-lane outcome (all zero/empty on fault-free runs):
+  // Chaos lane: plan and watchdog at drain; outcome (0 on fault-free runs):
+  chaos::FaultPlan plan;
+  double watchdog_ms = 0.0;
   std::uint64_t devices_failed = 0;
   std::uint64_t jobs_migrated = 0;  ///< total migration events
   std::vector<int> failed_devices;
@@ -294,9 +293,6 @@ class Dispatcher {
   Dispatcher(const Dispatcher&) = delete;
   Dispatcher& operator=(const Dispatcher&) = delete;
 
-  int numDevices() const { return opt_.num_devices; }
-  int queueCapacity() const { return opt_.queue_capacity; }
-
   /// Admit a job (any thread, any time before drain). Rejected — never
   /// queued unboundedly — when the admission queue is full or the
   /// dispatcher is draining.
@@ -325,30 +321,19 @@ class Dispatcher {
   /// (the wire `chaos` verb). Takes effect for subsequent dispatches; a
   /// disabled plan turns injection off. Thread-safe.
   void setFaultPlan(const chaos::FaultPlan& plan, double watchdog_ms);
-  chaos::FaultPlan faultPlan() const;
   double watchdogMs() const;
 
   /// One device's live state (from liveStats()).
   struct LiveDevice {
     int device = 0;
-    bool busy = false;
     bool failed = false;    ///< declared failed by the chaos watchdog
     int running_job = -1;   ///< -1 when idle
     double modeled_s = 0.0; ///< cumulative modeled clock at last job end
     int det_lane_depth = 0; ///< queued deterministic jobs bound to it
   };
-  /// One in-flight (queued or running) job's live state.
-  struct LiveJob {
-    int job_id = -1;
-    JobState state = JobState::kQueued;
-    std::string name;
-    std::string tenant;
-    int priority = 0;
-    bool deterministic = false;
-    int device = -1;            ///< -1 until dispatched
-    double age_host_s = 0.0;    ///< host seconds since admission
-    bool has_deadline = false;
-    double deadline_remaining_ms = 0.0;  ///< negative = already expired
+  /// One in-flight (queued or running) job's snapshot and its age.
+  struct LiveJob : JobStatus {
+    double age_host_s = 0.0;  ///< host seconds since admission
   };
   /// Live snapshot of the whole dispatcher, taken under the dispatcher
   /// lock in O(jobs) without stopping the device threads — the lock is
@@ -370,8 +355,8 @@ class Dispatcher {
     std::vector<LiveJob> in_flight;
     std::uint64_t flight_events = 0;  ///< flight events ever recorded
     std::uint64_t flight_dumps = 0;   ///< automatic dumps triggered
-    // Chaos lane:
-    bool chaos_enabled = false;
+    // Chaos lane (injection is on when plan.enabled()):
+    chaos::FaultPlan plan;
     double watchdog_ms = 0.0;
     std::uint64_t devices_failed = 0;
     std::uint64_t jobs_migrated = 0;
@@ -383,10 +368,6 @@ class Dispatcher {
     std::vector<store::FairQueue::Share> tenant_shares;
   };
   LiveStats liveStats() const;
-
-  /// liveStats() + the metrics registry as one `gpumbir.svc_stats/1`
-  /// document — the payload of the wire protocol's `stats` verb.
-  std::string liveStatsJson() const;
 
   /// Always-on bounded ring of recent per-device span events, dumped
   /// automatically (to DispatcherOptions::flight_dir when set) whenever a
@@ -423,11 +404,6 @@ class Dispatcher {
   /// server connection handler); concurrent/repeat callers all get the
   /// same report.
   const SvcReport& drain();
-  bool drained() const { return drained_.load(std::memory_order_acquire); }
-
-  /// Machine-readable report (schema gpumbir.svc_report/1). After drain().
-  std::string reportJson() const;
-  void writeReportJson(const std::string& path) const;
 
  private:
   struct Job {
@@ -488,20 +464,11 @@ class Dispatcher {
   void flushFlightDumps();
   JobStatus snapshotLocked(const Job& job) const;
   const Job& jobLocked(int job_id) const;  ///< throws for unknown ids
-  /// Counts derived from the job table and device_failed_, shared by
-  /// liveStats() and drain().
-  struct Counts {
-    std::uint64_t submitted = 0, finished = 0, cache_hits = 0,
-                  warm_starts = 0, recovered = 0, devices_failed = 0,
-                  migrated = 0, flight_dumps = 0;
-  };
-  Counts countsLocked() const;
   int runningLocked() const;  ///< devices running a job (a gang counts once)
   /// The one warm-start definition: a dispatched job, terminal, whose run
   /// started from a cached image (run.warm_started is published by the
   /// terminal transition).
   static bool warmStarted(const Job& job);
-  int tracePid(int device) const { return opt_.base_trace_pid + device; }
   // Chaos lane:
   /// Samples per-device heartbeats; declares a device failed when a
   /// monitored run goes silent past watchdog_ms_. Sleeps while disarmed.
@@ -570,7 +537,6 @@ class Dispatcher {
   bool joined_ = false;  ///< device threads joined (guarded by drain_mu_)
 
   std::mutex drain_mu_;  ///< serializes drain() / destructor teardown
-  std::atomic<bool> drained_{false};
   SvcReport report_;
 
   // svc.* instruments, resolved once at construction (nullptr = metrics off).
@@ -590,7 +556,7 @@ class Dispatcher {
     obs::Counter* migrated = nullptr;       ///< svc.jobs.migrated
   } inst_;
 
-  obs::FlightRecorder flight_;  // after opt_: sized from its options
+  obs::FlightRecorder flight_;  // after opt_: one lane per device
 };
 
 }  // namespace mbir::svc

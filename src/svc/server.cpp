@@ -11,6 +11,7 @@
 
 #include "core/error.h"
 #include "core/hash.h"
+#include "svc/view.h"
 
 namespace mbir::svc {
 
@@ -367,26 +368,16 @@ std::string Server::handleSubmit(const Request& req) {
 }
 
 std::string Server::handleStatus(const Request& req) {
+  const bool one_job = req.has("job");
+  const int id = int(req.getInt("job", -1));
+  if (one_job && !dispatcher_.knownJob(id))
+    return errorResponse("unknown job id " + std::to_string(id));
   obs::JsonWriter w;
-  if (req.has("job")) {
-    const int id = int(req.getInt("job", -1));
-    if (!dispatcher_.knownJob(id))
-      return errorResponse("unknown job id " + std::to_string(id));
-    beginResponse(w, true, "status");
-    writeJobStatus(w, dispatcher_.status(id));
-    w.endObject();
-    return w.str();
-  }
-  const Dispatcher::LiveStats s = dispatcher_.liveStats();
   beginResponse(w, true, "status");
-  w.kv("accepting", s.accepting);
-  w.kv("queued", s.queued);
-  w.kv("running", s.running);
-  w.kv("submitted", std::int64_t(s.submitted));
-  w.kv("rejected", std::int64_t(s.rejected));
-  w.kv("finished", std::int64_t(s.finished));
-  w.kv("num_devices", dispatcher_.numDevices());
-  w.kv("queue_capacity", dispatcher_.queueCapacity());
+  if (one_job)
+    writeJobStatus(w, dispatcher_.status(id));
+  else
+    writeServiceCounters(w, dispatcher_.liveStats());
   w.endObject();
   return w.str();
 }
@@ -441,8 +432,8 @@ std::string Server::handleStats() {
   // threads only touch between jobs — a stats scrape never pauses a run.
   obs::JsonWriter w;
   beginResponse(w, true, "stats");
-  w.key("stats");
-  w.raw(dispatcher_.liveStatsJson());
+  w.key("stats").raw(
+      statsJson(dispatcher_.liveStats(), opt_.dispatch.recorder));
   w.endObject();
   return w.str();
 }
@@ -478,24 +469,18 @@ std::string Server::handleChaos(const Request& req) {
     const double watchdog_ms = req.getDouble("watchdog_ms", 1000.0);
     dispatcher_.setFaultPlan(plan, watchdog_ms);
   }
-  const Dispatcher::LiveStats s = dispatcher_.liveStats();
   obs::JsonWriter w;
   beginResponse(w, true, "chaos");
-  w.kv("enabled", s.chaos_enabled);
-  w.kv("watchdog_ms", s.watchdog_ms);
-  w.kv("devices_failed", std::int64_t(s.devices_failed));
-  w.kv("jobs_migrated", std::int64_t(s.jobs_migrated));
-  w.key("plan").raw(dispatcher_.faultPlan().toJson());
+  writeChaos(w, dispatcher_.liveStats());
   w.endObject();
   return w.str();
 }
 
 std::string Server::handleDrain() {
-  drainAndReport();
+  const SvcReport& rep = drainAndReport();
   obs::JsonWriter w;
   beginResponse(w, true, "drain");
-  w.key("report");
-  w.raw(dispatcher_.reportJson());
+  w.key("report").raw(reportJson(rep, opt_.dispatch.recorder));
   w.endObject();
   return w.str();
 }

@@ -10,6 +10,7 @@
 #include "core/error.h"
 #include "core/thread_pool.h"
 #include "obs/json.h"
+#include "svc/view.h"
 #include "svc_test_support.h"
 
 namespace mbir {
@@ -118,10 +119,11 @@ TEST(SchedDeterminism, BitIdenticalToSerialForAnyDeviceAndThreadCount) {
       SCOPED_TRACE("devices=" + std::to_string(devices) +
                    " threads=" + std::to_string(threads));
       ThreadPool pool(threads);
-      svc::DispatcherOptions opt = batchOptions(devices, int(jobs.size()));
-      opt.host_pool = &pool;
-      Dispatcher d(opt);
-      for (const BatchJob& job : jobs) submitDet(d, job);
+      Dispatcher d(batchOptions(devices, int(jobs.size())));
+      for (BatchJob job : jobs) {
+        job.cfg.gpu.host_pool = &pool;
+        submitDet(d, job);
+      }
       d.drain();
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         SCOPED_TRACE("job " + std::to_string(i));
@@ -276,8 +278,8 @@ TEST(Sched, BatchReportJsonParses) {
   RunConfig cfg = test::tinyRunConfig(Algorithm::kSequentialIcd, 2.0);
   cfg.stop_rmse_hu = -1.0;
   for (int i = 0; i < 3; ++i) submitDet(d, cfg);
-  d.drain();
-  const obs::JsonValue doc = obs::parseJson(d.reportJson());
+  const obs::JsonValue doc =
+      obs::parseJson(svc::reportJson(d.drain(), /*rec=*/nullptr));
   ASSERT_TRUE(doc.isObject());
   EXPECT_EQ(doc.find("schema")->asString(), "gpumbir.svc_report/1");
   EXPECT_EQ(doc.find("jobs_submitted")->asNumber(), 3.0);

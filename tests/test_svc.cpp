@@ -30,6 +30,7 @@
 #include "svc/client.h"
 #include "svc/policy.h"
 #include "svc/server.h"
+#include "svc/view.h"
 #include "svc_test_support.h"
 
 namespace mbir::test {
@@ -329,6 +330,103 @@ TEST(SvcPolicy, SeededRandomQueuesKeepLaneInvariantsAndWfqShares) {
 }
 
 // ---------------------------------------------------------------------------
+// Views (svc/view): pure renderers over hand-built snapshots, no threads
+// ---------------------------------------------------------------------------
+
+obs::JsonValue jobDoc(const svc::JobStatus& s) {
+  obs::JsonWriter w;
+  w.beginObject();
+  svc::writeJobStatus(w, s);
+  w.endObject();
+  return obs::parseJson(w.str());
+}
+
+TEST(SvcView, RunOutcomeOnlyForTerminalJobsThatRanOrHitTheCache) {
+  const auto outcome_keys = [](const svc::JobStatus& s) {
+    const obs::JsonValue doc = jobDoc(s);
+    int n = 0;
+    for (const char* k : {"converged", "equits", "final_rmse_hu",
+                          "modeled_seconds", "queue_wait_modeled_s"})
+      n += doc.find(k) != nullptr;
+    return n;
+  };
+  svc::JobStatus s;
+  s.equits = 2.5;
+  EXPECT_EQ(0, outcome_keys(s));  // queued
+  s.state = svc::JobState::kRunning;
+  s.dispatch_seq = 0;
+  EXPECT_EQ(0, outcome_keys(s));  // dispatched, not terminal yet
+  s.state = svc::JobState::kDone;
+  EXPECT_EQ(5, outcome_keys(s));
+  EXPECT_EQ(2.5, jobDoc(s).find("equits")->num_v);
+  s.state = svc::JobState::kDeadlineMissed;
+  s.dispatch_seq = -1;
+  EXPECT_EQ(0, outcome_keys(s));  // terminal, never ran
+  s.state = svc::JobState::kDone;
+  s.cache_hit = true;
+  EXPECT_EQ(5, outcome_keys(s));  // never ran, but carries the cached run
+}
+
+TEST(SvcView, DefaultTenantIsOmitted) {
+  svc::JobStatus s;
+  EXPECT_EQ(nullptr, jobDoc(s).find("tenant"));
+  s.tenant = "acme";
+  EXPECT_EQ("acme", jobDoc(s).find("tenant")->str_v);
+}
+
+TEST(SvcView, ImageHashIsSixteenHexDigits) {
+  svc::JobStatus s;
+  s.state = svc::JobState::kDone;
+  s.dispatch_seq = 0;
+  s.image_hash = 0x00c0ffee12345678ull;
+  EXPECT_EQ(nullptr, jobDoc(s).find("image_hash"));  // no image
+  s.has_image = true;
+  EXPECT_EQ("00c0ffee12345678", jobDoc(s).find("image_hash")->str_v);
+}
+
+TEST(SvcView, DeadlineRemainingIsDeadlineMinusAge) {
+  svc::Dispatcher::LiveStats s;
+  for (const auto& [deadline_ms, age_s] :
+       {std::pair{500.0, 0.2}, {100.0, 0.25}, {-1.0, 3.0}}) {
+    svc::Dispatcher::LiveJob j;
+    j.job_id = int(s.in_flight.size());
+    j.deadline_ms = deadline_ms;
+    j.age_host_s = age_s;
+    s.in_flight.push_back(j);
+  }
+  const obs::JsonValue doc = obs::parseJson(svc::statsJson(s, nullptr));
+  const std::vector<obs::JsonValue>& jobs = doc.find("in_flight")->array_v;
+  ASSERT_EQ(3u, jobs.size());
+  EXPECT_DOUBLE_EQ(300.0, jobs[0].find("deadline_remaining_ms")->num_v);
+  EXPECT_DOUBLE_EQ(-150.0, jobs[1].find("deadline_remaining_ms")->num_v);
+  EXPECT_EQ(nullptr, jobs[2].find("deadline_remaining_ms"));  // no deadline
+  EXPECT_EQ(3.0, jobs[2].find("age_host_s")->num_v);
+}
+
+TEST(SvcView, ChaosBlockIsTheSameInStatsAndTheChaosVerb) {
+  svc::Dispatcher::LiveStats s;
+  s.plan.seed = 42;
+  s.plan.launch_fault_rate = 0.25;
+  s.plan.target_devices = {1};
+  s.watchdog_ms = 750.0;
+  s.devices_failed = 1;
+  s.jobs_migrated = 3;
+  obs::JsonWriter w;
+  w.beginObject();
+  svc::writeChaos(w, s);
+  w.endObject();
+  const std::string block = w.str();
+  EXPECT_NE(std::string::npos,
+            svc::statsJson(s, nullptr).find("\"chaos\":" + block));
+  const obs::JsonValue doc = obs::parseJson(block);
+  EXPECT_TRUE(doc.find("enabled")->bool_v);
+  EXPECT_EQ(750.0, doc.find("watchdog_ms")->num_v);
+  EXPECT_EQ(1.0, doc.find("devices_failed")->num_v);
+  EXPECT_EQ(3.0, doc.find("jobs_migrated")->num_v);
+  EXPECT_EQ(42.0, doc.find("plan")->find("seed")->num_v);
+}
+
+// ---------------------------------------------------------------------------
 // Round trip / status / result
 // ---------------------------------------------------------------------------
 
@@ -623,6 +721,31 @@ TEST(SvcServer, DrainIsGracefulValidatedAndTerminal) {
   EXPECT_EQ(3.0, client.drain().find("jobs_done")->num_v);
 }
 
+TEST(SvcServer, DrainReportKeepsTheDrainedChaosPlan) {
+  TestService service(/*devices=*/1, /*queue_cap=*/4);
+  Client client = service.connect();
+  chaos::FaultPlan drained_plan;
+  drained_plan.seed = 11;
+  drained_plan.target_devices = {0};
+  client.chaos(drained_plan, /*watchdog_ms=*/0.0);
+  client.submit(SubmitParams{});
+  const obs::JsonValue first = client.drain();
+
+  // A plan installed after the drain governs nothing the report covers.
+  chaos::FaultPlan later;
+  later.seed = 99;
+  later.launch_fault_rate = 0.5;
+  client.chaos(later, /*watchdog_ms=*/250.0);
+  EXPECT_EQ(99.0, client.chaos().find("plan")->find("seed")->num_v);
+  for (const obs::JsonValue& report : {first, client.drain()}) {
+    const obs::JsonValue* chaos = report.find("chaos");
+    ASSERT_NE(nullptr, chaos);
+    EXPECT_FALSE(chaos->find("enabled")->bool_v);
+    EXPECT_EQ(0.0, chaos->find("watchdog_ms")->num_v);
+    EXPECT_EQ(11.0, chaos->find("plan")->find("seed")->num_v);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Observability: stats verb, flight recorder, span tracing
 // ---------------------------------------------------------------------------
@@ -845,7 +968,7 @@ TEST(SvcServer, EngineSpansLandOnTheJobsDeviceLane) {
     client.drain();
   }
 
-  const int base_pid = svc::DispatcherOptions{}.base_trace_pid;
+  const int base_pid = svc::kBaseTracePid;
   const int host_pid = int(obs::Clock::kHost);
   const std::vector<std::string> engine_spans = {
       "gpuicd.iteration", "psv.iteration",   "seq.sweep",
@@ -878,6 +1001,61 @@ TEST(SvcServer, EngineSpansLandOnTheJobsDeviceLane) {
   EXPECT_GT(seen["gsim.launch.*"], 0);
   for (const std::string& name : engine_spans)
     EXPECT_GT(seen[name], 0) << name << " never recorded";
+}
+
+TEST(SvcServer, ModeledEngineSpansNestInsideTheirJobOnTheDevice) {
+  // Each engine stamps modeled events from its own clock, which starts at 0
+  // for every job; on a device that ran several jobs they must still land
+  // inside the job's svc.job.<name> span on the device's clock.
+  obs::ObsConfig obs_cfg;
+  obs_cfg.trace = true;
+  obs::Recorder recorder(obs_cfg);
+  std::vector<std::string> names;
+  {
+    TestService service(/*devices=*/1, /*queue_cap=*/4, &recorder);
+    Client client = service.connect();
+    std::vector<int> ids;
+    for (int i = 0; i < 3; ++i) {
+      SubmitParams p;
+      p.name = "nest" + std::to_string(i);
+      ids.push_back(client.submit(p).job_id);
+      names.push_back(p.name);
+    }
+    for (int id : ids) ASSERT_EQ("done", client.result(id).state);
+    client.drain();
+  }
+
+  struct Window {
+    double t0 = 0.0, t1 = -1.0;
+  };
+  std::map<int, Window> job_span;  // job id -> its svc.job.<name> span
+  std::vector<obs::TraceEvent> engine;
+  const int host_pid = int(obs::Clock::kHost);
+  for (obs::TraceEvent& ev : recorder.trace().snapshot()) {
+    if (ev.clock != obs::Clock::kModeled || ev.pid == host_pid) continue;
+    int id = -1;
+    for (const auto& [k, v] : ev.num_args)
+      if (k == "job_id") id = int(v);
+    if (id < 0) continue;
+    if (ev.name == "svc.job." + names[std::size_t(id)])
+      job_span[id] = {ev.ts_us, ev.ts_us + ev.dur_us};
+    else
+      engine.push_back(std::move(ev));
+  }
+  ASSERT_EQ(3u, job_span.size());
+  EXPECT_GT(job_span[2].t0, 0.0);  // the device ran two jobs before it
+  std::map<int, int> seen;
+  for (const obs::TraceEvent& ev : engine) {
+    int id = -1;
+    for (const auto& [k, v] : ev.num_args)
+      if (k == "job_id") id = int(v);
+    const Window& w = job_span[id];
+    const double tol = 1e-6 * std::max(1.0, w.t1);
+    ++seen[id];
+    EXPECT_GE(ev.ts_us, w.t0 - tol) << ev.name << " of job " << id;
+    EXPECT_LE(ev.ts_us + ev.dur_us, w.t1 + tol) << ev.name << " of job " << id;
+  }
+  for (int id = 0; id < 3; ++id) EXPECT_GT(seen[id], 0) << "job " << id;
 }
 
 TEST(SvcServer, TenantsFlowThroughReportAndLabeledMetrics) {
