@@ -73,6 +73,15 @@ std::vector<EngineRecord> computeCurrent() {
   RunConfig gpu_no_spill = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
   gpu_no_spill.gpu.flags.spill_registers_to_smem = false;
   run("gpu_no_smem_spill", gpu_no_spill);
+  // Chunk layouts whose rows a lane group can cut anywhere: W = 29 on
+  // float A (the window's partial last group on the float path), and
+  // W = 128, where a row's band can sit in any of 16 groups.
+  RunConfig gpu_w29_exact = gpu_w29;
+  gpu_w29_exact.gpu.flags.quantize_amatrix = false;
+  run("gpu_chunk_width_29_exact_amatrix", gpu_w29_exact);
+  RunConfig gpu_w128 = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
+  gpu_w128.gpu.tunables.chunk_width = 128;
+  run("gpu_chunk_width_128", gpu_w128);
   return records;
 }
 
