@@ -32,8 +32,8 @@ namespace mbir {
 class PlanStore {
  public:
   /// Default budget: holds a 128^2 x 180 view x 256 channel problem's
-  /// whole A-chunk set at W=32 (106 MiB quantized), and its float set
-  /// (402 MiB) too.
+  /// whole band-compact A-chunk set at W=32 (38 MiB quantized), and its
+  /// float set (127 MiB) several times over.
   static constexpr std::size_t kDefaultBudgetBytes = std::size_t(512) << 20;
 
   /// What a build function returns: the value and the heap bytes it holds.

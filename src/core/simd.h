@@ -80,6 +80,14 @@ struct RowBand {
   std::uint8_t n;
 };
 
+/// Lane groups a band-compact chunk row stores: the whole groups covering
+/// [i0, i0 + n), i.e. window columns [i0 & ~7, roundUp8(i0 + n)); 0 when
+/// n == 0.
+inline int storedGroups(RowBand b) {
+  if (b.n == 0) return 0;
+  return (b.i0 + b.n + kSimdLanes - 1) / kSimdLanes - b.i0 / kSimdLanes;
+}
+
 /// Dispatch table of the lane-group row ops the engines' hot loops run on.
 /// `n` is the row length in elements; rows need not be aligned (hot buffers
 /// come from core/aligned.h, but ops tolerate any offset into them).
@@ -96,23 +104,27 @@ struct SimdOps {
   void (*err_row_f)(const float* a, float delta, float* e, int n);
 
   /// Whole-chunk ops for the transformed GPU-ICD layout (paper §4.1). A
-  /// chunk is `rows` consecutive rows of one window of width `win`: the A
-  /// rows are dense and `win` elements apart, zero-padded outside each
-  /// row's band; the SVB rows (`e`, `w` point at column 0 of the window in
-  /// the chunk's first view) are `pitch` elements apart. Row r is processed
-  /// exactly like a single window over the lane groups covering its band
-  /// [i0, i1) = [bands[r].i0, bands[r].i0 + bands[r].n):
-  /// [i0 & ~7, min(roundUp8(i1), win)), lane = window index mod 8, full
-  /// groups vectorized, then a scalar tail only when the window ends
-  /// mid-group. Rows run in order and the theta lane accumulators stay in
-  /// registers across them, so a chunk call equals the loop of its one-row
-  /// calls bit for bit. Skipped window elements hold a == +0.0, so omitting
-  /// them cannot change any accumulator bit; processed zero-padded elements
-  /// contribute +0.0 products identically on both paths.
+  /// chunk is `rows` consecutive rows of one window of width `win`. The A
+  /// rows are band-compact (sv/chunks.h): row r stores only the
+  /// storedGroups(bands[r]) lane groups covering its band
+  /// [i0, i1) = [bands[r].i0, bands[r].i0 + bands[r].n), i.e. window
+  /// columns [i0 & ~7, roundUp8(i1)), zero-padded, and the rows are packed
+  /// back to back from `a`/`q`. The SVB rows (`e`, `w` point at column 0 of
+  /// the window in the chunk's first view) are `pitch` elements apart. Row
+  /// r is processed exactly like a single window over the groups covering
+  /// its band: [i0 & ~7, min(roundUp8(i1), win)), lane = window index mod
+  /// 8, full groups vectorized, then a scalar tail only when the window
+  /// ends mid-group. Rows run in order and the theta lane accumulators stay
+  /// in registers across them, so a chunk call equals the loop of its
+  /// one-row calls bit for bit. The W-wide layout held a == +0.0 outside
+  /// the covering groups, so the compact rows give its bits exactly;
+  /// processed zero-padded elements contribute +0.0 products identically
+  /// on both paths.
   /// The quantized variants dequantize a = float(q[i]) * scale (uint8
   /// A-chunk rows, paper §4.3.1); err ops compute e[i] -= a * delta.
   /// Preconditions: i1 <= win for every row; every SVB row is readable
-  /// (err: writable) over [0, win).
+  /// (err: writable) over [0, win); the A rows hold
+  /// 8 * sum(storedGroups(bands[r])) elements.
   void (*theta_chunk_f)(const float* a, const float* e, const float* w,
                         std::ptrdiff_t pitch, const RowBand* bands, int rows,
                         int win, ThetaLanes& acc);

@@ -48,10 +48,20 @@ Image2D fbpReconstruct(const Sinogram& y, const ParallelBeamGeometry& g,
     }
   }, /*grain=*/4);
 
-  // Backproject with linear interpolation over channels.
+  // Backproject with linear interpolation over channels. Each view's
+  // cos/sin come from a table built once; the channel is then computed
+  // with projectToChannel's expression, so every pixel gets its bits.
   Image2D img(g.image_size);
   const double scale = g.angle_range_rad / double(V);
   const double fov = g.fieldOfViewRadius();
+  const double center = g.centerChannel();
+  std::vector<double> cos_v(static_cast<std::size_t>(V));
+  std::vector<double> sin_v(static_cast<std::size_t>(V));
+  for (int v = 0; v < V; ++v) {
+    const double th = g.angle(v);
+    cos_v[std::size_t(v)] = std::cos(th);
+    sin_v[std::size_t(v)] = std::sin(th);
+  }
 
   globalThreadPool().parallelFor(0, g.image_size, [&](int row) {
     for (int col = 0; col < g.image_size; ++col) {
@@ -63,7 +73,9 @@ Image2D fbpReconstruct(const Sinogram& y, const ParallelBeamGeometry& g,
       }
       double acc = 0.0;
       for (int v = 0; v < V; ++v) {
-        const double tc = g.projectToChannel(x, yy, v);
+        const double t =
+            x * cos_v[std::size_t(v)] + yy * sin_v[std::size_t(v)];
+        const double tc = center + t / g.channel_spacing_mm;
         const int c0 = int(std::floor(tc));
         if (c0 < 0 || c0 + 1 >= C) continue;
         const double frac = tc - double(c0);

@@ -1,5 +1,7 @@
 #include "geom/projector.h"
 
+#include <algorithm>
+
 #include "core/error.h"
 #include "core/simd.h"
 #include "core/thread_pool.h"
@@ -14,16 +16,27 @@ Sinogram forwardProject(const SystemMatrix& A, const Image2D& x) {
   Sinogram y(A.numViews(), A.numChannels());
   auto ys = y.flat();
   const int num_channels = A.numChannels();
-  for (std::size_t voxel = 0; voxel < A.numVoxels(); ++voxel) {
-    const float xv = x[voxel];
-    if (xv == 0.0f) continue;
-    for (int v = 0; v < A.numViews(); ++v) {
-      const SystemMatrix::Run& r = A.run(voxel, v);
-      const auto w = A.weights(voxel, v);
-      float* dst = ys.data() + std::size_t(v) * std::size_t(num_channels) + r.first_channel;
-      ops.axpy_row(w.data(), xv, dst, int(w.size()));
+  // One contiguous view range per pool thread. A sinogram row belongs to
+  // one range, and its thread walks the voxels in order, so every element
+  // sums its voxels in voxel order whatever the thread count.
+  ThreadPool& pool = globalThreadPool();
+  const int V = A.numViews();
+  const int parts = std::min(int(pool.size()), V);
+  pool.parallelFor(0, parts, [&](int p) {
+    const int v0 = V * p / parts;
+    const int v1 = V * (p + 1) / parts;
+    for (std::size_t voxel = 0; voxel < A.numVoxels(); ++voxel) {
+      const float xv = x[voxel];
+      if (xv == 0.0f) continue;
+      for (int v = v0; v < v1; ++v) {
+        const SystemMatrix::Run& r = A.run(voxel, v);
+        const auto w = A.weights(voxel, v);
+        float* dst = ys.data() + std::size_t(v) * std::size_t(num_channels) +
+                     r.first_channel;
+        ops.axpy_row(w.data(), xv, dst, int(w.size()));
+      }
     }
-  }
+  });
   return y;
 }
 

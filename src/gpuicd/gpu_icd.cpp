@@ -352,7 +352,7 @@ struct GpuIcd::Impl {
       int rows_total = 0;
       std::size_t elems_total = 0;
       for (const ChunkDesc& d : cp.chunksOf(k)) {
-        prof.descRead(sizeof(ChunkDesc));
+        prof.descRead(kDeviceChunkDescBytes);
         // Warp-level traffic per row: e row + w row + A row. Rows whose
         // width is not a warp multiple leave lanes idle on the last pass —
         // the reason warp-multiple chunk widths win in Fig. 6.

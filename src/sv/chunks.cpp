@@ -68,7 +68,7 @@ ChunkPlan::ChunkPlan(const SystemMatrix& A, const SvbPlan& svb_plan,
         base = ws;
         aligned = false;
       }
-      cur = ChunkDesc{k, v, 1, base, 0, aligned};
+      cur = ChunkDesc{k, v, 1, base, 0, 0, aligned};
       open = true;
       max_column_end = std::max(max_column_end, base + W);
     }
@@ -79,47 +79,61 @@ ChunkPlan::ChunkPlan(const SystemMatrix& A, const SvbPlan& svb_plan,
   // The padded SVB must be readable over every chunk window.
   required_padded_width_ = max_column_end;
 
-  // Assign data offsets.
-  std::size_t offset = 0;
+  // Pass 2: bands, then offsets. A chunk's band rows follow the previous
+  // chunk's; its stored A rows follow the previous chunk's stored groups.
+  std::size_t rows = 0;
+  for (const ChunkDesc& d : descs_) rows += std::size_t(d.nrows);
+  bands_.resize(rows);
+  total_elements_ = rows * std::size_t(W);
+  std::size_t band_offset = 0;
+  std::size_t stored = 0;
   for (ChunkDesc& d : descs_) {
-    d.data_offset = std::uint32_t(offset);
-    offset += std::size_t(d.nrows) * std::size_t(W);
-    MBIR_CHECK_MSG(offset <= UINT32_MAX, "chunk table exceeds uint32 offsets");
+    const std::size_t voxel =
+        std::size_t(sv_.voxelAt(d.local_voxel, image_size));
+    d.band_offset = std::uint32_t(band_offset);
+    d.data_offset = std::uint32_t(stored);
+    for (int i = 0; i < d.nrows; ++i) {
+      const int v = d.view0 + i;
+      const SystemMatrix::Run& r = A.run(voxel, v);
+      const int ws = int(r.first_channel) - svb_plan.lo(v);
+      MBIR_CHECK(ws >= d.base && ws + int(r.count) <= d.base + W);
+      const RowBand b{std::uint8_t(ws - d.base), std::uint8_t(r.count)};
+      bands_[band_offset++] = b;
+      stored += std::size_t(storedGroups(b)) * kSimdLanes;
+    }
+    MBIR_CHECK_MSG(stored <= UINT32_MAX, "chunk table exceeds uint32 offsets");
   }
-  total_elements_ = offset;
-  bands_.resize(total_elements_ / std::size_t(W));
 
-  // Pass 2: fill A rows (zero-padded outside the voxel's true footprint).
+  // Pass 3: fill the stored groups (zero-padded outside the voxel's true
+  // footprint).
   if (options_.quantize)
-    qdata_ = AlignedBuffer<std::uint8_t>(total_elements_);
+    qdata_ = AlignedBuffer<std::uint8_t>(stored);
   else
-    fdata_ = AlignedBuffer<float>(total_elements_);
+    fdata_ = AlignedBuffer<float>(stored);
 
   for (const ChunkDesc& d : descs_) {
     const std::size_t voxel =
         std::size_t(sv_.voxelAt(d.local_voxel, image_size));
     const float vmax = A.voxelMax(voxel);
+    std::size_t row_off = d.data_offset;
     for (int i = 0; i < d.nrows; ++i) {
-      const int v = d.view0 + i;
-      const SystemMatrix::Run& r = A.run(voxel, v);
-      const auto aw = A.weights(voxel, v);
-      const int ws = int(r.first_channel) - svb_plan.lo(v);
-      const std::size_t row_off = d.data_offset + std::size_t(i) * std::size_t(W);
-      bands_[row_off / std::size_t(W)] =
-          RowBand{std::uint8_t(ws - d.base), std::uint8_t(r.count)};
-      for (int k = 0; k < int(r.count); ++k) {
-        const int col = ws + k - d.base;
-        MBIR_CHECK(col >= 0 && col < W);
+      const RowBand b = bands_[d.band_offset + std::size_t(i)];
+      const auto aw = A.weights(voxel, d.view0 + i);
+      // Stored column of band element k: its window column minus the
+      // row's first stored column.
+      const int first = b.i0 % kSimdLanes;
+      for (int k = 0; k < int(b.n); ++k) {
+        const std::size_t idx = row_off + std::size_t(first + k);
         if (options_.quantize) {
           // Normalize by the voxel max so the 8 bits carry the MSBs
           // (paper §4.3.1), with +0.5 rounding.
           const float q = vmax > 0.0f ? aw[std::size_t(k)] / vmax * 255.0f + 0.5f : 0.0f;
-          qdata_[row_off + std::size_t(col)] =
-              std::uint8_t(std::min(q, 255.0f));
+          qdata_[idx] = std::uint8_t(std::min(q, 255.0f));
         } else {
-          fdata_[row_off + std::size_t(col)] = aw[std::size_t(k)];
+          fdata_[idx] = aw[std::size_t(k)];
         }
       }
+      row_off += std::size_t(storedGroups(b)) * kSimdLanes;
     }
   }
 }
@@ -130,26 +144,13 @@ std::span<const ChunkDesc> ChunkPlan::chunksOf(int local_voxel) const {
   return {descs_.data() + b, e - b};
 }
 
-std::span<const RowBand> ChunkPlan::bandsOf(const ChunkDesc& d) const {
-  return {bands_.data() + d.data_offset / std::uint32_t(options_.chunk_width),
-          std::size_t(d.nrows)};
-}
-
-std::span<const float> ChunkPlan::dataFloat(const ChunkDesc& d) const {
-  MBIR_CHECK(!options_.quantize);
-  return {fdata_.data() + d.data_offset,
-          std::size_t(d.nrows) * std::size_t(options_.chunk_width)};
-}
-
-std::span<const std::uint8_t> ChunkPlan::dataQuant(const ChunkDesc& d) const {
-  MBIR_CHECK(options_.quantize);
-  return {qdata_.data() + d.data_offset,
-          std::size_t(d.nrows) * std::size_t(options_.chunk_width)};
-}
-
 float ChunkPlan::aValue(const ChunkDesc& d, int r, int c) const {
+  const std::span<const RowBand> bands = bandsOf(d);
+  const RowBand b = bands[std::size_t(r)];
+  const int g0 = b.i0 & ~(kSimdLanes - 1);
+  if (c < g0 || c >= g0 + storedGroups(b) * kSimdLanes) return 0.0f;
   const std::size_t idx =
-      d.data_offset + std::size_t(r) * std::size_t(options_.chunk_width) + std::size_t(c);
+      d.data_offset + storedElementsOf(d, r) + std::size_t(c - g0);
   if (options_.quantize)
     return float(qdata_[idx]) * scale_[std::size_t(d.local_voxel)];
   return fdata_[idx];

@@ -6,17 +6,28 @@
 // band_lo(v). The window drifts sinusoidally across views. A *chunk* is a
 // rectangular block — a fixed column window [base, base + W) spanning a
 // maximal run of consecutive views whose voxel windows all fit inside it.
-// The A-matrix is re-packed per chunk as nrows x W dense rows, zero-padded
-// outside the voxel's true footprint, so the kernel's inner loop is a plain
-// element-by-element multiply over perfectly rectangular, aligned rows —
-// the coalesced-access shape GPUs want. Zero padding guarantees the
-// non-voxel-related SVB elements inside the window never affect correctness
-// (a property the test suite pins against the global-sinogram reference).
+// On the modeled device the A-matrix is re-packed per chunk as nrows x W
+// dense rows, zero-padded outside the voxel's true footprint, so the
+// kernel's inner loop is a plain element-by-element multiply over perfectly
+// rectangular, aligned rows — the coalesced-access shape GPUs want. Zero
+// padding guarantees the non-voxel-related SVB elements inside the window
+// never affect correctness (a property the test suite pins against the
+// global-sinogram reference). The profiler charges that layout from
+// (nrows, W, aligned); totalDataElements() and paddingRatio() describe it.
 //
 // Each chunk row also records its band: where the voxel's true footprint
 // sits inside the window ([i0, i0 + n), 2 bytes per row), so the update
 // kernel walks whole chunks without looking the footprint up in the
 // SystemMatrix again.
+//
+// The host stores the same rows band-compact: a row keeps only the whole
+// 8-lane groups covering its band, window columns
+// [i0 & ~7, roundUp8(i0 + n)), zero-padded, and the rows of a chunk are
+// packed back to back (storedGroups() in core/simd.h gives a row's group
+// count from its band, so no per-row offset is stored). Every group starts
+// at a multiple of 8, so each element keeps its lane (window column mod 8)
+// and the chunk ops compute the bits of the W-wide layout; the groups they
+// skip held only zeros. storedElements() counts this layout.
 //
 // The same table can be built with uint8-quantized A entries (§4.3.1):
 // q = round(A / voxelMax * 255), dequantized on the fly by q * scale with
@@ -29,6 +40,7 @@
 // reads the same immutable plan.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -36,6 +48,7 @@
 #include <vector>
 
 #include "core/aligned.h"
+#include "core/error.h"
 #include "core/simd.h"
 #include "geom/system_matrix.h"
 #include "sv/svb.h"
@@ -47,9 +60,15 @@ struct ChunkDesc {
   std::int32_t view0;           ///< first view (SVB row) of the chunk
   std::int32_t nrows;           ///< consecutive views covered
   std::int32_t base;            ///< SVB column of the window start
-  std::uint32_t data_offset;    ///< start of this chunk's A rows (elements)
+  std::uint32_t band_offset;    ///< first row of this chunk (index of its band)
+  std::uint32_t data_offset;    ///< start of this chunk's stored A rows (elements)
   bool aligned;                 ///< base is a multiple of the alignment unit
 };
+
+/// Bytes the modeled kernel reads per chunk descriptor: the device layout's
+/// voxel, view0, nrows, base, row offset and aligned flag. Its rows are W
+/// apart, so it needs no second offset for compact A rows.
+inline constexpr std::size_t kDeviceChunkDescBytes = 24;
 
 struct ChunkPlanOptions {
   /// Chunk width W in elements (paper Fig. 6 sweeps 8..128; best 32). At
@@ -74,24 +93,41 @@ class ChunkPlan {
   std::span<const ChunkDesc> chunksOf(int local_voxel) const;
   std::size_t numChunks() const { return descs_.size(); }
 
-  /// Chunk A rows (nrows * W elements, row-major). Exactly one of these is
-  /// live depending on quantized().
-  std::span<const float> dataFloat(const ChunkDesc& d) const;
-  std::span<const std::uint8_t> dataQuant(const ChunkDesc& d) const;
+  /// Chunk A rows, band-compact: row i holds 8 * storedGroups(bands[i])
+  /// elements starting at window column bands[i].i0 & ~7, and the rows are
+  /// back to back. Exactly one of these is live depending on quantized().
+  /// Inline, so a hot loop that takes only data() never sums the bands.
+  std::span<const float> dataFloat(const ChunkDesc& d) const {
+    MBIR_CHECK(!options_.quantize);
+    return {fdata_.data() + d.data_offset, storedElementsOf(d)};
+  }
+  std::span<const std::uint8_t> dataQuant(const ChunkDesc& d) const {
+    MBIR_CHECK(options_.quantize);
+    return {qdata_.data() + d.data_offset, storedElementsOf(d)};
+  }
 
   /// Per-row bands of a chunk (nrows entries): row i's footprint occupies
   /// window columns [i0, i0 + n), n >= 1, i.e. first_channel - lo(v) - base
   /// for view v = view0 + i.
-  std::span<const RowBand> bandsOf(const ChunkDesc& d) const;
+  std::span<const RowBand> bandsOf(const ChunkDesc& d) const {
+    return {bands_.data() + d.band_offset, std::size_t(d.nrows)};
+  }
 
   /// Dequantization scale for a voxel (voxelMax / 255); 0 for empty columns.
   float scaleOf(int local_voxel) const { return scale_[std::size_t(local_voxel)]; }
 
-  /// Reconstructed A value at (chunk row r, column c) — dequantizes when
-  /// quantized. Shared by the simulated kernel and tests.
+  /// Reconstructed A value at (chunk row r, window column c), 0 outside the
+  /// row's stored groups — dequantizes when quantized. Walks the chunk's
+  /// rows to find row r, so it is for tests and tools, not hot loops.
   float aValue(const ChunkDesc& d, int r, int c) const;
 
+  /// A elements the host stores (8 per covered lane group).
+  std::size_t storedElements() const {
+    return options_.quantize ? qdata_.size() : fdata_.size();
+  }
+
   // --- occupancy/bandwidth accounting for the GPU timing model ---
+  /// A elements of the device layout (every chunk row W wide).
   std::size_t totalDataElements() const { return total_elements_; }
   std::size_t trueNnz() const { return true_nnz_; }
   /// padded elements / true nonzeros (>= 1); the §4.1 redundancy cost.
@@ -105,7 +141,8 @@ class ChunkPlan {
   /// base + W): grow the SvbPlan to this before an SVB is read through the
   /// plan (SvbPlan::growPaddedWidth).
   int requiredPaddedWidth() const { return required_padded_width_; }
-  /// Heap bytes the plan holds (its plan-store charge).
+  /// Heap bytes the plan holds (its plan-store charge): the compact rows,
+  /// not the device layout's.
   std::size_t heapBytes() const;
 
  private:
@@ -116,10 +153,21 @@ class ChunkPlan {
   AlignedBuffer<float> fdata_;
   AlignedBuffer<std::uint8_t> qdata_;
   std::vector<float> scale_;
-  std::vector<RowBand> bands_;  // one per chunk row, in data order
+  std::vector<RowBand> bands_;  // one per chunk row, in chunk order
   std::size_t total_elements_ = 0;
   std::size_t true_nnz_ = 0;
   int required_padded_width_ = 0;
+
+  /// Stored A elements of the first `rows` rows of chunk d.
+  std::size_t storedElementsOf(const ChunkDesc& d, int rows) const {
+    std::size_t n = 0;
+    for (const RowBand& b : bandsOf(d).first(std::size_t(rows)))
+      n += std::size_t(storedGroups(b)) * kSimdLanes;
+    return n;
+  }
+  std::size_t storedElementsOf(const ChunkDesc& d) const {
+    return storedElementsOf(d, d.nrows);
+  }
 };
 
 /// Plan-store key of the plan for `svb_plan`'s SV: the SV rect, the band's

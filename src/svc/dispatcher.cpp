@@ -708,7 +708,6 @@ double Dispatcher::runOnDevice(Job& job, int device, double start_clock,
   const bool gang = spec.shards > 1;
   JobResult& r = job.result;
   r.device = device;
-  r.queue_wait_modeled_s = start_clock;
   r.device_start_modeled_s = start_clock;
   const double host_t0_us = tracing ? rec->trace().nowHostUs() : 0.0;
   const WallTimer job_wall;
@@ -763,7 +762,7 @@ double Dispatcher::runOnDevice(Job& job, int device, double start_clock,
     }
     num_args.emplace_back("equits", r.run.equits);
     num_args.emplace_back("rmse_hu", r.run.final_rmse_hu);
-    num_args.emplace_back("queue_wait_modeled_s", r.queue_wait_modeled_s);
+    num_args.emplace_back("queue_wait_modeled_s", r.device_start_modeled_s);
     if (r.run.warm_started) num_args.emplace_back("warm_start", 1.0);
     std::vector<std::pair<std::string, std::string>> str_args = {
         {"job", r.name},
@@ -948,7 +947,7 @@ JobStatus Dispatcher::snapshotLocked(const Job& job) const {
     s.equits = job.result.run.equits;
     s.final_rmse_hu = job.result.run.final_rmse_hu;
     s.modeled_seconds = job.result.run.modeled_seconds;
-    s.queue_wait_modeled_s = job.result.queue_wait_modeled_s;
+    s.queue_wait_modeled_s = job.result.device_start_modeled_s;
     s.image_hash = job.image_hash;
     s.has_image = job.has_image;
   }

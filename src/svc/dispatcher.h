@@ -101,9 +101,9 @@ struct JobResult {
   bool cancelled = false;  ///< stopped by cancel() at an iteration boundary
   bool failed = false;     ///< the run threw
   std::string error;       ///< exception message when failed
-  /// Modeled seconds this job waited behind earlier jobs on its device
-  /// (= the device's cumulative modeled clock when it started).
-  double queue_wait_modeled_s = 0.0;
+  /// The device's cumulative modeled clock when this job started: also
+  /// the modeled seconds it waited behind earlier jobs on its device
+  /// (JobStatus::queue_wait_modeled_s), and where its modeled span starts.
   double device_start_modeled_s = 0.0;
   double device_end_modeled_s = 0.0;
   /// Real host wall-clock of this job's run.

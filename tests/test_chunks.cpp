@@ -222,6 +222,64 @@ TEST_F(ChunkFixture, RowBandsMatchSystemMatrixRuns) {
                Error);
 }
 
+// The host stores each row band-compact (whole lane groups covering its
+// band); the device layout it stands for is W wide and zero-padded. aValue
+// must read the W-wide layout at every window column, the stored count must
+// be the covered groups, and the compact plan must hold fewer heap bytes
+// than the W-wide one once a window spans more than one group.
+TEST_F(ChunkFixture, BandCompactRowsMatchFullWidthLayout) {
+  for (int sv_id : {0, 5, grid_->count() - 1}) {
+    for (int width : {8, 16, 29, 32, 64, 128}) {
+      for (bool quantize : {false, true}) {
+        SCOPED_TRACE("sv " + std::to_string(sv_id) + " W " +
+                     std::to_string(width) + (quantize ? " q" : " f"));
+        const SvbPlan plan(g_, grid_->sv(sv_id));
+        const ChunkPlan cp(
+            *A_, plan, {.chunk_width = width, .quantize = quantize});
+        const SuperVoxel& sv = grid_->sv(sv_id);
+        std::size_t rows = 0, covered_groups = 0;
+        for (int k = 0; k < sv.numVoxels(); ++k) {
+          const std::size_t voxel = std::size_t(sv.voxelAt(k, g_.image_size));
+          const float vmax = A_->voxelMax(voxel);
+          for (const ChunkDesc& d : cp.chunksOf(k)) {
+            for (int i = 0; i < d.nrows; ++i) {
+              const int v = d.view0 + i;
+              const auto& r = A_->run(voxel, v);
+              const auto aw = A_->weights(voxel, v);
+              const int i0 = int(r.first_channel) - plan.lo(v) - d.base;
+              // The W-wide row, rebuilt from the matrix.
+              std::vector<float> full(std::size_t(width), 0.0f);
+              for (int kk = 0; kk < int(r.count); ++kk) {
+                const float a = aw[std::size_t(kk)];
+                const float q = vmax > 0.0f ? a / vmax * 255.0f + 0.5f : 0.0f;
+                full[std::size_t(i0 + kk)] =
+                    quantize ? float(std::uint8_t(std::min(q, 255.0f))) *
+                                   cp.scaleOf(k)
+                             : a;
+              }
+              for (int c = 0; c < width; ++c)
+                ASSERT_EQ(cp.aValue(d, i, c), full[std::size_t(c)])
+                    << "voxel " << voxel << " view " << v << " col " << c;
+              ++rows;
+              covered_groups += std::size_t((i0 + int(r.count) + 7) / 8 - i0 / 8);
+            }
+          }
+        }
+        EXPECT_EQ(cp.storedElements(), 8 * covered_groups);
+        EXPECT_EQ(cp.totalDataElements(), rows * std::size_t(width));
+        // The same plan with every row W wide and the device descriptor.
+        const std::size_t bpe = std::size_t(cp.bytesPerElement());
+        const std::size_t full_width_bytes =
+            cp.heapBytes() - sizeof(ChunkDesc) * cp.numChunks() -
+            cp.storedElements() * bpe +
+            kDeviceChunkDescBytes * cp.numChunks() +
+            cp.totalDataElements() * bpe;
+        if (width >= 16) EXPECT_LT(cp.heapBytes(), full_width_bytes);
+      }
+    }
+  }
+}
+
 TEST_F(ChunkFixture, TrueNnzMatchesMatrix) {
   SvbPlan plan(g_, grid_->sv(5));
   const ChunkPlan cp(*A_, plan, {.chunk_width = 16, .quantize = false});

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <vector>
 
 #include "core/error.h"
 #include "geom/fbp.h"
@@ -177,6 +179,83 @@ TEST(Fbp, MaskedOutsideFov) {
   phantom.ellipses.push_back({0.0, 0.0, 6.0, 6.0, 0.0, 0.02});
   const Image2D img = fbpReconstruct(analyticProject(phantom, g), g);
   EXPECT_EQ(img(0, 0), 0.0f);  // corner is outside the FOV circle
+}
+
+// fbpReconstruct as it was before its per-view cos/sin table: the channel
+// of every pixel and view comes from projectToChannel.
+Image2D referenceFbp(const Sinogram& y, const ParallelBeamGeometry& g,
+                     const FbpOptions& opt) {
+  const int V = g.num_views;
+  const int C = g.num_channels;
+  std::vector<double> h(std::size_t(C), 0.0);
+  const double d2 = g.channel_spacing_mm * g.channel_spacing_mm;
+  h[0] = 1.0 / (4.0 * d2);
+  for (int n = 1; n < C; n += 2)
+    h[std::size_t(n)] = -1.0 / (std::numbers::pi * std::numbers::pi *
+                                double(n) * double(n) * d2);
+  std::vector<float> filtered(std::size_t(V) * std::size_t(C));
+  for (int v = 0; v < V; ++v) {
+    const auto row = y.row(v);
+    for (int c = 0; c < C; ++c) {
+      double acc = 0.0;
+      for (int k = 0; k < C; ++k)
+        acc += double(row[std::size_t(k)]) * h[std::size_t(std::abs(c - k))];
+      filtered[std::size_t(v) * std::size_t(C) + std::size_t(c)] =
+          float(acc * g.channel_spacing_mm);
+    }
+  }
+  Image2D img(g.image_size);
+  const double scale = g.angle_range_rad / double(V);
+  const double fov = g.fieldOfViewRadius();
+  for (int row = 0; row < g.image_size; ++row) {
+    for (int col = 0; col < g.image_size; ++col) {
+      const double x = g.pixelX(col);
+      const double yy = g.pixelY(row);
+      if (opt.mask_fov && x * x + yy * yy > fov * fov) {
+        img(row, col) = 0.0f;
+        continue;
+      }
+      double acc = 0.0;
+      for (int v = 0; v < V; ++v) {
+        const double tc = g.projectToChannel(x, yy, v);
+        const int c0 = int(std::floor(tc));
+        if (c0 < 0 || c0 + 1 >= C) continue;
+        const double frac = tc - double(c0);
+        const float* f = filtered.data() + std::size_t(v) * std::size_t(C);
+        acc += double(f[c0]) * (1.0 - frac) + double(f[c0 + 1]) * frac;
+      }
+      double val = acc * scale;
+      if (opt.clamp_nonnegative && val < 0.0) val = 0.0;
+      img(row, col) = float(val);
+    }
+  }
+  return img;
+}
+
+void expectSameBits(const Image2D& a, const Image2D& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(0, std::memcmp(a.flat().data(), b.flat().data(),
+                           a.flat().size() * sizeof(float)));
+}
+
+TEST(Fbp, ViewTableEqualsProjectToChannelBitForBit) {
+  const OwnedProblem& tiny = test::tinyProblem();
+  expectSameBits(fbpReconstruct(tiny.scan().y, tiny.geometry()),
+                 referenceFbp(tiny.scan().y, tiny.geometry(), {}));
+
+  // Views, channels and image side all differ, the detector is off-centre
+  // relative to the image grid, and every pixel is kept unclamped.
+  ParallelBeamGeometry g;
+  g.num_views = 37;
+  g.num_channels = 61;
+  g.image_size = 20;
+  g.pixel_size_mm = 0.9;
+  g.channel_spacing_mm = 0.55;
+  EllipsePhantom phantom;
+  phantom.ellipses.push_back({1.5, -2.0, 5.0, 3.0, 0.7, 0.02});
+  const Sinogram y = analyticProject(phantom, g);
+  for (const FbpOptions opt : {FbpOptions{}, FbpOptions{false, false}})
+    expectSameBits(fbpReconstruct(y, g, opt), referenceFbp(y, g, opt));
 }
 
 }  // namespace

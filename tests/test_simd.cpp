@@ -129,6 +129,26 @@ std::vector<float> randomFloats(std::mt19937& rng, int n, float lo = -4.0f,
   return out;
 }
 
+// The band-compact chunk rows the chunk ops read, cut from `rows` rows
+// stored `win` apart: row r keeps only the storedGroups(bands[r]) lane
+// groups covering its band, zero-padded past the window, back to back.
+// Sized exactly, so an op that reads past a stored row leaves the buffer.
+template <class T>
+std::vector<T> compactRows(const std::vector<T>& full, int win,
+                           const RowBand* bands, int rows) {
+  std::size_t n = 0;
+  for (int r = 0; r < rows; ++r)
+    n += std::size_t(storedGroups(bands[r]) * kSimdLanes);
+  std::vector<T> out(n);
+  std::size_t o = 0;
+  for (int r = 0; r < rows; ++r) {
+    const int g0 = bands[r].i0 & ~(kSimdLanes - 1);
+    for (int c = g0; c < g0 + storedGroups(bands[r]) * kSimdLanes; ++c)
+      out[o++] = c < win ? full[std::size_t(r * win + c)] : T(0);
+  }
+  return out;
+}
+
 TEST(SimdSemantics, ThetaRowMatchesReferenceEmulation) {
   std::mt19937 rng(7);
   for (const SimdOps* ops : {&scalarSimdOps(), avx2SimdOps()}) {
@@ -222,11 +242,12 @@ TEST_F(SimdBitIdentity, ThetaRowQuantizedAllLengths) {
     const float scale = 0.0123f;
     // A one-row chunk whose band fills its window is a plain row.
     const RowBand full = band(0, n);
+    const auto qc = compactRows(qs, n, &full, 1);
     ThetaLanes ls, lv;
     ls.reset();
     lv.reset();
-    sc.theta_chunk_q(qs.data(), scale, e.data(), w.data(), n, &full, 1, n, ls);
-    vx.theta_chunk_q(qs.data(), scale, e.data(), w.data(), n, &full, 1, n, lv);
+    sc.theta_chunk_q(qc.data(), scale, e.data(), w.data(), n, &full, 1, n, ls);
+    vx.theta_chunk_q(qc.data(), scale, e.data(), w.data(), n, &full, 1, n, lv);
     ASSERT_EQ(0, std::memcmp(&ls, &lv, sizeof ls)) << "n=" << n;
   }
 }
@@ -279,8 +300,9 @@ TEST_F(SimdBitIdentity, ErrRowQuantizedAndDotRowAllLengths) {
     const auto base = randomFloats(rng_, std::max(n, 1));
     std::vector<float> es(base.begin(), base.end()), ev(base);
     const RowBand full = band(0, n);
-    sc.err_chunk_q(qs.data(), 0.031f, 0.625f, es.data(), n, &full, 1, n);
-    vx.err_chunk_q(qs.data(), 0.031f, 0.625f, ev.data(), n, &full, 1, n);
+    const auto qc = compactRows(qs, n, &full, 1);
+    sc.err_chunk_q(qc.data(), 0.031f, 0.625f, es.data(), n, &full, 1, n);
+    vx.err_chunk_q(qc.data(), 0.031f, 0.625f, ev.data(), n, &full, 1, n);
     ASSERT_EQ(0, std::memcmp(es.data(), ev.data(), es.size() * 4)) << n;
 
     const auto w = randomFloats(rng_, n);
@@ -312,34 +334,36 @@ TEST_F(SimdBitIdentity, ChunkOpsAllBandPlacements) {
         const auto w = randomFloats(rng_, win, 0.0f, 2.0f);
         const float scale = 0.017f, delta = 0.4375f;
         const RowBand b = band(i0, i1);
+        const auto ac = compactRows(a, win, &b, 1);
+        const auto qc = compactRows(qs, win, &b, 1);
 
         ThetaLanes ls, lv;
         ls.reset();
         lv.reset();
-        sc.theta_chunk_f(a.data(), e.data(), w.data(), win, &b, 1, win, ls);
-        vx.theta_chunk_f(a.data(), e.data(), w.data(), win, &b, 1, win, lv);
+        sc.theta_chunk_f(ac.data(), e.data(), w.data(), win, &b, 1, win, ls);
+        vx.theta_chunk_f(ac.data(), e.data(), w.data(), win, &b, 1, win, lv);
         ASSERT_EQ(0, std::memcmp(&ls, &lv, sizeof ls))
             << "win=" << win << " i0=" << i0 << " i1=" << i1;
 
         ls.reset();
         lv.reset();
-        sc.theta_chunk_q(qs.data(), scale, e.data(), w.data(), win, &b, 1,
+        sc.theta_chunk_q(qc.data(), scale, e.data(), w.data(), win, &b, 1,
                          win, ls);
-        vx.theta_chunk_q(qs.data(), scale, e.data(), w.data(), win, &b, 1,
+        vx.theta_chunk_q(qc.data(), scale, e.data(), w.data(), win, &b, 1,
                          win, lv);
         ASSERT_EQ(0, std::memcmp(&ls, &lv, sizeof ls))
             << "win=" << win << " i0=" << i0 << " i1=" << i1;
 
         std::vector<float> es(e), ev(e);
-        sc.err_chunk_f(a.data(), delta, es.data(), win, &b, 1, win);
-        vx.err_chunk_f(a.data(), delta, ev.data(), win, &b, 1, win);
+        sc.err_chunk_f(ac.data(), delta, es.data(), win, &b, 1, win);
+        vx.err_chunk_f(ac.data(), delta, ev.data(), win, &b, 1, win);
         ASSERT_EQ(0, std::memcmp(es.data(), ev.data(), es.size() * 4))
             << "win=" << win << " i0=" << i0 << " i1=" << i1;
 
         es = e;
         ev = e;
-        sc.err_chunk_q(qs.data(), scale, delta, es.data(), win, &b, 1, win);
-        vx.err_chunk_q(qs.data(), scale, delta, ev.data(), win, &b, 1, win);
+        sc.err_chunk_q(qc.data(), scale, delta, es.data(), win, &b, 1, win);
+        vx.err_chunk_q(qc.data(), scale, delta, ev.data(), win, &b, 1, win);
         ASSERT_EQ(0, std::memcmp(es.data(), ev.data(), es.size() * 4))
             << "win=" << win << " i0=" << i0 << " i1=" << i1;
       }
@@ -348,10 +372,13 @@ TEST_F(SimdBitIdentity, ChunkOpsAllBandPlacements) {
 }
 
 // Whole chunks: SVB rows `pitch` apart (pitch > win, like the padded SVB),
-// A rows `win` apart, a random band per row, and windows whose scalar tails
-// fire mid-chunk. Both paths agree bit for bit, a chunk call equals the
-// loop of its one-row calls, and SVB elements outside every row's covering
-// groups — the pitch gap included — keep their bits.
+// band-compact A rows, and windows whose scalar tails fire mid-chunk. The
+// first rows are fixed — a one-group band, a band straddling a group
+// boundary, and a band in the window's last group (partial for win 19 and
+// 29) — and the rest random, so rows mix one to four stored groups. Both
+// paths agree bit for bit, a chunk call equals the loop of its one-row
+// calls, and SVB elements outside every row's covering groups — the pitch
+// gap included — keep their bits.
 TEST_F(SimdBitIdentity, ChunkOpsMatchAcrossPathsAndEqualPerRowLoop) {
   const SimdOps& sc = scalarSimdOps();
   const SimdOps& vx = *avx2SimdOps();
@@ -363,11 +390,13 @@ TEST_F(SimdBitIdentity, ChunkOpsMatchAcrossPathsAndEqualPerRowLoop) {
   for (int win : {8, 16, 19, 29, 32}) {
     for (int rows : {1, 2, 7, 13}) {
       const int pitch = win + 5;
-      std::vector<RowBand> bands(static_cast<std::size_t>(rows));
-      for (RowBand& b : bands) {
+      std::vector<RowBand> bands;
+      for (const RowBand b : {band(1, 6), band(5, 11), band(win - 3, win)})
+        if (int(bands.size()) < rows && b.i0 + b.n <= win) bands.push_back(b);
+      while (int(bands.size()) < rows) {
         const int i0 = std::uniform_int_distribution<int>(0, win - 1)(rng_);
         const int i1 = std::uniform_int_distribution<int>(i0 + 1, win)(rng_);
-        b = band(i0, i1);
+        bands.push_back(band(i0, i1));
       }
       auto a = randomFloats(rng_, rows * win);
       std::vector<std::uint8_t> qs(std::size_t(rows * win), 0);
@@ -389,33 +418,36 @@ TEST_F(SimdBitIdentity, ChunkOpsMatchAcrossPathsAndEqualPerRowLoop) {
         seed.t2[l] = randomFloats(rng_, 1, 0.0f, 4.0f)[0];
       }
       const float scale = 0.019f, delta = -0.6875f;
+      const auto ac = compactRows(a, win, bands.data(), rows);
+      const auto qc = compactRows(qs, win, bands.data(), rows);
 
       const auto chunkCall = [&](const SimdOps& ops) {
         Out o{seed, seed, e, e};
-        ops.theta_chunk_f(a.data(), e.data(), w.data(), pitch, bands.data(),
+        ops.theta_chunk_f(ac.data(), e.data(), w.data(), pitch, bands.data(),
                           rows, win, o.tf);
-        ops.theta_chunk_q(qs.data(), scale, e.data(), w.data(), pitch,
+        ops.theta_chunk_q(qc.data(), scale, e.data(), w.data(), pitch,
                           bands.data(), rows, win, o.tq);
-        ops.err_chunk_f(a.data(), delta, o.ef.data(), pitch, bands.data(),
+        ops.err_chunk_f(ac.data(), delta, o.ef.data(), pitch, bands.data(),
                         rows, win);
-        ops.err_chunk_q(qs.data(), scale, delta, o.eq.data(), pitch,
+        ops.err_chunk_q(qc.data(), scale, delta, o.eq.data(), pitch,
                         bands.data(), rows, win);
         return o;
       };
       const auto rowLoop = [&](const SimdOps& ops) {
         Out o{seed, seed, e, e};
+        std::size_t ao = 0;
         for (int r = 0; r < rows; ++r) {
           const RowBand* b = &bands[std::size_t(r)];
-          const std::size_t ao = std::size_t(r * win);
           const std::size_t so = std::size_t(r * pitch);
-          ops.theta_chunk_f(a.data() + ao, e.data() + so, w.data() + so,
+          ops.theta_chunk_f(ac.data() + ao, e.data() + so, w.data() + so,
                             pitch, b, 1, win, o.tf);
-          ops.theta_chunk_q(qs.data() + ao, scale, e.data() + so,
+          ops.theta_chunk_q(qc.data() + ao, scale, e.data() + so,
                             w.data() + so, pitch, b, 1, win, o.tq);
-          ops.err_chunk_f(a.data() + ao, delta, o.ef.data() + so, pitch, b, 1,
-                          win);
-          ops.err_chunk_q(qs.data() + ao, scale, delta, o.eq.data() + so,
+          ops.err_chunk_f(ac.data() + ao, delta, o.ef.data() + so, pitch, b,
+                          1, win);
+          ops.err_chunk_q(qc.data() + ao, scale, delta, o.eq.data() + so,
                           pitch, b, 1, win);
+          ao += std::size_t(storedGroups(*b)) * kSimdLanes;
         }
         return o;
       };
@@ -449,10 +481,10 @@ TEST_F(SimdBitIdentity, ChunkOpsMatchAcrossPathsAndEqualPerRowLoop) {
   }
 }
 
-// Skipping the groups outside the band must be invisible: on zero-padded
-// data a chunk-theta call produces the exact accumulator bits of the
-// full-window call — a plain row, or a chunk whose band is [0, win) (the
-// skipped elements only ever added +0.0).
+// Storing only the groups that cover the band must be invisible: on
+// zero-padded data a chunk-theta call over the band's compact row produces
+// the exact accumulator bits of the full-window call — a plain row, or a
+// chunk whose band is [0, win) (the dropped elements only ever added +0.0).
 TEST(SimdSemantics, ChunkThetaEqualsFullWindowOnPaddedData) {
   std::mt19937 rng(23);
   std::uniform_int_distribution<int> q(0, 255);
@@ -475,17 +507,17 @@ TEST(SimdSemantics, ChunkThetaEqualsFullWindowOnPaddedData) {
           full.reset();
           banded.reset();
           ops->theta_row_f(a.data(), e.data(), w.data(), win, full);
-          ops->theta_chunk_f(a.data(), e.data(), w.data(), win, &b, 1, win,
-                             banded);
+          ops->theta_chunk_f(compactRows(a, win, &b, 1).data(), e.data(),
+                             w.data(), win, &b, 1, win, banded);
           ASSERT_EQ(0, std::memcmp(&full, &banded, sizeof full))
               << ops->name << " win=" << win << " i0=" << i0 << " i1=" << i1;
 
           full.reset();
           banded.reset();
-          ops->theta_chunk_q(qs.data(), 0.02f, e.data(), w.data(), win,
-                             &whole, 1, win, full);
-          ops->theta_chunk_q(qs.data(), 0.02f, e.data(), w.data(), win, &b, 1,
-                             win, banded);
+          ops->theta_chunk_q(compactRows(qs, win, &whole, 1).data(), 0.02f,
+                             e.data(), w.data(), win, &whole, 1, win, full);
+          ops->theta_chunk_q(compactRows(qs, win, &b, 1).data(), 0.02f,
+                             e.data(), w.data(), win, &b, 1, win, banded);
           ASSERT_EQ(0, std::memcmp(&full, &banded, sizeof full))
               << ops->name << " win=" << win << " i0=" << i0 << " i1=" << i1;
         }
@@ -507,7 +539,8 @@ TEST(SimdSemantics, ChunkErrOpsLeaveUncoveredElementsUntouched) {
           const auto e0 = randomFloats(rng, win);
           std::vector<float> e(e0);
           const RowBand b = band(i0, i1);
-          ops->err_chunk_f(a.data(), 0.8125f, e.data(), win, &b, 1, win);
+          ops->err_chunk_f(compactRows(a, win, &b, 1).data(), 0.8125f,
+                           e.data(), win, &b, 1, win);
           const int g0 = i0 & ~(kSimdLanes - 1);
           const int r8 = (i1 + kSimdLanes - 1) & ~(kSimdLanes - 1);
           const int cov = i1 > i0 ? std::min(r8, win) : g0;

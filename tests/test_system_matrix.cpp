@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "core/rng.h"
+#include "core/simd.h"
 #include "geom/footprint.h"
 #include "geom/projector.h"
 #include "geom/system_matrix.h"
@@ -161,6 +163,43 @@ TEST_F(SystemMatrixTest, ErrorSinogramIsResidual) {
   for (int v = 0; v < g_.num_views; v += 11)
     for (int c = 0; c < g_.num_channels; c += 7)
       EXPECT_NEAR(e(v, c), y(v, c) - ax(v, c), 1e-5);
+}
+
+// forwardProject as it was before it split views across the pool: one
+// thread, every voxel over every view.
+Sinogram serialForwardProject(const SystemMatrix& A, const Image2D& x) {
+  const SimdOps& ops = resolveSimdOps(SimdMode::kDefault);
+  Sinogram y(A.numViews(), A.numChannels());
+  auto ys = y.flat();
+  for (std::size_t voxel = 0; voxel < A.numVoxels(); ++voxel) {
+    const float xv = x[voxel];
+    if (xv == 0.0f) continue;
+    for (int v = 0; v < A.numViews(); ++v) {
+      const auto w = A.weights(voxel, v);
+      float* dst = ys.data() + std::size_t(v) * std::size_t(A.numChannels()) +
+                   A.run(voxel, v).first_channel;
+      ops.axpy_row(w.data(), xv, dst, int(w.size()));
+    }
+  }
+  return y;
+}
+
+TEST_F(SystemMatrixTest, ForwardProjectEqualsSerialReference) {
+  ParallelBeamGeometry odd = g_;
+  odd.num_views = 7;  // fewer views than some pools have threads
+  for (const ParallelBeamGeometry& g : {g_, odd}) {
+    const auto A = test::cachedMatrix(g);
+    Rng rng(13);
+    Image2D x(g.image_size);
+    for (float& v : x.flat())
+      v = rng.uniform() < 0.3 ? 0.0f : float(rng.uniform() * 0.02);
+    const Sinogram got = forwardProject(*A, x);
+    const Sinogram want = serialForwardProject(*A, x);
+    ASSERT_EQ(got.flat().size(), want.flat().size());
+    EXPECT_EQ(0, std::memcmp(got.flat().data(), want.flat().data(),
+                             got.flat().size() * sizeof(float)))
+        << "views " << g.num_views;
+  }
 }
 
 TEST_F(SystemMatrixTest, ZeroImageForwardProjectsToZero) {
