@@ -50,7 +50,7 @@ Image2D fbpReconstruct(const Sinogram& y, const ParallelBeamGeometry& g,
 
   // Backproject with linear interpolation over channels. Each view's
   // cos/sin come from a table built once; the channel is then computed
-  // with projectToChannel's expression, so every pixel gets its bits.
+  // with projectToChannel's expression, so every pixel keeps its bits.
   Image2D img(g.image_size);
   const double scale = g.angle_range_rad / double(V);
   const double fov = g.fieldOfViewRadius();

@@ -12,6 +12,10 @@
 
 namespace mbir {
 
+// The projectors run on globalThreadPool(), so none of them may be called
+// from inside one of its tasks (ThreadPool::parallelFor). Their results do
+// not depend on the pool size.
+
 /// y = A x. Accumulates into a fresh sinogram.
 Sinogram forwardProject(const SystemMatrix& A, const Image2D& x);
 
