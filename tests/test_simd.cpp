@@ -132,7 +132,8 @@ std::vector<float> randomFloats(std::mt19937& rng, int n, float lo = -4.0f,
 // The band-compact chunk rows the chunk ops read, cut from `rows` rows
 // stored `win` apart: row r keeps only the storedGroups(bands[r]) lane
 // groups covering its band, zero-padded past the window, back to back.
-// Sized exactly, so an op that reads past a stored row leaves the buffer.
+// Sized exactly, so an op that reads past the last stored group leaves the
+// buffer (the ASan leg runs these tests).
 template <class T>
 std::vector<T> compactRows(const std::vector<T>& full, int win,
                            const RowBand* bands, int rows) {
