@@ -26,7 +26,8 @@ ChunkPlan::ChunkPlan(const SystemMatrix& A, const SvbPlan& svb_plan,
   voxel_begin_.assign(std::size_t(num_voxels) + 1, 0);
   scale_.assign(std::size_t(num_voxels), 0.0f);
 
-  // Pass 1: build descriptors (no data yet).
+  // Pass 1: build descriptors and row bands (no A data yet). A chunk's
+  // band rows follow the previous chunk's.
   int max_column_end = 0;
   for (int k = 0; k < num_voxels; ++k) {
     voxel_begin_[std::size_t(k)] = std::uint32_t(descs_.size());
@@ -56,6 +57,8 @@ ChunkPlan::ChunkPlan(const SystemMatrix& A, const SvbPlan& svb_plan,
       if (open && ws >= cur.base && we <= cur.base + W &&
           cur.view0 + cur.nrows == v) {
         ++cur.nrows;
+        bands_.push_back(
+            RowBand{std::uint8_t(ws - cur.base), std::uint8_t(r.count)});
         continue;
       }
       close();
@@ -68,7 +71,8 @@ ChunkPlan::ChunkPlan(const SystemMatrix& A, const SvbPlan& svb_plan,
         base = ws;
         aligned = false;
       }
-      cur = ChunkDesc{k, v, 1, base, 0, 0, aligned};
+      cur = ChunkDesc{k, v, 1, base, std::uint32_t(bands_.size()), 0, aligned};
+      bands_.push_back(RowBand{std::uint8_t(ws - base), std::uint8_t(r.count)});
       open = true;
       max_column_end = std::max(max_column_end, base + W);
     }
@@ -79,28 +83,13 @@ ChunkPlan::ChunkPlan(const SystemMatrix& A, const SvbPlan& svb_plan,
   // The padded SVB must be readable over every chunk window.
   required_padded_width_ = max_column_end;
 
-  // Pass 2: bands, then offsets. A chunk's band rows follow the previous
-  // chunk's; its stored A rows follow the previous chunk's stored groups.
-  std::size_t rows = 0;
-  for (const ChunkDesc& d : descs_) rows += std::size_t(d.nrows);
-  bands_.resize(rows);
-  total_elements_ = rows * std::size_t(W);
-  std::size_t band_offset = 0;
+  // Pass 2: stored-A offsets. A chunk's stored rows follow the previous
+  // chunk's stored groups.
+  total_elements_ = bands_.size() * std::size_t(W);
   std::size_t stored = 0;
   for (ChunkDesc& d : descs_) {
-    const std::size_t voxel =
-        std::size_t(sv_.voxelAt(d.local_voxel, image_size));
-    d.band_offset = std::uint32_t(band_offset);
     d.data_offset = std::uint32_t(stored);
-    for (int i = 0; i < d.nrows; ++i) {
-      const int v = d.view0 + i;
-      const SystemMatrix::Run& r = A.run(voxel, v);
-      const int ws = int(r.first_channel) - svb_plan.lo(v);
-      MBIR_CHECK(ws >= d.base && ws + int(r.count) <= d.base + W);
-      const RowBand b{std::uint8_t(ws - d.base), std::uint8_t(r.count)};
-      bands_[band_offset++] = b;
-      stored += std::size_t(storedGroups(b)) * kSimdLanes;
-    }
+    stored += storedElementsOf(d);
     MBIR_CHECK_MSG(stored <= UINT32_MAX, "chunk table exceeds uint32 offsets");
   }
 
