@@ -79,6 +79,9 @@ ChunkPlan::ChunkPlan(const SystemMatrix& A, const SvbPlan& svb_plan,
     close();
   }
   voxel_begin_[std::size_t(num_voxels)] = std::uint32_t(descs_.size());
+  // Both grew by push_back; drop the slack so heapBytes() is what is held.
+  descs_.shrink_to_fit();
+  bands_.shrink_to_fit();
 
   // The padded SVB must be readable over every chunk window.
   required_padded_width_ = max_column_end;
