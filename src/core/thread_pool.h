@@ -1,5 +1,8 @@
-// Minimal work-queue thread pool used by PSV-ICD (Alg. 2) and by the batch
-// preparation paths of GPU-ICD. parallelFor provides dynamic (chunked)
+// Minimal work-queue thread pool. It runs PSV-ICD's SuperVoxel waves
+// (Alg. 2), the gsim executor's split launches (GPU-ICD's update kernel, one
+// task per SV), FBP, the forward/back projectors, system-matrix
+// construction and phantom rasterization; the shard runner keeps a private
+// one to step its devices. parallelFor provides dynamic (chunked)
 // scheduling, matching how PSV-ICD distributes SuperVoxels across cores.
 #pragma once
 
@@ -57,7 +60,8 @@ class ThreadPool {
   std::exception_ptr first_error_;  // from submit()ed tasks; guarded by mu_
 };
 
-/// Process-wide pool (lazily constructed); benches and PSV-ICD share it.
+/// Process-wide pool (lazily constructed); every user above shares it unless
+/// handed a pool of its own.
 ThreadPool& globalThreadPool();
 
 }  // namespace mbir

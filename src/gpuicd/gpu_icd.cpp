@@ -217,6 +217,8 @@ struct GpuIcd::Impl {
     gsim::LaunchConfig cfg;
     cfg.name = "mbir_update";
     cfg.num_blocks = int(batch.size()) * tb_per_sv;
+    // One host task per SV: only the group's first block carries work.
+    cfg.host_tasks = int(batch.size());
     cfg.resources = updateKernelResources();
 
     // L2 working set: SVBs (e + w) of concurrently resident SVs plus a

@@ -62,9 +62,9 @@ struct GpuIcdOptions {
   /// Simulated device; scale caches with gsim::scaleCachesToProblem when
   /// running reduced geometries.
   gsim::DeviceSpec device = gsim::titanXMaxwell();
-  /// Host thread pool simulated kernel blocks execute on (nullptr = the
-  /// process-wide pool). Results are bit-identical for any pool size; only
-  /// host wall-clock changes.
+  /// Host thread pool the update kernel's per-SV host tasks run on
+  /// (nullptr = the process-wide pool). Results are bit-identical for any
+  /// pool size; only host wall-clock changes.
   ThreadPool* host_pool = nullptr;
   /// Device-semantics race checking (gsim/race_check.h): every launch's
   /// per-block access declarations are intersected, independent of host

@@ -1,5 +1,6 @@
 #include "gsim/executor.h"
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -119,30 +120,35 @@ LaunchReport GpuSimulator::launch(const LaunchConfig& cfg,
   std::vector<BlockAccessLog> race_logs;
   if (race_on) race_logs.resize(std::size_t(cfg.num_blocks));
 
+  // Every block gets a private profiler, so blocks can run on any host
+  // thread; merging the per-block stats in block-index order keeps the
+  // report bit-identical for any task split and pool size.
+  std::vector<KernelProfiler> profs;
+  profs.reserve(std::size_t(cfg.num_blocks));
+  for (int b = 0; b < cfg.num_blocks; ++b) {
+    profs.emplace_back(dev_);
+    if (race_on) profs.back().setRaceLog(&race_logs[std::size_t(b)]);
+  }
   const WarpCtx warp{*ctx_.simd, kSimdLanes};
-  if (cfg.num_blocks == 1) {
-    KernelProfiler prof(dev_);
-    if (race_on) prof.setRaceLog(&race_logs[0]);
-    BlockCtx ctx{0, 1, prof, warp};
-    run_block(ctx);
-    report.stats = prof.stats();
-  } else {
-    // Every block gets a private profiler so blocks can run on any host
-    // thread; merging the per-block stats in block-index order keeps the
-    // report bit-identical for any pool size.
-    std::vector<KernelProfiler> profs;
-    profs.reserve(std::size_t(cfg.num_blocks));
-    for (int b = 0; b < cfg.num_blocks; ++b) {
-      profs.emplace_back(dev_);
-      if (race_on) profs.back().setRaceLog(&race_logs[std::size_t(b)]);
-    }
-    ThreadPool& pool = host_pool_ ? *host_pool_ : globalThreadPool();
-    pool.parallelFor(0, cfg.num_blocks, [&](int b) {
+  const auto run_range = [&](int b0, int b1) {
+    for (int b = b0; b < b1; ++b) {
       BlockCtx ctx{b, cfg.num_blocks, profs[std::size_t(b)], warp};
       run_block(ctx);
+    }
+  };
+  const int tasks = std::clamp(cfg.host_tasks, 1, cfg.num_blocks);
+  if (tasks == 1) {
+    run_range(0, cfg.num_blocks);
+  } else {
+    // Task t owns the contiguous block range [N*t/T, N*(t+1)/T) and runs
+    // it in block order on one host thread.
+    const std::int64_t n = cfg.num_blocks;
+    ThreadPool& pool = host_pool_ ? *host_pool_ : globalThreadPool();
+    pool.parallelFor(0, tasks, [&](int t) {
+      run_range(int(n * t / tasks), int(n * (t + 1) / tasks));
     });
-    for (const KernelProfiler& p : profs) report.stats += p.stats();
   }
+  for (const KernelProfiler& p : profs) report.stats += p.stats();
   report.stats.launches = 1;
   report.stats.grid_blocks = cfg.num_blocks;
   report.time = modelKernelTime(dev_, report.stats, report.occupancy);
@@ -187,6 +193,8 @@ LaunchReport GpuSimulator::launch(const LaunchConfig& cfg,
     host_ev.ts_us = host_t0_us;
     host_ev.dur_us = rec->trace().nowHostUs() - host_t0_us;
     fillLaunchArgs(host_ev, report);
+    // How the blocks ran on the host, which only the host clock sees.
+    host_ev.num_args.emplace_back("host_tasks", double(tasks));
     obs::TraceEvent dev_ev;
     dev_ev.name = span_name;
     dev_ev.cat = "gsim";

@@ -1,15 +1,19 @@
 // Functional GPU kernel executor + per-launch profiler.
 //
-// Kernels are written as C++ callables over a BlockCtx; the executor runs
-// every threadblock of a launch concurrently on the host thread pool (like
-// the hardware would), each block reporting to its own KernelProfiler.
-// Per-block stats are merged in block-index order, so the LaunchReport —
-// counters and modeled time — is bit-identical for any host thread count.
-// Kernels must therefore be written like real CUDA blocks: no unsynchronized
-// writes to state shared across blocks (DESIGN.md §gsim host execution
-// model). Alongside the functional work, kernels report their memory
-// behaviour at *warp* granularity to the KernelProfiler; the launch() call
-// converts the counters to modeled time (gsim/timing.h).
+// Kernels are written as C++ callables over a BlockCtx. Each launch says
+// how many host tasks its threadblocks split into (LaunchConfig::host_tasks):
+// one task runs every block inline on the calling thread; more tasks each
+// run one contiguous block range, in block order, on the host thread pool.
+// A launcher asks for as many tasks as its blocks have real work (the
+// update kernel: one per SV). Every block reports to its own
+// KernelProfiler and the per-block stats are merged in block-index order,
+// so the LaunchReport — counters and modeled time — is bit-identical for
+// any task split and any host thread count. Kernels must therefore be
+// written like real CUDA blocks: no unsynchronized writes to state shared
+// across blocks (DESIGN.md §gsim host execution model). Alongside the
+// functional work, kernels report their memory behaviour at *warp*
+// granularity to the KernelProfiler; the launch() call converts the
+// counters to modeled time (gsim/timing.h).
 //
 // This is the substitution for CUDA hardware: same algorithm, same parallel
 // semantics, modeled performance (DESIGN.md §1).
@@ -252,6 +256,11 @@ struct BlockCtx {
 struct LaunchConfig {
   std::string name;
   int num_blocks = 1;
+  /// Host tasks the blocks split into: task t of T runs blocks
+  /// [N*t/T, N*(t+1)/T) in order on one pool thread. 1 (or less) runs every
+  /// block inline on the calling thread; more than num_blocks acts as
+  /// num_blocks. A host wall-clock knob only: the report does not change.
+  int host_tasks = 1;
   KernelResources resources;
 };
 
@@ -300,14 +309,16 @@ class GpuSimulator {
   RaceDetector& raceDetector() { return race_; }
   const RaceDetector& raceDetector() const { return race_; }
 
-  /// Host thread pool blocks execute on (nullptr = process-wide pool).
+  /// Host thread pool split launches run on (nullptr = process-wide pool).
   /// Purely a wall-clock knob: results are identical for any pool.
   void setHostPool(ThreadPool* pool) { host_pool_ = pool; }
 
-  /// Run every block of the kernel functionally (concurrently across host
-  /// threads); model and accumulate time. The report is invariant to the
-  /// host thread count: each block profiles into its own KernelProfiler and
-  /// the per-block stats are merged in block-index order.
+  /// Run every block of the kernel functionally, as cfg.host_tasks
+  /// contiguous block ranges (inline on the calling thread when that is 1,
+  /// else one pool task per range); model and accumulate time. The report
+  /// is invariant to the task split and the host thread count: each block
+  /// profiles into its own KernelProfiler and the per-block stats are
+  /// merged in block-index order.
   LaunchReport launch(const LaunchConfig& cfg,
                       const std::function<void(BlockCtx&)>& kernel);
 

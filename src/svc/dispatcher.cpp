@@ -268,7 +268,7 @@ SubmitOutcome Dispatcher::submitCached(const JobSpec& spec,
     // dispatch (dispatch_seq stays -1), no device time — so a hit cannot
     // be rejected for capacity and never perturbs the WFQ shares.
     job.cache_hit = true;
-    job.result.run.image = *hit.image;
+    job.cached_image = hit.image;
     job.result.run.converged = hit.meta.converged;
     job.result.run.equits = hit.meta.equits;
     job.result.run.final_rmse_hu = hit.meta.final_rmse_hu;
@@ -344,7 +344,7 @@ std::optional<Image2D> Dispatcher::image(int job_id) const {
   // The run writes job.result without the lock; only a terminal state
   // (published under the lock) guarantees those writes are visible here.
   if (!isTerminal(job.state) || !job.has_image) return std::nullopt;
-  return job.result.run.image;
+  return job.cache_hit ? *job.cached_image : job.result.run.image;
 }
 
 const JobResult& Dispatcher::result(int job_id) const {

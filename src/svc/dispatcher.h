@@ -396,7 +396,8 @@ class Dispatcher {
   std::optional<Image2D> image(int job_id) const;
 
   /// The full run record of a terminal job (throws while it is queued or
-  /// running). The reference stays valid for the dispatcher's lifetime.
+  /// running). The reference stays valid for the dispatcher's lifetime. A
+  /// cache hit never ran: its run.image is empty (image() serves it).
   const JobResult& result(int job_id) const;
 
   /// Stop admission, run every queued job to termination, join the device
@@ -423,6 +424,9 @@ class Dispatcher {
     bool has_image = false;
     int migrations = 0;        ///< times requeued off a failed device
     bool cache_hit = false;    ///< created terminal from the result cache
+    /// A cache hit's image: the cache entry's own, shared rather than
+    /// copied, so a hit adds no image to the job table.
+    std::shared_ptr<const Image2D> cached_image;
     bool fault_fired = false;  ///< one-shot: migrated jobs re-run clean
     bool hooked = false;       ///< current run heartbeats (watchdog applies)
     /// The job's identity for trace spans and flight events; filled at

@@ -1,10 +1,13 @@
 // Determinism of host-parallel simulated kernel execution: the gsim
 // executor and GPU-ICD must produce bit-identical functional results,
-// KernelStats, and modeled seconds for any host thread count, and the
-// chunk-plan LRU cache must be a pure wall-clock optimization.
+// KernelStats, and modeled seconds for any host thread count and any split
+// of a launch's blocks into host tasks, and the chunk-plan LRU cache must
+// be a pure wall-clock optimization.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
@@ -21,17 +24,24 @@ using test::expectStatsBitIdentical;
 
 // ---------- executor ----------
 
-gsim::LaunchReport launchWithPool(ThreadPool* pool) {
+constexpr int kBlocks = 29;
+
+gsim::LaunchReport launchWithPool(ThreadPool* pool, int host_tasks = kBlocks) {
   gsim::GpuSimulator sim;
   sim.setHostPool(pool);
   return sim.launch(
-      {.name = "k", .num_blocks = 29, .resources = {256, 32, 0}},
+      {.name = "k", .num_blocks = kBlocks, .host_tasks = host_tasks,
+       .resources = {256, 32, 0}},
       [](gsim::BlockCtx& ctx) {
         // Block-dependent accounting exercises the ordered per-block merge
         // (floating-point sums would differ under any reordering).
         ctx.prof.addFlops(1.0 / double(ctx.block_idx + 1));
         ctx.prof.svbAccess(7 + ctx.block_idx % 5, 4, ctx.block_idx % 2 == 0,
                            false);
+        // Uneven per-block work: 1-4 float-width reads, whose time bytes
+        // are not integers.
+        for (int k = 0; k <= ctx.block_idx % 4; ++k)
+          ctx.prof.svbAccess(3 + k, 4, false, false);
         ctx.prof.svbAtomic(ctx.block_idx, 1.0 + 0.1 * double(ctx.block_idx));
         if (ctx.block_idx == 17) ctx.prof.setImbalance(2.5);
         ctx.prof.setL2WorkingSet(double(ctx.block_idx) * 100.0);
@@ -55,6 +65,43 @@ TEST(ExecutorDeterminism, RepeatedLaunchIsBitIdentical) {
   const auto b = launchWithPool(&pool);
   expectStatsBitIdentical(a.stats, b.stats);
   EXPECT_EQ(a.time.total, b.time.total);
+}
+
+TEST(ExecutorDeterminism, HostTaskSplitDoesNotChangeReport) {
+  ThreadPool p1(1), p4(4);
+  const auto inline_ref = launchWithPool(&p1, 1);
+  for (ThreadPool* pool : {&p1, &p4}) {
+    for (int tasks : {1, 2, 3, kBlocks, kBlocks + 7}) {
+      SCOPED_TRACE("pool=" + std::to_string(pool->size()) +
+                   " host_tasks=" + std::to_string(tasks));
+      const auto r = launchWithPool(pool, tasks);
+      expectStatsBitIdentical(inline_ref.stats, r.stats);
+      EXPECT_EQ(inline_ref.time.total, r.time.total);
+    }
+  }
+
+  // A planted overlap is diagnosed whether the blocks run inline or split:
+  // blocks 0/1 share a task under the 4-way split, blocks 3/4 do not.
+  for (int tasks : {1, 4}) {
+    SCOPED_TRACE("host_tasks=" + std::to_string(tasks));
+    gsim::GpuSimulator sim;
+    sim.setHostPool(&p4);
+    sim.setRaceCheck({.enabled = true, .throw_on_race = false});
+    const int buf = sim.raceDetector().bufferId("image");
+    sim.launch({.name = "overlap", .num_blocks = 8, .host_tasks = tasks,
+                .resources = {256, 32, 0}},
+               [&](gsim::BlockCtx& ctx) {
+                 const std::int64_t lo = std::int64_t(ctx.block_idx) * 16;
+                 const bool spills = ctx.block_idx == 0 || ctx.block_idx == 3;
+                 ctx.prof.raceWrite(buf, lo, lo + (spills ? 17 : 16));
+               });
+    const std::vector<gsim::RaceReport>& races = sim.raceDetector().races();
+    ASSERT_EQ(races.size(), 2u);
+    EXPECT_EQ(races[0].block_a, 0);
+    EXPECT_EQ(races[0].block_b, 1);
+    EXPECT_EQ(races[1].block_a, 3);
+    EXPECT_EQ(races[1].block_b, 4);
+  }
 }
 
 // ---------- Svb striped writeback ----------
@@ -229,6 +276,48 @@ TEST(GpuIcdDeterminism, RecorderSeesSameCountsForAnyThreadCount) {
     EXPECT_EQ(r1.metrics().counterValue(name), r4.metrics().counterValue(name))
         << name;
   }
+}
+
+TEST(GpuIcdHostTasks, LaunchSpansRecordTheSplit) {
+  // A 128^2 problem in 33-voxel SVs, two SVs per batch: the update kernel
+  // runs one host task per SV (the split path), SVB generation and the
+  // writeback run inline. The host-clock launch span says which.
+  SuiteConfig scfg;
+  scfg.geometry = benchScaleGeometry();
+  scfg.geometry.num_views = 45;
+  const OwnedProblem problem = Suite(scfg).makeCase(0);
+  GpuIcdOptions opt;
+  opt.tunables.svs_per_batch = 2;
+  opt.device = gsim::scaleCachesToProblem(
+      opt.device, double(scfg.geometry.num_views) / 720.0);
+  ThreadPool pool(4);
+  opt.host_pool = &pool;
+  obs::ObsConfig ocfg;
+  ocfg.trace = true;
+  obs::Recorder rec(ocfg);
+  Image2D x = problem.fbpInitialImage();
+  Sinogram e = problem.initialError(x);
+  GpuIcd icd(problem.view(), opt, {.recorder = &rec});
+  test::stepEngine(icd, x, e, 1);
+
+  const auto hostTasks = [](const obs::TraceEvent& ev) {
+    for (const auto& [k, v] : ev.num_args)
+      if (k == "host_tasks") return v;
+    return -1.0;
+  };
+  int update_split = 0, aux_spans = 0;
+  for (const obs::TraceEvent& ev : rec.trace().snapshot()) {
+    if (ev.clock != obs::Clock::kHost) continue;
+    if (ev.name == "gsim.launch.mbir_update" && hostTasks(ev) == 2.0)
+      ++update_split;
+    if (ev.name == "gsim.launch.svb_gen" ||
+        ev.name == "gsim.launch.error_writeback") {
+      ++aux_spans;
+      EXPECT_EQ(hostTasks(ev), 1.0) << ev.name;
+    }
+  }
+  EXPECT_GT(update_split, 0);
+  EXPECT_GT(aux_spans, 0);
 }
 
 }  // namespace

@@ -372,12 +372,13 @@ TEST(RaceLaunch, DisabledCheckRecordsNothing) {
 }
 
 TEST(RaceLaunch, KernelExceptionPropagatesFromConcurrentBlocks) {
-  // Blocks run via ThreadPool::parallelFor; a throwing kernel must surface
-  // as an exception from launch(), not std::terminate (regression for the
-  // pool's exception propagation).
+  // A split launch runs its host tasks via ThreadPool::parallelFor; a
+  // throwing kernel must surface as an exception from launch(), not
+  // std::terminate (regression for the pool's exception propagation).
   GpuSimulator sim;
   EXPECT_THROW(
-      sim.launch({.name = "boom", .num_blocks = 32, .resources = {256, 32, 0}},
+      sim.launch({.name = "boom", .num_blocks = 32, .host_tasks = 8,
+                  .resources = {256, 32, 0}},
                  [&](BlockCtx& ctx) {
                    if (ctx.block_idx == 17) throw Error("planted failure");
                  }),

@@ -501,6 +501,10 @@ TEST(SvcStore, DuplicateSubmitIsServedFromTheCacheWithoutDispatching) {
   EXPECT_EQ(-1, dup_info.dispatch_seq);
   EXPECT_EQ(cold_info.image_hash, dup_info.image_hash);
   EXPECT_EQ(cold_info.equits, dup_info.equits);
+  // The hit serves the cache entry's image, bit for bit.
+  const Client::JobInfo dup_image = client.result(dup.job_id, true);
+  ASSERT_TRUE(dup_image.image.has_value());
+  EXPECT_EQ(cold_info.image_hash, hashToHex(fnv1a64(dup_image.image->flat())));
 
   // Content addressing: a different case index with bit-identical inputs
   // (TinySource serves one problem for every index) hits the same entry.
