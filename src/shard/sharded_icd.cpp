@@ -159,8 +159,10 @@ struct ShardedGpuIcd::Impl {
   }
 
   /// The halo exchange: three launches on the exchange simulator, each
-  /// with per-launch disjoint declared accesses (the executor runs blocks
-  /// truly concurrently, so phases inside one launch would be unsafe).
+  /// with per-launch disjoint declared accesses (blocks run concurrently on
+  /// the device, so phases inside one launch would be unsafe). The copies
+  /// run inline; the fold, a views x channels x S pass, runs one host task
+  /// per stripe.
   /// Kernel 1 packs owned rows into the assembly image; kernel 2 folds the
   /// per-slab error deltas over the pre-iteration snapshot in slab order
   /// (view-striped, single writer per view); kernel 3 refreshes each
@@ -207,6 +209,7 @@ struct ShardedGpuIcd::Impl {
     gsim::LaunchConfig red_cfg;
     red_cfg.name = "shard.reduce_e";
     red_cfg.num_blocks = std::min(kReduceStripes, views);
+    red_cfg.host_tasks = red_cfg.num_blocks;
     red_cfg.resources = {.threads_per_block = 256, .regs_per_thread = 16,
                          .smem_per_block_bytes = 0};
     exchange_sim.launch(red_cfg, [&](gsim::BlockCtx& ctx) {

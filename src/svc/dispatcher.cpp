@@ -354,6 +354,9 @@ const JobResult& Dispatcher::result(int job_id) const {
   // run's off-lock writes visible, and nothing writes them afterwards.
   MBIR_CHECK_MSG(isTerminal(job.state),
                  "job " << job_id << " is not terminal yet");
+  MBIR_CHECK_MSG(!job.cache_hit, "job " << job_id
+                                         << " was served from the result "
+                                            "cache and has no run record");
   return job.result;
 }
 

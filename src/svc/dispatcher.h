@@ -392,12 +392,14 @@ class Dispatcher {
   /// job, then submit a duplicate" hit the cache deterministically.
   void flushNotifications();
 
-  /// Copy of a finished job's image (nullopt when the job never ran).
+  /// Copy of a finished job's image (nullopt when it has none). The one
+  /// accessor that serves every finished job's image, cache hits included.
   std::optional<Image2D> image(int job_id) const;
 
-  /// The full run record of a terminal job (throws while it is queued or
-  /// running). The reference stays valid for the dispatcher's lifetime. A
-  /// cache hit never ran: its run.image is empty (image() serves it).
+  /// The full run record of a terminal job that ran (throws while it is
+  /// queued or running, and for a cache hit, which never ran and has no run
+  /// record: its image lives in the cache entry; use image() and
+  /// snapshot()). The reference stays valid for the dispatcher's lifetime.
   const JobResult& result(int job_id) const;
 
   /// Stop admission, run every queued job to termination, join the device

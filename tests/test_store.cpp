@@ -505,6 +505,11 @@ TEST(SvcStore, DuplicateSubmitIsServedFromTheCacheWithoutDispatching) {
   const Client::JobInfo dup_image = client.result(dup.job_id, true);
   ASSERT_TRUE(dup_image.image.has_value());
   EXPECT_EQ(cold_info.image_hash, hashToHex(fnv1a64(dup_image.image->flat())));
+  // A hit never ran, so it has no run record to hand out: asking for one
+  // fails loudly instead of returning a record without its image.
+  const svc::Dispatcher& dispatcher = service.server->dispatcher();
+  EXPECT_THROW(dispatcher.result(dup.job_id), Error);
+  EXPECT_EQ("cold", dispatcher.result(cold.job_id).name);
 
   // Content addressing: a different case index with bit-identical inputs
   // (TinySource serves one problem for every index) hits the same entry.
